@@ -1,10 +1,13 @@
 // Micro-benchmarks of the alignment algorithms (google-benchmark):
 // O(m) FM-index backward search versus O(nm) Smith-Waterman — the
-// complexity contrast of Section II — plus inexact-search cost versus
-// mismatch budget and the effect of lower-bound pruning.
+// complexity contrast of Section II — plus the per-call cost of the Occ/LFM
+// kernel, inexact-search cost versus mismatch budget and the effect of
+// lower-bound pruning.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "src/align/backward_search.h"
 #include "src/align/engine.h"
@@ -46,6 +49,52 @@ Workload& workload() {
   static Workload w;
   return w;
 }
+
+// The Occ/LFM kernel alone, at the paper's bucket width (d = 128) on a
+// 1 Mbp reference: per-call cost of one LFM and of one four-base extension.
+struct KernelWorkload {
+  pim::index::FmIndex fm;
+  std::vector<pim::index::SaInterval> intervals;
+
+  KernelWorkload() {
+    pim::genome::SyntheticGenomeSpec spec;
+    spec.length = 1 << 20;
+    spec.seed = 19;
+    fm = pim::index::FmIndex::build(pim::genome::generate_reference(spec),
+                                    {.bucket_width = 128});
+    pim::util::Xoshiro256 rng(23);
+    for (int i = 0; i < 4096; ++i) {
+      const std::uint64_t low = rng.bounded(fm.num_rows());
+      intervals.push_back({low, std::min(fm.num_rows(), low + rng.bounded(64))});
+    }
+  }
+};
+
+KernelWorkload& kernel_workload() {
+  static KernelWorkload w;
+  return w;
+}
+
+void BM_Lfm(benchmark::State& state) {
+  auto& w = kernel_workload();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto nt = static_cast<pim::genome::Base>(i & 3);
+    benchmark::DoNotOptimize(
+        w.fm.lfm(nt, w.intervals[i++ % w.intervals.size()].low));
+  }
+}
+BENCHMARK(BM_Lfm);
+
+void BM_Extend4(benchmark::State& state) {
+  auto& w = kernel_workload();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        w.fm.extend4(w.intervals[i++ % w.intervals.size()]));
+  }
+}
+BENCHMARK(BM_Extend4);
 
 void BM_FmExactSearch(benchmark::State& state) {
   auto& w = workload();

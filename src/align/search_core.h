@@ -14,8 +14,11 @@
 // Backend requirements:
 //   index::SaInterval whole_interval() const;
 //   index::SaInterval extend(const index::SaInterval&, genome::Base) const;
+//   std::array<index::SaInterval, genome::kNumBases>
+//       extend4(const index::SaInterval&) const;  // [b] == extend(iv, b)
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -170,8 +173,9 @@ class InexactSearchCore {
       recur(i - 1, diffs + 1, interval);
     }
 
+    const auto children = backend_.extend4(interval);
     for (const auto b : genome::kAllBases) {
-      const index::SaInterval next = backend_.extend(interval, b);
+      const index::SaInterval& next = children[static_cast<std::size_t>(b)];
       if (!next.valid()) continue;
       if (options_.mode == EditMode::kFullEdit && can_spend) {
         // Deletion from the read: consume a reference base, stay at R[i].

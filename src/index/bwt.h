@@ -4,8 +4,9 @@
 // column of the BW matrix of Fig. 1. The sentinel '$' appears exactly once,
 // at row `primary`; since the platform stores the BWT 2-bit-packed (Fig. 6a),
 // the sentinel cell holds a dummy base and `primary` is tracked by the DPU.
-// Every consumer (Occ tables, XNOR_Match counting) applies the primary
-// correction, keeping the software and in-memory paths bit-identical.
+// Every consumer (the Occ kernel of occ_kernel.h, XNOR_Match counting)
+// applies the primary correction, keeping the software and in-memory paths
+// bit-identical.
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,7 @@
 // marker + count_match, the decomposition the hardware executes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -85,9 +86,25 @@ class FmIndex {
   /// The whole-reference interval every backward search starts from.
   SaInterval whole_interval() const { return {0, num_rows()}; }
 
+  /// LFM for all four bases at once: lfm4(id)[nt] == lfm(nt, id).
+  BaseCounts lfm4(std::size_t id) const { return markers_.lfm4(bwt_, id); }
+
   /// One backward-extension step: prepend `nt` to the current pattern.
   SaInterval extend(const SaInterval& interval, genome::Base nt) const {
     return {lfm(nt, interval.low), lfm(nt, interval.high)};
+  }
+
+  /// Every backward-extension step at once (Algorithm 2's per-node fan-out):
+  /// extend4(interval)[nt] == extend(interval, nt), from two lfm4 calls.
+  std::array<SaInterval, genome::kNumBases> extend4(
+      const SaInterval& interval) const {
+    const BaseCounts low = lfm4(interval.low);
+    const BaseCounts high = lfm4(interval.high);
+    std::array<SaInterval, genome::kNumBases> next;
+    for (std::size_t a = 0; a < genome::kNumBases; ++a) {
+      next[a] = {low[a], high[a]};
+    }
+    return next;
   }
 
   /// Text position of SA row `row`.

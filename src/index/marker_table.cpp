@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "src/index/occ_kernel.h"
+
 namespace pim::index {
 
 MarkerTable::MarkerTable(const Bwt& bwt, const CountTable& counts,
@@ -37,13 +39,18 @@ MarkerTable MarkerTable::from_parts(std::uint32_t bucket_width,
 std::uint64_t MarkerTable::lfm(const Bwt& bwt, genome::Base nt,
                                std::size_t id) const {
   if (id > bwt.size()) throw std::out_of_range("MarkerTable::lfm");
-  const std::size_t start = id - (id % d_);
-  std::uint64_t count_match = 0;
-  for (std::size_t pos = start; pos < id; ++pos) {
-    if (bwt.is_sentinel(pos)) continue;
-    if (bwt.symbols.at(pos) == nt) ++count_match;
+  const std::size_t k = id / d_;
+  return marker(nt, k) + occ_kernel::count(bwt, nt, k * d_, id);
+}
+
+BaseCounts MarkerTable::lfm4(const Bwt& bwt, std::size_t id) const {
+  if (id > bwt.size()) throw std::out_of_range("MarkerTable::lfm4");
+  const std::size_t k = id / d_;
+  BaseCounts result = occ_kernel::count4(bwt, k * d_, id);
+  for (std::size_t a = 0; a < genome::kNumBases; ++a) {
+    result[a] += markers_[k][a];
   }
-  return marker(nt, id / d_) + count_match;
+  return result;
 }
 
 }  // namespace pim::index

@@ -44,9 +44,14 @@ class MarkerTable {
   }
 
   /// The hardware-friendly LFM procedure (Algorithm 1, line 9):
-  /// returns Count(nt) + Occ(nt, id) using one marker read plus a residual
-  /// count over at most d-1 BWT symbols.
+  /// returns Count(nt) + Occ(nt, id) using one marker read plus the word
+  /// kernel's count over at most d-1 BWT symbols. Throws std::out_of_range
+  /// if id > bwt.size().
   std::uint64_t lfm(const Bwt& bwt, genome::Base nt, std::size_t id) const;
+
+  /// lfm() for all four bases from one pass over the residual words:
+  /// lfm4(bwt, id)[nt] == lfm(bwt, nt, id).
+  BaseCounts lfm4(const Bwt& bwt, std::size_t id) const;
 
   /// Raw marker rows, for serialization.
   std::span<const OccCheckpoint> rows() const { return markers_.span(); }

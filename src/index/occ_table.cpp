@@ -2,13 +2,12 @@
 
 #include <stdexcept>
 
+#include "src/index/occ_kernel.h"
+
 namespace pim::index {
 
-CountTable::CountTable(const Bwt& bwt) {
-  for (std::size_t i = 0; i < bwt.size(); ++i) {
-    if (bwt.is_sentinel(i)) continue;
-    ++occurrences_[static_cast<std::size_t>(bwt.symbols.at(i))];
-  }
+CountTable::CountTable(const Bwt& bwt)
+    : occurrences_(occ_kernel::count4(bwt, 0, bwt.size())) {
   std::uint64_t cumulative = 1;  // '$' precedes everything
   for (std::size_t a = 0; a < genome::kNumBases; ++a) {
     counts_[a] = cumulative;
@@ -36,33 +35,25 @@ SampledOccTable::SampledOccTable(const Bwt& bwt, std::uint32_t bucket_width)
   const std::size_t num_checkpoints = bwt.size() / d_ + 1;
   auto& checkpoints = checkpoints_.vec();
   checkpoints.resize(num_checkpoints);
-  OccCheckpoint running{};
-  checkpoints[0] = running;
-  for (std::size_t i = 0; i < bwt.size(); ++i) {
-    if (!bwt.is_sentinel(i)) {
-      ++running[static_cast<std::size_t>(bwt.symbols.at(i))];
-    }
-    if ((i + 1) % d_ == 0) {
-      checkpoints[(i + 1) / d_] = running;
+  for (std::size_t k = 1; k < num_checkpoints; ++k) {
+    const BaseCounts bucket = occ_kernel::count4(bwt, (k - 1) * d_, k * d_);
+    for (std::size_t a = 0; a < genome::kNumBases; ++a) {
+      checkpoints[k][a] =
+          checkpoints[k - 1][a] + static_cast<std::uint32_t>(bucket[a]);
     }
   }
 }
 
 std::uint64_t SampledOccTable::count_match(const Bwt& bwt, genome::Base nt,
                                            std::size_t i) const {
-  const std::size_t start = i - (i % d_);
-  std::uint64_t matches = 0;
-  for (std::size_t pos = start; pos < i; ++pos) {
-    if (bwt.is_sentinel(pos)) continue;
-    if (bwt.symbols.at(pos) == nt) ++matches;
-  }
-  return matches;
+  if (i > bwt.size()) throw std::out_of_range("SampledOccTable::count_match");
+  return occ_kernel::count(bwt, nt, i - (i % d_), i);
 }
 
 std::uint64_t SampledOccTable::occ(const Bwt& bwt, genome::Base nt,
                                    std::size_t i) const {
-  if (i > bwt.size()) throw std::out_of_range("SampledOccTable::occ");
-  return checkpoint(nt, i / d_) + count_match(bwt, nt, i);
+  const std::uint64_t residual = count_match(bwt, nt, i);  // range-checked
+  return checkpoint(nt, i / d_) + residual;
 }
 
 }  // namespace pim::index

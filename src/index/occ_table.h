@@ -8,7 +8,8 @@
 //    default 128 = one sub-array row of 128 bps). occ(nt, i) =
 //    checkpoint + on-demand count of nt in BWT[i - i mod d, i) — exactly the
 //    `marker + count_match` decomposition the PIM platform executes with
-//    MEM + XNOR_Match.
+//    MEM + XNOR_Match. The count (and the checkpoint build) runs the
+//    word-parallel kernel of occ_kernel.h.
 //
 // All tables apply the primary (sentinel) correction internally, so their
 // counts refer to true base occurrences.
@@ -28,6 +29,9 @@ namespace pim::index {
 /// (and mapped back, so the layout is part of the on-disk format).
 using OccCheckpoint = std::array<std::uint32_t, genome::kNumBases>;
 static_assert(sizeof(OccCheckpoint) == genome::kNumBases * sizeof(std::uint32_t));
+
+/// One count per base, indexed by static_cast<std::size_t>(Base).
+using BaseCounts = std::array<std::uint64_t, genome::kNumBases>;
 
 class CountTable {
  public:
@@ -95,14 +99,15 @@ class SampledOccTable {
     return checkpoints_.span();
   }
 
-  /// Exact occ(nt, i) = checkpoint + residual scan of at most d-1 symbols.
-  /// The residual scan is the software twin of the hardware XNOR_Match +
-  /// DPU popcount.
+  /// Exact occ(nt, i) = checkpoint + residual count of at most d-1 symbols.
+  /// Throws std::out_of_range if i > bwt.size().
   std::uint64_t occ(const Bwt& bwt, genome::Base nt, std::size_t i) const;
 
   /// The residual count alone: occurrences of nt in BWT[i - i mod d, i),
-  /// with the sentinel-row correction. Exposed so the PIM controller can be
-  /// checked stage-by-stage against software.
+  /// with the sentinel-row correction — the software twin of the hardware
+  /// XNOR_Match + DPU popcount. Exposed so the PIM controller can be
+  /// checked stage-by-stage against software. Throws std::out_of_range if
+  /// i > bwt.size().
   std::uint64_t count_match(const Bwt& bwt, genome::Base nt, std::size_t i) const;
 
   std::size_t memory_bytes() const {

@@ -154,6 +154,16 @@ class PimSearchBackend {
                            genome::Base nt) const {
     return platform_->extend_hw(interval, nt);
   }
+  /// Four extend_hw calls in base order: the hardware issues one LFM pair
+  /// per base, so the charged LFM demand (8 calls) is unchanged.
+  std::array<index::SaInterval, genome::kNumBases> extend4(
+      const index::SaInterval& interval) const {
+    std::array<index::SaInterval, genome::kNumBases> next;
+    for (const auto b : genome::kAllBases) {
+      next[static_cast<std::size_t>(b)] = platform_->extend_hw(interval, b);
+    }
+    return next;
+  }
 
  private:
   PimAlignerPlatform* platform_;

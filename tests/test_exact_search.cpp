@@ -82,8 +82,10 @@ TEST(ExactSearch, TraceMatchesStepCount) {
 
 // Property: FM-index exact search equals brute-force scanning for random
 // references and reads (planted and random), across bucket widths.
+// Both fields are 64-bit so the struct has no padding: the test names print
+// the param's raw bytes, and uninitialised padding made them vary by build.
 struct ExactParam {
-  std::uint32_t bucket;
+  std::uint64_t bucket;
   std::uint64_t seed;
 };
 
@@ -97,7 +99,8 @@ TEST_P(ExactSearchProperty, MatchesNaiveScan) {
   spec.repeat_fraction = 0.5;
   spec.repeat_unit_length = 60;
   const PackedSequence text = genome::generate_reference(spec);
-  const auto fm = index::FmIndex::build(text, {.bucket_width = bucket});
+  const auto fm = index::FmIndex::build(
+      text, {.bucket_width = static_cast<std::uint32_t>(bucket)});
   util::Xoshiro256 rng(seed + 1000);
   for (int trial = 0; trial < 40; ++trial) {
     std::vector<Base> read;

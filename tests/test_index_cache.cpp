@@ -29,6 +29,15 @@ struct Artifact {
   index::FmIndex fm;
 };
 
+/// A /tmp path unique to the running test. ctest -j runs the tests of one
+/// binary as parallel processes; a path shared between tests would be
+/// rewritten while another test has it mapped.
+std::string per_test_path(const std::string& stem) {
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return "/tmp/" + stem + "_" + test->test_suite_name() + "." + test->name() +
+         ".index";
+}
+
 /// Builds `count` distinct references and persists each as a v2 artifact.
 std::vector<Artifact> make_artifacts(std::size_t count,
                                      std::size_t length = 20000) {
@@ -36,7 +45,7 @@ std::vector<Artifact> make_artifacts(std::size_t count,
   for (std::size_t i = 0; i < count; ++i) {
     Artifact a;
     a.id = "ref" + std::to_string(i);
-    a.path = "/tmp/pim_cache_test_" + a.id + ".index";
+    a.path = per_test_path("pim_cache_test_" + a.id);
     genome::SyntheticGenomeSpec spec;
     spec.length = length;
     spec.seed = 900 + i;

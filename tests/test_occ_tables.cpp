@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "src/genome/synthetic_genome.h"
+#include "src/index/occ_kernel.h"
+#include "src/util/rng.h"
 
 namespace pim::index {
 namespace {
@@ -117,6 +122,93 @@ TEST(OccTable, OutOfRangeThrows) {
   const SampledOccTable sampled(f.bwt, 2);
   EXPECT_THROW(sampled.occ(f.bwt, Base::A, f.bwt.size() + 1),
                std::out_of_range);
+}
+
+TEST(SampledOccTable, CountMatchOutOfRangeThrows) {
+  const Fixture f("ACGTACGTTGCA");
+  const SampledOccTable sampled(f.bwt, 4);
+  EXPECT_NO_THROW(sampled.count_match(f.bwt, Base::A, f.bwt.size()));
+  for (const auto nt : genome::kAllBases) {
+    EXPECT_THROW(sampled.count_match(f.bwt, nt, f.bwt.size() + 1),
+                 std::out_of_range);
+    // Far past the packed words, not just one row past the end.
+    EXPECT_THROW(sampled.count_match(f.bwt, nt, f.bwt.size() + 4096),
+                 std::out_of_range);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The word kernel (occ_kernel.h) against the full OccTable: every count over
+// [begin, end) must equal occ(end) - occ(begin), for one base and for all
+// four at once, and the sampled table built on it must agree everywhere.
+// ---------------------------------------------------------------------------
+
+class OccKernelOracle
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint32_t>> {
+};
+
+TEST_P(OccKernelOracle, RangeCountsMatchFullTable) {
+  const auto [length, d] = GetParam();
+  genome::SyntheticGenomeSpec spec;
+  spec.length = length;
+  spec.seed = 100 + length;
+  spec.repeat_fraction = 0.3;
+  const PackedSequence text = genome::generate_reference(spec);
+  const Bwt bwt = build_bwt(text, build_suffix_array(text));
+  const OccTable full(bwt);
+  const SampledOccTable sampled(bwt, d);
+  const std::size_t rows = bwt.size();
+
+  util::Xoshiro256 rng(7 * length + d);
+  const auto random_id = [&] {
+    return static_cast<std::size_t>(rng.bounded(rows + 1));
+  };
+  for (int probe = 0; probe < 3000; ++probe) {
+    // Ranges of every shape: within one word, across words, whole buckets,
+    // and ranges ending exactly at the last row.
+    std::size_t begin = random_id();
+    std::size_t end = probe % 4 == 0 ? rows : random_id();
+    if (probe % 4 == 1) end = std::min(rows, begin + rng.bounded(2 * d + 1));
+    if (begin > end) std::swap(begin, end);
+    const BaseCounts four = occ_kernel::count4(bwt, begin, end);
+    for (const auto nt : genome::kAllBases) {
+      const std::uint64_t expected = full.occ(nt, end) - full.occ(nt, begin);
+      ASSERT_EQ(occ_kernel::count(bwt, nt, begin, end), expected)
+          << "n=" << length << " [" << begin << "," << end << ")";
+      ASSERT_EQ(four[static_cast<std::size_t>(nt)], expected)
+          << "n=" << length << " [" << begin << "," << end << ")";
+    }
+    const std::size_t id = random_id();
+    for (const auto nt : genome::kAllBases) {
+      ASSERT_EQ(sampled.occ(bwt, nt, id), full.occ(nt, id))
+          << "n=" << length << " d=" << d << " id=" << id;
+    }
+  }
+  for (std::size_t k = 0; k < sampled.num_checkpoints(); ++k) {
+    for (const auto nt : genome::kAllBases) {
+      ASSERT_EQ(sampled.checkpoint(nt, k), full.occ(nt, k * d)) << "k=" << k;
+    }
+  }
+  const CountTable counts(bwt);
+  for (const auto nt : genome::kAllBases) {
+    EXPECT_EQ(counts.occurrences(nt), full.occ(nt, rows));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LengthsAndBuckets, OccKernelOracle,
+    ::testing::Combine(::testing::Values(1U, 31U, 32U, 33U, 5000U, 60001U),
+                       ::testing::Values(1U, 2U, 4U, 16U, 33U, 64U, 128U,
+                                         256U)));
+
+TEST(OccKernel, EmptyRangeCountsNothing) {
+  const Fixture f("TGCTA");
+  for (std::size_t i = 0; i <= f.bwt.size(); ++i) {
+    EXPECT_EQ(occ_kernel::count4(f.bwt, i, i), BaseCounts{});
+    for (const auto nt : genome::kAllBases) {
+      EXPECT_EQ(occ_kernel::count(f.bwt, nt, i, i), 0U);
+    }
+  }
 }
 
 }  // namespace

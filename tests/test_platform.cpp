@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "src/align/backward_search.h"
 #include "src/align/inexact_search.h"
@@ -109,7 +111,9 @@ TEST(Platform, ExactAlignBitIdentical) {
   }
 }
 
-// Bit-identical Algorithm 2: intervals AND diff counts agree.
+// Bit-identical Algorithm 2 (one extend4 per node on both backends):
+// intervals, diff counts, explored states and truncation agree, with and
+// without a state budget.
 TEST(Platform, InexactAlignBitIdentical) {
   Fixture f(15000, 19);
   util::Xoshiro256 rng(23);
@@ -120,13 +124,58 @@ TEST(Platform, InexactAlignBitIdentical) {
     auto read = f.text.slice(start, start + 24);
     read[5] = static_cast<Base>(rng.bounded(4));
     read[17] = static_cast<Base>(rng.bounded(4));
+    opt.max_states = trial % 5 == 4 ? 40 : 0;
     const auto sw = align::inexact_search(f.fm, read, opt);
     const auto hw_result = f.platform->inexact_align(read, opt);
+    EXPECT_EQ(hw_result.states_explored, sw.states_explored);
+    EXPECT_EQ(hw_result.truncated, sw.truncated);
+    EXPECT_EQ(sw.truncated, opt.max_states != 0);
     ASSERT_EQ(hw_result.hits.size(), sw.hits.size());
     for (std::size_t i = 0; i < sw.hits.size(); ++i) {
       EXPECT_EQ(hw_result.hits[i].interval, sw.hits[i].interval);
       EXPECT_EQ(hw_result.hits[i].diffs, sw.hits[i].diffs);
     }
+  }
+}
+
+// extend4 is the four hardware extends in base order: same intervals, same
+// LFM demand (two LFMs per base) and the same charged sub-array operations.
+TEST(PimSearchBackend, Extend4EqualsFourExtendsAndChargesEightLfms) {
+  Fixture f(70000, 29);
+  const PimSearchBackend backend(f.platform.get());
+  util::Xoshiro256 rng(31);
+  std::vector<index::SaInterval> intervals = {f.fm.whole_interval(),
+                                              {f.fm.num_rows(), f.fm.num_rows()},
+                                              {0, 0}};
+  for (int trial = 0; trial < 40; ++trial) {
+    std::uint64_t a = rng.bounded(f.fm.num_rows() + 1);
+    std::uint64_t b = rng.bounded(f.fm.num_rows() + 1);
+    if (a > b) std::swap(a, b);
+    intervals.push_back({a, b});
+    const std::size_t start = rng.bounded(f.text.size() - 12);
+    intervals.push_back(
+        align::exact_search(f.fm, f.text.slice(start, start + 12)).interval);
+  }
+  for (const auto& interval : intervals) {
+    const auto before = f.platform->aggregate_stats();
+    const auto four = backend.extend4(interval);
+    const auto after4 = f.platform->aggregate_stats();
+    EXPECT_EQ(after4.lfm_calls - before.lfm_calls, 8U);
+    for (const auto nt : genome::kAllBases) {
+      const auto expected = backend.extend(interval, nt);
+      EXPECT_EQ(four[static_cast<std::size_t>(nt)], expected);
+      EXPECT_EQ(expected, f.fm.extend(interval, nt));
+    }
+    const auto after1 = f.platform->aggregate_stats();
+    EXPECT_EQ(after1.lfm_calls - after4.lfm_calls, 8U);
+    EXPECT_EQ(after1.ops.triple_senses - after4.ops.triple_senses,
+              after4.ops.triple_senses - before.ops.triple_senses);
+    EXPECT_EQ(after1.ops.reads - after4.ops.reads,
+              after4.ops.reads - before.ops.reads);
+    EXPECT_EQ(after1.ops.writes - after4.ops.writes,
+              after4.ops.writes - before.ops.writes);
+    EXPECT_EQ(after1.ops.dpu_word_ops - after4.ops.dpu_word_ops,
+              after4.ops.dpu_word_ops - before.ops.dpu_word_ops);
   }
 }
 

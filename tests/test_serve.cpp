@@ -26,6 +26,7 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -1211,6 +1212,15 @@ TEST(RequestTracing, ConcurrentTracedSubmittersGetUniqueCompleteTimelines) {
 // bit-identical to a single-reference service over the same index.
 // ---------------------------------------------------------------------------
 
+/// A /tmp path unique to the running test. ctest -j runs the tests of one
+/// binary as parallel processes; a path shared between tests would be
+/// rewritten while another test has it mapped.
+std::string per_test_path(const std::string& stem) {
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return "/tmp/" + stem + "_" + test->test_suite_name() + "." + test->name() +
+         ".index";
+}
+
 struct MultiRefFixture {
   struct Ref {
     std::string id;
@@ -1227,7 +1237,7 @@ struct MultiRefFixture {
     for (std::size_t i = 0; i < count; ++i) {
       Ref r;
       r.id = "genome" + std::to_string(i);
-      r.path = "/tmp/pim_serve_test_" + r.id + ".index";
+      r.path = per_test_path("pim_serve_test_" + r.id);
       genome::SyntheticGenomeSpec spec;
       spec.length = 20000;
       spec.seed = 500 + i;
