@@ -7,10 +7,8 @@
 // behind the Fig. 8a power bar.
 #include <cstdio>
 
-#include "src/align/aligner.h"
 #include "src/genome/synthetic_genome.h"
-#include "src/pim/controller.h"
-#include "src/pim/platform.h"
+#include "src/pim/pim_engine.h"
 #include "src/readsim/read_simulator.h"
 #include "src/util/table.h"
 
@@ -31,8 +29,9 @@ int main() {
   rspec.sequencing_error_rate = 0.002;
   rspec.seed = 30;
   const auto set = pim::readsim::ReadSimulator(rspec).generate(reference);
-  std::vector<std::vector<pim::genome::Base>> reads;
-  for (const auto& r : set.reads) reads.push_back(r.bases);
+  pim::align::ReadBatchBuilder builder;
+  for (const auto& r : set.reads) builder.add(r.bases);
+  const pim::align::ReadBatch reads = builder.build();
 
   pim::align::AlignerOptions options;
   options.inexact.max_diffs = 2;
@@ -40,8 +39,9 @@ int main() {
   const auto run = [&](pim::hw::AddPlacement placement) {
     pim::hw::PimAlignerPlatform platform(fm, timing, pim::hw::ZoneLayout{},
                                          placement);
-    pim::hw::PimBatchDriver driver(platform, options);
-    const auto report = driver.run(reads);
+    const pim::hw::PimEngine engine(platform, options);
+    pim::align::BatchResult results;
+    const auto report = engine.run(reads, results);
     return std::make_pair(report, platform.aggregate_duplicate_stats());
   };
 

@@ -7,7 +7,7 @@
 // grow — quantifying "handles mismatches to reduce excessive backtracking".
 #include <cstdio>
 
-#include "src/align/aligner.h"
+#include "src/align/engine.h"
 #include "src/align/inexact_search.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/readsim/read_simulator.h"
@@ -37,18 +37,16 @@ int main() {
 
     pim::align::AlignerOptions options;
     options.inexact.max_diffs = 2;
-    const pim::align::Aligner aligner(fm, options);
+    const pim::align::SoftwareEngine engine(fm, options);
+    pim::align::ReadBatchBuilder builder;
+    for (const auto& read : set.reads) builder.add(read.bases);
+    pim::align::BatchResult results;
+    engine.align_batch(builder.build(), results);
 
-    std::uint64_t exact = 0, inexact = 0, unaligned = 0;
     std::uint64_t states_pruned = 0, states_raw = 0, inexact_runs = 0;
-    for (const auto& read : set.reads) {
-      const auto result = aligner.align(read.bases);
-      switch (result.stage) {
-        case pim::align::AlignmentStage::kExact: ++exact; break;
-        case pim::align::AlignmentStage::kInexact: ++inexact; break;
-        case pim::align::AlignmentStage::kUnaligned: ++unaligned; break;
-      }
-      if (result.stage != pim::align::AlignmentStage::kExact &&
+    for (std::size_t i = 0; i < set.reads.size(); ++i) {
+      const auto& read = set.reads[i];
+      if (results.stage(i) != pim::align::AlignmentStage::kExact &&
           inexact_runs < 40) {
         // Sample the backtracking cost with and without the D-array.
         pim::align::InexactOptions with = options.inexact;
@@ -62,12 +60,14 @@ int main() {
         ++inexact_runs;
       }
     }
-    const double n = static_cast<double>(set.reads.size());
+    const auto& stats = results.stats();
+    const double n = static_cast<double>(stats.reads_total);
     out.add_row(
         {TextTable::num(rate * 100.0) + " %",
-         TextTable::num(100.0 * static_cast<double>(exact) / n),
-         TextTable::num(100.0 * static_cast<double>(inexact) / n),
-         TextTable::num(100.0 * static_cast<double>(unaligned) / n),
+         TextTable::num(100.0 * static_cast<double>(stats.reads_exact) / n),
+         TextTable::num(100.0 * static_cast<double>(stats.reads_inexact) / n),
+         TextTable::num(100.0 * static_cast<double>(stats.reads_unaligned) /
+                        n),
          inexact_runs ? TextTable::num(static_cast<double>(states_pruned) /
                                        static_cast<double>(inexact_runs))
                       : "-",

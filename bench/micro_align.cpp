@@ -161,24 +161,8 @@ void BM_InexactSearchNoPruning(benchmark::State& state) {
 }
 BENCHMARK(BM_InexactSearchNoPruning)->Arg(1)->Arg(2);
 
-// The two batch dispatch paths over the same reads: legacy vector-of-vectors
-// through Aligner::align_batch versus the packed ReadBatch arena through
-// SoftwareEngine. Same search work by construction; the delta is the
-// per-read allocation/copy overhead the engine layer removes (the dedicated
-// engine_throughput bench quantifies it at production batch sizes).
-void BM_AlignBatchLegacy(benchmark::State& state) {
-  auto& w = workload();
-  pim::align::AlignerOptions opt;
-  opt.inexact.max_diffs = 2;
-  const pim::align::Aligner aligner(w.fm, opt);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(aligner.align_batch(w.reads));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(w.reads.size()));
-}
-BENCHMARK(BM_AlignBatchLegacy);
-
+// Batch alignment through SoftwareEngine over a packed ReadBatch arena (the
+// engine_throughput bench measures it at production batch sizes).
 void BM_AlignBatchEngine(benchmark::State& state) {
   auto& w = workload();
   pim::align::AlignerOptions opt;

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "src/accel/pim_aligner_model.h"
-#include "src/align/aligner.h"
+#include "src/align/engine.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/readsim/read_simulator.h"
 #include "src/util/table.h"
@@ -41,11 +41,12 @@ int main() {
 
     pim::align::AlignerOptions options;
     options.inexact.max_diffs = 2;
-    const pim::align::Aligner aligner(fm, options);
-    pim::align::AlignerStats stats;
-    std::vector<std::vector<pim::genome::Base>> reads;
-    for (const auto& r : set.reads) reads.push_back(r.bases);
-    aligner.align_batch(reads, &stats);
+    const pim::align::SoftwareEngine engine(fm, options);
+    pim::align::ReadBatchBuilder builder;
+    for (const auto& r : set.reads) builder.add(r.bases);
+    pim::align::BatchResult results;
+    engine.align_batch(builder.build(), results);
+    const auto& stats = results.stats();
 
     pim::accel::ChipModelConfig chip_cfg;
     chip_cfg.read_length = len;

@@ -124,18 +124,17 @@ int cmd_align(const std::string& index_path, const std::string& fastq_path,
               mapped.mapped() ? "mapped" : "stream-loaded",
               seconds_since(t0));
 
-  const auto reads = genome::read_fastq_file(fastq_path);
-  std::vector<std::vector<genome::Base>> bases;
-  bases.reserve(reads.size());
-  for (const auto& r : reads) bases.push_back(r.sequence.unpack());
+  const align::ReadBatch batch =
+      align::ReadBatch::from_fastq(genome::read_fastq_file(fastq_path));
 
   align::AlignerOptions options;
   options.inexact.max_diffs = 2;
-  const align::Aligner aligner(mapped.index(), options);
-  align::AlignerStats stats;
+  const align::SoftwareEngine engine(mapped.index(), options);
+  align::BatchResult results;
   t0 = std::chrono::steady_clock::now();
-  const auto results = align::align_batch_parallel(aligner, bases, 0, &stats);
+  align::align_batch_parallel(engine, batch, results);
   const double align_s = seconds_since(t0);
+  const align::EngineStats& stats = results.stats();
 
   std::ofstream out(sam_path);
   const std::string ref_name = mapped.chromosomes().empty()
@@ -143,10 +142,7 @@ int cmd_align(const std::string& index_path, const std::string& fastq_path,
                                    : mapped.chromosomes()[0].name;
   align::SamWriter writer(out, ref_name, mapped.reference());
   writer.write_header();
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    writer.write_alignment(reads[i].name.substr(0, reads[i].name.find(' ')),
-                           bases[i], results[i], reads[i].qualities);
-  }
+  writer.write_batch(batch, results);
   std::printf("aligned %llu reads in %.2f s (%.0f reads/s): "
               "%llu exact, %llu inexact, %llu unaligned -> %s\n",
               static_cast<unsigned long long>(stats.reads_total), align_s,

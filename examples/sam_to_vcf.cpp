@@ -8,7 +8,7 @@
 #include <sstream>
 #include <string>
 
-#include "src/align/aligner.h"
+#include "src/align/engine.h"
 #include "src/align/sam_writer.h"
 #include "src/genome/fasta.h"
 #include "src/genome/synthetic_genome.h"
@@ -88,14 +88,18 @@ int demo() {
   const auto fm = index::FmIndex::build(reference, {.bucket_width = 128});
   align::AlignerOptions options;
   options.inexact.max_diffs = 2;
-  const align::Aligner aligner(fm, options);
+  const align::SoftwareEngine engine(fm, options);
+  align::ReadBatchBuilder builder;
+  for (std::size_t i = 0; i < set.reads.size(); ++i) {
+    builder.add(set.reads[i].bases, "r" + std::to_string(i));
+  }
+  const align::ReadBatch batch = builder.build();
+  align::BatchResult results;
+  engine.align_batch(batch, results);
   std::ofstream sam("/tmp/pim_s2v.sam");
   align::SamWriter writer(sam, "demo", reference);
   writer.write_header();
-  for (std::size_t i = 0; i < set.reads.size(); ++i) {
-    writer.write_alignment("r" + std::to_string(i), set.reads[i].bases,
-                           aligner.align(set.reads[i].bases));
-  }
+  writer.write_batch(batch, results);
   sam.close();
   std::printf("planted %zu SNVs; aligned %zu reads -> /tmp/pim_s2v.sam\n",
               planted, set.reads.size());

@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "src/align/aligner.h"
+#include "src/align/engine.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/readsim/read_simulator.h"
 #include "src/util/rng.h"
@@ -58,18 +58,18 @@ int main() {
   align::AlignerOptions options;
   options.inexact.max_diffs = 2;
   options.max_hits = 4;
-  const align::Aligner aligner(fm, options);
+  const align::SoftwareEngine engine(fm, options);
+  align::ReadBatchBuilder builder;
+  for (const auto& read : set.reads) builder.add(read.bases);
+  align::BatchResult results;
+  engine.align_batch(builder.build(), results);
+  const align::EngineStats& stats = results.stats();
 
   varcall::Pileup pileup(reference.size());
-  align::AlignerStats stats;
-  for (const auto& read : set.reads) {
-    const auto result = aligner.align(read.bases);
-    ++stats.reads_total;
-    if (!result.aligned()) {
-      ++stats.reads_unaligned;
-      continue;
-    }
-    const auto best = *result.best();
+  for (std::size_t i = 0; i < set.reads.size(); ++i) {
+    if (!results.aligned(i)) continue;
+    const auto& read = set.reads[i];
+    const auto best = *results.best(i);
     varcall::AlignedRead aligned;
     aligned.position = best.position;
     aligned.bases = best.strand == align::Strand::kForward

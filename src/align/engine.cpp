@@ -4,8 +4,7 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "src/align/backward_search.h"
-#include "src/align/inexact_search.h"
+#include "src/align/search_core.h"
 
 namespace pim::align {
 
@@ -22,15 +21,6 @@ void EngineStats::merge(const EngineStats& other) {
   result_bytes += other.result_bytes;
   chunks += other.chunks;
   stall_ms += other.stall_ms;
-}
-
-AlignerStats EngineStats::to_aligner_stats() const {
-  AlignerStats s;
-  s.reads_total = reads_total;
-  s.reads_exact = reads_exact;
-  s.reads_inexact = reads_inexact;
-  s.reads_unaligned = reads_unaligned;
-  return s;
 }
 
 void BatchResult::clear() {
@@ -54,6 +44,11 @@ bool better_hit(const AlignmentHit& a, const AlignmentHit& b) {
 }
 
 }  // namespace
+
+std::optional<AlignmentHit> AlignmentResult::best() const {
+  if (hits.empty()) return std::nullopt;
+  return *std::min_element(hits.begin(), hits.end(), better_hit);
+}
 
 void BatchResult::add_read(AlignmentStage stage,
                            std::span<const AlignmentHit> hits) {
@@ -156,84 +151,6 @@ EngineStats AlignmentEngine::align_batch_chunked(const ReadBatch& batch,
       std::chrono::duration<double, std::milli>(t1 - t0).count();
   return total;
 }
-
-namespace detail {
-
-namespace {
-
-void collect_exact_hits(const index::FmIndex& index,
-                        const AlignerOptions& options,
-                        const std::vector<genome::Base>& oriented,
-                        Strand strand, TwoStageScratch& scratch) {
-  const ExactResult result = exact_search(index, oriented);
-  if (!result.found()) return;
-  index.locate_all_into(result.interval, scratch.positions);
-  for (const auto pos : scratch.positions) {
-    scratch.hits.push_back(AlignmentHit{pos, 0, strand});
-    if (options.max_hits != 0 && scratch.hits.size() >= options.max_hits) {
-      return;
-    }
-  }
-}
-
-void collect_inexact_hits(const index::FmIndex& index,
-                          const AlignerOptions& options,
-                          const std::vector<genome::Base>& oriented,
-                          Strand strand, std::vector<AlignmentHit>& hits) {
-  for (const auto& [pos, diffs] :
-       inexact_locate(index, oriented, options.inexact)) {
-    hits.push_back(AlignmentHit{pos, diffs, strand});
-    if (options.max_hits != 0 && hits.size() >= options.max_hits) return;
-  }
-}
-
-}  // namespace
-
-AlignmentStage align_two_stage(const index::FmIndex& index,
-                               const AlignerOptions& options,
-                               const std::vector<genome::Base>& read,
-                               TwoStageScratch& scratch, EngineStats* stats) {
-  auto& hits = scratch.hits;
-  hits.clear();
-  AlignmentStage stage = AlignmentStage::kUnaligned;
-  bool rc_ready = false;
-
-  // Stage one: exact alignment, both strands.
-  collect_exact_hits(index, options, read, Strand::kForward, scratch);
-  if (stats != nullptr) ++stats->exact_searches;
-  if (options.try_reverse_complement &&
-      (options.max_hits == 0 || hits.size() < options.max_hits)) {
-    genome::reverse_complement_into(read, scratch.rc);
-    rc_ready = true;
-    collect_exact_hits(index, options, scratch.rc,
-                       Strand::kReverseComplement, scratch);
-    if (stats != nullptr) ++stats->exact_searches;
-  }
-  if (!hits.empty()) {
-    stage = AlignmentStage::kExact;
-  } else if (options.inexact.max_diffs > 0) {
-    // Stage two: inexact alignment with the configured difference budget.
-    collect_inexact_hits(index, options, read, Strand::kForward, hits);
-    if (stats != nullptr) ++stats->inexact_searches;
-    if (options.try_reverse_complement &&
-        (options.max_hits == 0 || hits.size() < options.max_hits)) {
-      if (!rc_ready) genome::reverse_complement_into(read, scratch.rc);
-      collect_inexact_hits(index, options, scratch.rc,
-                           Strand::kReverseComplement, hits);
-      if (stats != nullptr) ++stats->inexact_searches;
-    }
-    if (!hits.empty()) stage = AlignmentStage::kInexact;
-  }
-
-  std::sort(hits.begin(), hits.end(),
-            [](const AlignmentHit& a, const AlignmentHit& b) {
-              if (a.position != b.position) return a.position < b.position;
-              return a.diffs < b.diffs;
-            });
-  return stage;
-}
-
-}  // namespace detail
 
 void SoftwareEngine::align_range(const ReadBatch& batch, std::size_t begin,
                                  std::size_t end, BatchResult& out) const {

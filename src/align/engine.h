@@ -8,14 +8,15 @@
 // (parallel scheduler, MultiAligner, PairedAligner, SamWriter, examples,
 // benches) program against AlignmentEngine, so swapping the software path
 // for the PIM model — or a future sharded/async backend — is a one-line
-// change, and the software/PIM bit-identical-results invariant is asserted
-// at exactly one seam (tests/test_engine.cpp).
+// change. SoftwareEngine and PimEngine run the same two-stage function
+// (detail::align_two_stage) over different search backends, and the
+// software/PIM bit-identical-results invariant is asserted at exactly one
+// seam (tests/test_engine.cpp).
 //
 // BatchResult is arena-backed like ReadBatch: all hits of a batch live in
 // one contiguous vector with per-read extents, so the engine path performs
-// O(1) heap allocations per batch where the legacy vector-of-vectors path
-// performed O(reads). EngineStats carries the per-stage counters that the
-// legacy front-ends (paired, multi) used to silently drop.
+// O(1) heap allocations per batch. Its EngineStats (types.h) carries the
+// per-stage counters.
 #pragma once
 
 #include <cstdint>
@@ -26,53 +27,17 @@
 #include <string_view>
 #include <vector>
 
-#include "src/align/aligner.h"
 #include "src/align/read_batch.h"
 #include "src/align/seed_extend.h"
+#include "src/align/types.h"
 #include "src/genome/packed_sequence.h"
 #include "src/index/fm_index.h"
 
 namespace pim::align {
 
-/// Per-stage engine statistics: stage outcomes, search-invocation counters,
-/// wall time, and result-arena allocation. Merges associatively, so chunked
-/// parallel workers accumulate privately and combine at join.
-struct EngineStats {
-  std::uint64_t reads_total = 0;
-  std::uint64_t reads_exact = 0;
-  std::uint64_t reads_inexact = 0;
-  std::uint64_t reads_unaligned = 0;
-  std::uint64_t hits_total = 0;
-  /// Strand searches issued per stage (2 per read with
-  /// try_reverse_complement; stage two only runs for stage-one misses).
-  std::uint64_t exact_searches = 0;
-  std::uint64_t inexact_searches = 0;
-  std::uint64_t batches = 0;
-  double wall_ms = 0.0;            ///< align_batch / scheduler wall time.
-  std::uint64_t result_bytes = 0;  ///< BatchResult arena footprint.
-  /// Chunks delivered through the chunk seam (S39): align_batch_chunked,
-  /// the chunked parallel scheduler's in-order drain, and ShardedEngine's
-  /// per-shard forwarding all count here. 0 on non-chunked paths.
-  std::uint64_t chunks = 0;
-  /// Scheduler stall time (S39/S40): worker wait on the bounded start
-  /// window plus in-order forwarding wait on unfinished predecessors.
-  /// Execution-shape dependent (threads/chunking), unlike the workload
-  /// counters above — equivalence tests must not compare it.
-  double stall_ms = 0.0;
-
-  double exact_fraction() const {
-    return reads_total ? static_cast<double>(reads_exact) /
-                             static_cast<double>(reads_total)
-                       : 0.0;
-  }
-  void merge(const EngineStats& other);
-  /// Bridge to the legacy stats struct front-ends still print.
-  AlignerStats to_aligner_stats() const;
-};
-
 /// Arena-backed batch results: stages + one contiguous hits vector with
-/// per-read extents. Materialize a legacy AlignmentResult with result(i)
-/// only at I/O boundaries (SAM writing, tests).
+/// per-read extents. Materialize a per-read AlignmentResult with result(i)
+/// only at I/O boundaries (serving responses, tests).
 class BatchResult {
  public:
   BatchResult() { hit_begin_.push_back(0); }
@@ -108,7 +73,7 @@ class BatchResult {
   /// Best (fewest-diff, leftmost) hit of read i, like AlignmentResult::best.
   std::optional<AlignmentHit> best(std::size_t i) const;
 
-  /// Materialize read i as the legacy per-read struct (copies the hits).
+  /// Materialize read i as a standalone per-read value (copies the hits).
   AlignmentResult result(std::size_t i) const;
   std::vector<AlignmentResult> to_results() const;
 
@@ -181,32 +146,9 @@ class AlignmentEngine {
                                           bool best_hit_only = false) const;
 };
 
-namespace detail {
-
-/// Reusable per-worker buffers for the two-stage pipeline: the unpacked
-/// read, its reverse complement, the read's hit set, and the SA-locate
-/// output. One set per worker replaces four heap allocations per read.
-struct TwoStageScratch {
-  std::vector<genome::Base> read;
-  std::vector<genome::Base> rc;
-  std::vector<AlignmentHit> hits;
-  std::vector<std::uint64_t> positions;
-};
-
-/// The canonical two-stage pipeline (stage one exact, stage two inexact,
-/// both strands), shared verbatim by Aligner::align and SoftwareEngine so
-/// the per-read adapter and the batch engine are bit-identical by
-/// construction. On return scratch.hits holds the read's sorted hits.
-/// `stats` may be null (the legacy adapter path).
-AlignmentStage align_two_stage(const index::FmIndex& index,
-                               const AlignerOptions& options,
-                               const std::vector<genome::Base>& read,
-                               TwoStageScratch& scratch, EngineStats* stats);
-
-}  // namespace detail
-
-/// The two-stage FM pipeline (Algorithms 1 and 2) as an engine. Stateless
-/// between calls and const over an immutable index, hence thread-safe.
+/// The two-stage FM pipeline (Algorithms 1 and 2; detail::align_two_stage
+/// in search_core.h) over the software FM-index. Stateless between calls
+/// and const over an immutable index, hence thread-safe.
 class SoftwareEngine final : public AlignmentEngine {
  public:
   explicit SoftwareEngine(const index::FmIndex& index,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 
 #include "src/align/search_core.h"
 
@@ -34,20 +33,8 @@ InexactResult inexact_search(const index::FmIndex& index,
 std::vector<std::pair<std::uint64_t, std::uint32_t>> inexact_locate(
     const index::FmIndex& index, const std::vector<genome::Base>& read,
     const InexactOptions& options) {
-  const InexactResult result = inexact_search(index, read, options);
-  std::map<std::uint64_t, std::uint32_t> by_position;
-  for (const auto& hit : result.hits) {
-    for (std::uint64_t row = hit.interval.low; row < hit.interval.high; ++row) {
-      const std::uint64_t pos = index.locate(static_cast<std::size_t>(row));
-      const auto it = by_position.find(pos);
-      if (it == by_position.end()) {
-        by_position.emplace(pos, hit.diffs);
-      } else {
-        it->second = std::min(it->second, hit.diffs);
-      }
-    }
-  }
-  return {by_position.begin(), by_position.end()};
+  std::vector<std::uint64_t> positions;
+  return inexact_locate_core(index, read, options, positions);
 }
 
 }  // namespace pim::align

@@ -4,13 +4,14 @@
 #include <stdexcept>
 
 #include "src/align/parallel_aligner.h"
+#include "src/align/search_core.h"
 
 namespace pim::align {
 
 MultiAligner::MultiAligner(const genome::MultiReference& reference,
                            const index::FmIndex& index,
                            AlignerOptions options)
-    : reference_(&reference), aligner_(index, options) {
+    : reference_(&reference), engine_(index, options) {
   if (index.reference_size() != reference.total_length()) {
     throw std::invalid_argument(
         "MultiAligner: index not built over this MultiReference");
@@ -25,7 +26,7 @@ MultiAlignmentResult MultiAligner::convert(
   // The matched reference span can stretch by the difference budget when
   // indels are allowed; be conservative at junctions.
   const std::uint64_t span =
-      read_length + aligner_.options().inexact.max_diffs;
+      read_length + engine_.options().inexact.max_diffs;
 
   for (const auto& hit : hits) {
     // Clamp to the concatenation end: a hit whose worst-case span would run
@@ -53,17 +54,17 @@ MultiAlignmentResult MultiAligner::convert(
 
 MultiAlignmentResult MultiAligner::align(
     const std::vector<genome::Base>& read) const {
-  const AlignmentResult raw = aligner_.align(read);
-  return convert(read.size(), raw.stage,
-                 std::span<const AlignmentHit>(raw.hits));
+  detail::TwoStageScratch scratch;
+  const AlignmentStage stage = detail::align_two_stage(
+      engine_.index(), engine_.options(), read, scratch, nullptr);
+  return convert(read.size(), stage, scratch.hits);
 }
 
 std::vector<MultiAlignmentResult> MultiAligner::align_batch(
     const ReadBatch& batch, std::size_t num_threads,
     EngineStats* stats) const {
-  const SoftwareEngine engine(aligner_.index(), aligner_.options());
   BatchResult raw;
-  align_batch_parallel(engine, batch, raw,
+  align_batch_parallel(engine_, batch, raw,
                        ParallelOptions{.num_threads = num_threads});
 
   std::vector<MultiAlignmentResult> results;

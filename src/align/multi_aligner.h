@@ -1,11 +1,11 @@
-// Chromosome-aware alignment: Aligner over a MultiReference concatenation,
-// with junction-artefact filtering and (chromosome, offset) hit coordinates.
+// Chromosome-aware alignment: the two-stage pipeline over a MultiReference
+// concatenation, with junction-artefact filtering and (chromosome, offset)
+// hit coordinates.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "src/align/aligner.h"
 #include "src/align/engine.h"
 #include "src/align/read_batch.h"
 #include "src/genome/multi_reference.h"
@@ -54,7 +54,7 @@ class MultiAligner {
                                std::span<const AlignmentHit> hits) const;
 
   const genome::MultiReference* reference_;
-  Aligner aligner_;
+  SoftwareEngine engine_;
 };
 
 }  // namespace pim::align

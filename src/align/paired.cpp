@@ -5,12 +5,13 @@
 #include <stdexcept>
 
 #include "src/align/parallel_aligner.h"
+#include "src/align/search_core.h"
 
 namespace pim::align {
 
 PairedAligner::PairedAligner(const index::FmIndex& index,
                              PairedOptions options)
-    : aligner_(index, options.single), options_(options) {}
+    : engine_(index, options.single), options_(options) {}
 
 std::optional<ProperPair> PairedAligner::best_proper_pair(
     const AlignmentResult& r1, const AlignmentResult& r2, std::size_t len1,
@@ -68,8 +69,13 @@ PairedResult PairedAligner::align_pair(
     const std::vector<genome::Base>& read1,
     const std::vector<genome::Base>& read2) const {
   PairedResult result;
-  result.mate1 = aligner_.align(read1);
-  result.mate2 = aligner_.align(read2);
+  detail::TwoStageScratch scratch;
+  result.mate1.stage = detail::align_two_stage(
+      engine_.index(), engine_.options(), read1, scratch, nullptr);
+  result.mate1.hits = scratch.hits;
+  result.mate2.stage = detail::align_two_stage(
+      engine_.index(), engine_.options(), read2, scratch, nullptr);
+  result.mate2.hits = scratch.hits;
   classify(result, read1.size(), read2.size());
   return result;
 }
@@ -80,11 +86,10 @@ std::vector<PairedResult> PairedAligner::align_pairs(
   if (mates1.size() != mates2.size()) {
     throw std::invalid_argument("align_pairs: mate batches differ in size");
   }
-  const SoftwareEngine engine(aligner_.index(), aligner_.options());
   BatchResult b1, b2;
-  align_batch_parallel(engine, mates1, b1,
+  align_batch_parallel(engine_, mates1, b1,
                        ParallelOptions{.num_threads = num_threads});
-  align_batch_parallel(engine, mates2, b2,
+  align_batch_parallel(engine_, mates2, b2,
                        ParallelOptions{.num_threads = num_threads});
 
   std::vector<PairedResult> results;

@@ -13,7 +13,6 @@
 #include <optional>
 #include <vector>
 
-#include "src/align/aligner.h"
 #include "src/align/engine.h"
 #include "src/align/read_batch.h"
 
@@ -74,7 +73,7 @@ class PairedAligner {
   void classify(PairedResult& result, std::size_t len1,
                 std::size_t len2) const;
 
-  Aligner aligner_;
+  SoftwareEngine engine_;
   PairedOptions options_;
 };
 

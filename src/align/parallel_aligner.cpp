@@ -235,28 +235,4 @@ void align_batch_parallel(const AlignmentEngine& engine,
   out.stats().stall_ms = stats.stall_ms;
 }
 
-std::vector<AlignmentResult> align_batch_parallel(
-    const Aligner& aligner, const std::vector<std::vector<genome::Base>>& reads,
-    std::size_t num_threads, AlignerStats* stats, EngineStats* engine_stats) {
-  const ReadBatch batch = ReadBatch::from_reads(reads);
-  const SoftwareEngine engine(aligner.index(), aligner.options());
-  BatchResult result;
-  align_batch_parallel(engine, batch, result,
-                       ParallelOptions{.num_threads = num_threads});
-  if (engine_stats != nullptr) {
-    // Full accounting: hits, per-stage search counts, wall time, arena
-    // bytes — everything the legacy struct below cannot carry.
-    engine_stats->merge(result.stats());
-  }
-  if (stats != nullptr) {
-    // The legacy bridge keeps exactly the four read-outcome counters.
-    const AlignerStats merged = result.stats().to_aligner_stats();
-    stats->reads_total += merged.reads_total;
-    stats->reads_exact += merged.reads_exact;
-    stats->reads_inexact += merged.reads_inexact;
-    stats->reads_unaligned += merged.reads_unaligned;
-  }
-  return result.to_results();
-}
-
 }  // namespace pim::align

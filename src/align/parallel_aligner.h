@@ -24,9 +24,7 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
-#include "src/align/aligner.h"
 #include "src/align/engine.h"
 #include "src/align/read_batch.h"
 #include "src/obs/metrics.h"
@@ -66,20 +64,5 @@ EngineStats align_batch_parallel_chunked(const AlignmentEngine& engine,
                                          const ChunkSink& sink,
                                          ParallelOptions options = {},
                                          bool best_hit_only = false);
-
-/// Legacy adapter: vector-of-vectors in, vector of per-read results out.
-/// Internally packs a ReadBatch and runs SoftwareEngine through the chunked
-/// scheduler; kept for existing call sites and as the bench baseline.
-///
-/// Stats bridging: `stats` is the legacy AlignerStats, which only carries
-/// the four read-outcome counters (reads_total/exact/inexact/unaligned) —
-/// hits_total, the per-stage search counts, wall time, and arena footprint
-/// do not fit in it and are NOT silently folded elsewhere. Callers that
-/// want the full accounting pass `engine_stats`, which accumulates the
-/// complete merged EngineStats of the run.
-std::vector<AlignmentResult> align_batch_parallel(
-    const Aligner& aligner, const std::vector<std::vector<genome::Base>>& reads,
-    std::size_t num_threads = 0, AlignerStats* stats = nullptr,
-    EngineStats* engine_stats = nullptr);
 
 }  // namespace pim::align

@@ -88,9 +88,8 @@ class ReadBatch {
   std::string_view name(std::size_t i) const;
   std::string_view qualities(std::size_t i) const;
 
-  /// Heap bytes held by the arena + slabs (for the throughput bench's
-  /// memory accounting; compare with size() vectors at ~1 B/base + malloc
-  /// headers for the legacy representation).
+  /// Heap bytes held by the arena + slabs (the streaming pipeline's
+  /// peak-batch accounting).
   std::size_t memory_bytes() const;
 
   /// Single-pass conveniences over the builder.

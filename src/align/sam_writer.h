@@ -14,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/align/aligner.h"
 #include "src/align/engine.h"
 #include "src/align/paired.h"
 #include "src/align/read_batch.h"

@@ -9,15 +9,20 @@
 //                                   sub-arrays, with cycle/energy accounting.
 // Because both instantiate the same core, the platform's alignment results
 // are bit-identical to software by construction — the property the paper's
-// "reconstructed algorithm" claims and our integration tests verify.
+// "reconstructed algorithm" claims and our integration tests verify. The
+// two-stage pipeline around the cores (align_two_stage) is written once
+// here too, so SoftwareEngine and hw::PimEngine differ only in the backend.
 //
 // Backend requirements:
 //   index::SaInterval whole_interval() const;
 //   index::SaInterval extend(const index::SaInterval&, genome::Base) const;
 //   std::array<index::SaInterval, genome::kNumBases>
 //       extend4(const index::SaInterval&) const;  // [b] == extend(iv, b)
+//   void locate_all_into(const index::SaInterval&,
+//                        std::vector<std::uint64_t>& out) const;  // SA locate
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
@@ -210,5 +215,101 @@ InexactResult inexact_search_core(const Backend& backend,
   InexactSearchCore<Backend> core(backend, read, options);
   return core.run();
 }
+
+/// Algorithm 2 plus SA locate: every text position of every hit interval,
+/// paired with the minimum diff count at that position, ascending by
+/// position. `positions` is locate scratch.
+template <typename Backend>
+std::vector<std::pair<std::uint64_t, std::uint32_t>> inexact_locate_core(
+    const Backend& backend, const std::vector<genome::Base>& read,
+    const InexactOptions& options, std::vector<std::uint64_t>& positions) {
+  const InexactResult result = inexact_search_core(backend, read, options);
+  std::map<std::uint64_t, std::uint32_t> by_position;
+  for (const auto& hit : result.hits) {
+    backend.locate_all_into(hit.interval, positions);
+    for (const auto pos : positions) {
+      const auto [it, fresh] = by_position.emplace(pos, hit.diffs);
+      if (!fresh) it->second = std::min(it->second, hit.diffs);
+    }
+  }
+  return {by_position.begin(), by_position.end()};
+}
+
+namespace detail {
+
+/// Reusable per-worker buffers for the two-stage pipeline: the unpacked
+/// read, its reverse complement, the read's hit set, and the SA-locate
+/// output. One set per worker replaces four heap allocations per read.
+struct TwoStageScratch {
+  std::vector<genome::Base> read;
+  std::vector<genome::Base> rc;
+  std::vector<AlignmentHit> hits;
+  std::vector<std::uint64_t> positions;
+};
+
+/// The two-stage pipeline (Section III), the one place that decides stage
+/// order, strand order, the max_hits cut, hit ordering and search counting.
+/// Stage one searches the read, then (unless the forward strand already
+/// filled max_hits) its reverse complement, exactly; reads without an exact
+/// hit go through stage two's inexact search in the same strand order. On
+/// return scratch.hits holds the read's hits sorted by position; `stats`
+/// (may be null) counts the strand searches actually issued.
+template <typename Backend>
+AlignmentStage align_two_stage(const Backend& backend,
+                               const AlignerOptions& options,
+                               const std::vector<genome::Base>& read,
+                               TwoStageScratch& scratch, EngineStats* stats) {
+  auto& hits = scratch.hits;
+  hits.clear();
+  const auto full = [&] {
+    return options.max_hits != 0 && hits.size() >= options.max_hits;
+  };
+  const auto exact = [&](const std::vector<genome::Base>& oriented,
+                         Strand strand) {
+    if (stats != nullptr) ++stats->exact_searches;
+    const ExactResult result = exact_search_core(backend, oriented);
+    if (!result.found()) return;
+    backend.locate_all_into(result.interval, scratch.positions);
+    for (const auto pos : scratch.positions) {
+      hits.push_back(AlignmentHit{pos, 0, strand});
+      if (full()) return;
+    }
+  };
+  const auto inexact = [&](const std::vector<genome::Base>& oriented,
+                           Strand strand) {
+    if (stats != nullptr) ++stats->inexact_searches;
+    for (const auto& [pos, diffs] : inexact_locate_core(
+             backend, oriented, options.inexact, scratch.positions)) {
+      hits.push_back(AlignmentHit{pos, diffs, strand});
+      if (full()) return;
+    }
+  };
+
+  AlignmentStage stage = AlignmentStage::kUnaligned;
+  exact(read, Strand::kForward);
+  if (options.try_reverse_complement && !full()) {
+    genome::reverse_complement_into(read, scratch.rc);
+    exact(scratch.rc, Strand::kReverseComplement);
+  }
+  if (!hits.empty()) {
+    stage = AlignmentStage::kExact;
+  } else if (options.inexact.max_diffs > 0) {
+    // No exact hit, so stage one searched (and built) scratch.rc.
+    inexact(read, Strand::kForward);
+    if (options.try_reverse_complement && !full()) {
+      inexact(scratch.rc, Strand::kReverseComplement);
+    }
+    if (!hits.empty()) stage = AlignmentStage::kInexact;
+  }
+
+  std::sort(hits.begin(), hits.end(),
+            [](const AlignmentHit& a, const AlignmentHit& b) {
+              if (a.position != b.position) return a.position < b.position;
+              return a.diffs < b.diffs;
+            });
+  return stage;
+}
+
+}  // namespace detail
 
 }  // namespace pim::align

@@ -1,7 +1,11 @@
-// Shared result/option types for the exact and inexact search cores.
+// Shared value types of the alignment layer: the search cores' results and
+// options, the per-read outcome every engine produces, and the per-stage
+// counters the engines accumulate.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/index/fm_index.h"
@@ -44,6 +48,79 @@ struct InexactResult {
   bool found() const { return !hits.empty(); }
   std::uint32_t best_diffs() const;
   std::uint64_t total_occurrences() const;
+};
+
+enum class Strand : std::uint8_t { kForward, kReverseComplement };
+
+struct AlignmentHit {
+  std::uint64_t position = 0;  ///< Start in the reference (forward coords).
+  std::uint32_t diffs = 0;
+  Strand strand = Strand::kForward;
+};
+
+enum class AlignmentStage : std::uint8_t {
+  kUnaligned,  ///< Neither stage found a hit within the difference budget.
+  kExact,      ///< Stage one.
+  kInexact,    ///< Stage two.
+};
+
+/// One read's outcome as a standalone value: the per-read type of serving
+/// and wire responses, materialized from a BatchResult with result(i).
+struct AlignmentResult {
+  AlignmentStage stage = AlignmentStage::kUnaligned;
+  std::vector<AlignmentHit> hits;  ///< Sorted by position.
+  bool aligned() const { return stage != AlignmentStage::kUnaligned; }
+  /// The best (fewest-diff, leftmost) hit, if any.
+  std::optional<AlignmentHit> best() const;
+};
+
+struct AlignerOptions {
+  InexactOptions inexact;       ///< Stage-two budget (z, edit mode, pruning).
+  bool try_reverse_complement = true;
+  /// Cap on reported hits per read (a read landing in a huge repeat family
+  /// can hit thousands of loci); 0 = unlimited.
+  std::size_t max_hits = 64;
+  /// Keep only the best (fewest-diff, leftmost) hit per read. Engines honor
+  /// this by putting their BatchResult into best-hit-only mode, shrinking
+  /// the hit arena for workloads that never inspect secondary hits. The
+  /// search itself is unchanged (stage outcomes and the primary hit are
+  /// identical to a full run); only secondary hits are dropped.
+  bool best_hit_only = false;
+};
+
+/// Per-stage engine statistics: stage outcomes, search-invocation counters,
+/// wall time, and result-arena allocation. Merges associatively, so chunked
+/// parallel workers accumulate privately and combine at join.
+struct EngineStats {
+  std::uint64_t reads_total = 0;
+  std::uint64_t reads_exact = 0;
+  std::uint64_t reads_inexact = 0;
+  std::uint64_t reads_unaligned = 0;
+  std::uint64_t hits_total = 0;
+  /// Strand searches actually issued per stage: the reverse complement is
+  /// skipped when the forward strand already filled max_hits, and stage two
+  /// only runs for stage-one misses.
+  std::uint64_t exact_searches = 0;
+  std::uint64_t inexact_searches = 0;
+  std::uint64_t batches = 0;
+  double wall_ms = 0.0;            ///< align_batch / scheduler wall time.
+  std::uint64_t result_bytes = 0;  ///< BatchResult arena footprint.
+  /// Chunks delivered through the chunk seam (S39): align_batch_chunked,
+  /// the chunked parallel scheduler's in-order drain, and ShardedEngine's
+  /// per-shard forwarding all count here. 0 on non-chunked paths.
+  std::uint64_t chunks = 0;
+  /// Scheduler stall time (S39/S40): worker wait on the bounded start
+  /// window plus in-order forwarding wait on unfinished predecessors.
+  /// Execution-shape dependent (threads/chunking), unlike the workload
+  /// counters above — equivalence tests must not compare it.
+  double stall_ms = 0.0;
+
+  double exact_fraction() const {
+    return reads_total ? static_cast<double>(reads_exact) /
+                             static_cast<double>(reads_total)
+                       : 0.0;
+  }
+  void merge(const EngineStats& other);
 };
 
 }  // namespace pim::align

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -509,9 +510,25 @@ void save_index(std::ostream& out, const FmIndex& index,
 void save_index_file(const std::string& path, const FmIndex& index,
                      const genome::PackedSequence& reference,
                      const std::vector<genome::Chromosome>& chromosomes) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) fail("cannot open " + path);
-  save_index(out, index, reference, chromosomes);
+  // Write a sibling temporary, then rename it over `path`. The rename is
+  // atomic within a directory, so a process that still has the old artifact
+  // mapped keeps reading the old file instead of faulting on a truncated one.
+  const std::string tmp = path + ".tmp";
+  try {
+    {
+      std::ofstream out(tmp, std::ios::binary);
+      if (!out) fail("cannot open " + tmp);
+      save_index(out, index, reference, chromosomes);
+      out.close();
+      if (!out) fail("write failed");
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+      fail("cannot rename " + tmp + " to " + path);
+    }
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
 }
 
 void save_index_v1(std::ostream& out, const FmIndex& index,

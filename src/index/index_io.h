@@ -50,6 +50,8 @@ inline constexpr std::uint32_t kIndexVersion = 2;
 void save_index(std::ostream& out, const FmIndex& index,
                 const genome::PackedSequence& reference,
                 const std::vector<genome::Chromosome>& chromosomes = {});
+/// File form of save_index. Writes `path`.tmp and renames it over `path`,
+/// so a reader that has the old artifact mapped keeps a valid mapping.
 void save_index_file(const std::string& path, const FmIndex& index,
                      const genome::PackedSequence& reference,
                      const std::vector<genome::Chromosome>& chromosomes = {});

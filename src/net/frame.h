@@ -40,7 +40,7 @@
 #include <string>
 #include <vector>
 
-#include "src/align/aligner.h"
+#include "src/align/types.h"
 #include "src/genome/alphabet.h"
 #include "src/obs/request_trace.h"
 

@@ -1,24 +1,19 @@
 #include "src/pim/pim_engine.h"
 
+#include "src/align/search_core.h"
+
 namespace pim::hw {
 
 void PimEngine::align_range(const align::ReadBatch& batch, std::size_t begin,
                             std::size_t end, align::BatchResult& out) const {
-  if (driver_.options().best_hit_only) out.set_best_hit_only(true);
-  std::vector<genome::Base> scratch;
+  if (options_.best_hit_only) out.set_best_hit_only(true);
+  const PimSearchBackend backend(platform_);
+  align::detail::TwoStageScratch scratch;
   for (std::size_t i = begin; i < end; ++i) {
-    batch.read(i).unpack_into(scratch);
-    const align::AlignmentResult result = driver_.align(scratch);
-    // Stage-search accounting mirrors the software engine: two strand
-    // searches per attempted stage (stage two only on stage-one misses).
-    const bool both =
-        driver_.options().try_reverse_complement;
-    out.stats().exact_searches += both ? 2 : 1;
-    if (result.stage != align::AlignmentStage::kExact &&
-        driver_.options().inexact.max_diffs > 0) {
-      out.stats().inexact_searches += both ? 2 : 1;
-    }
-    out.add_read(result.stage, result.hits);
+    batch.read(i).unpack_into(scratch.read);
+    const align::AlignmentStage stage = align::detail::align_two_stage(
+        backend, options_, scratch.read, scratch, &out.stats());
+    out.add_read(stage, scratch.hits);
     // Publish the hardware tallies at every read boundary (S43): this
     // thread is the platform's single driver, so the seqlock store is
     // race-free, and a concurrent PimChipFleet::publish_metrics scrape
@@ -33,7 +28,7 @@ HwBatchReport PimEngine::run(const align::ReadBatch& batch,
   platform_->reset_stats();
   align_batch(batch, out);
   HwBatchReport report;
-  report.stats = out.stats().to_aligner_stats();
+  report.stats = out.stats();
   report.hardware = platform_->aggregate_stats();
   report.busy_ns = report.hardware.ops.busy_ns;
   report.energy_pj = report.hardware.ops.energy_pj;

@@ -1,11 +1,15 @@
 // The PIM platform behind the unified AlignmentEngine interface (S37).
 //
-// PimEngine runs the same two-stage pipeline as align::SoftwareEngine, but
-// every backward-extension step executes as MEM/XNOR_Match/IM_ADD operations
-// on the simulated SOT-MRAM sub-arrays via PimBatchDriver — so batch
-// front-ends (the chunked scheduler, SAM output, benches) swap backends
-// without code changes, and the software/PIM bit-identical-results
-// invariant is asserted at the engine seam (tests/test_engine.cpp).
+// The Digital Processing Unit of Fig. 3 only "adjusts the controller unit to
+// govern timing and data flow" (Sec. IV-A); the algorithm is the software
+// one. PimEngine therefore runs the same two-stage function as
+// align::SoftwareEngine (align::detail::align_two_stage), over a backend
+// that executes every backward-extension step as MEM/XNOR_Match/IM_ADD
+// operations on the simulated SOT-MRAM sub-arrays and charges SA locates as
+// memory reads — so batch front-ends (the chunked scheduler, SAM output,
+// benches) swap backends without code changes, and the software/PIM
+// bit-identical-results invariant is asserted at the engine seam
+// (tests/test_engine.cpp).
 //
 // The engine reports thread_safe() == false: sub-array op/energy tallies
 // are shared mutable state, so the scheduler runs PIM batches serially —
@@ -13,16 +17,25 @@
 #pragma once
 
 #include "src/align/engine.h"
-#include "src/pim/controller.h"
 #include "src/pim/platform.h"
 
 namespace pim::hw {
+
+/// One batch's alignment outcomes plus the hardware tallies it cost.
+struct HwBatchReport {
+  align::EngineStats stats;                     ///< Stage outcomes, searches.
+  PimAlignerPlatform::AggregateStats hardware;  ///< Op tallies over the batch.
+  /// Wall-model time: serial sum of sub-array busy time. The chip model
+  /// converts this to throughput under the pipeline/parallelism model.
+  double busy_ns = 0.0;
+  double energy_pj = 0.0;
+};
 
 class PimEngine final : public align::AlignmentEngine {
  public:
   explicit PimEngine(PimAlignerPlatform& platform,
                      align::AlignerOptions options = {})
-      : platform_(&platform), driver_(platform, options) {}
+      : platform_(&platform), options_(options) {}
 
   std::string_view name() const override { return "pim-mram"; }
   bool thread_safe() const override { return false; }
@@ -31,19 +44,16 @@ class PimEngine final : public align::AlignmentEngine {
 
   /// Align a whole batch and report alignment outcomes plus the hardware
   /// op/energy tallies (resets the platform's stats at entry so the report
-  /// covers exactly this batch) — the engine-layer equivalent of
-  /// PimBatchDriver::run.
+  /// covers exactly this batch).
   HwBatchReport run(const align::ReadBatch& batch,
                     align::BatchResult& out) const;
 
   PimAlignerPlatform& platform() const { return *platform_; }
-  const align::AlignerOptions& options() const { return driver_.options(); }
+  const align::AlignerOptions& options() const { return options_; }
 
  private:
   PimAlignerPlatform* platform_;
-  /// The DPU role is logically device state; align_range stays const so the
-  /// engine satisfies the (thread-compatible) interface contract.
-  mutable PimBatchDriver driver_;
+  align::AlignerOptions options_;
 };
 
 }  // namespace pim::hw

@@ -164,6 +164,11 @@ class PimSearchBackend {
     }
     return next;
   }
+  /// SA locate through the platform, charged as SA MEM reads.
+  void locate_all_into(const index::SaInterval& interval,
+                       std::vector<std::uint64_t>& out) const {
+    out = platform_->locate_all(interval);
+  }
 
  private:
   PimAlignerPlatform* platform_;

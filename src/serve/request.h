@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "src/align/aligner.h"
+#include "src/align/types.h"
 #include "src/genome/alphabet.h"
 #include "src/obs/metrics.h"
 #include "src/obs/request_trace.h"

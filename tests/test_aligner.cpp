@@ -1,4 +1,6 @@
-#include "src/align/aligner.h"
+// The two-stage pipeline's per-read behaviour (stage choice, strands, hit
+// cap and order), driven through SoftwareEngine.
+#include "src/align/engine.h"
 
 #include <gtest/gtest.h>
 
@@ -26,11 +28,19 @@ struct Fixture {
   }
 };
 
+/// One read through SoftwareEngine, as a one-read batch.
+AlignmentResult align_one(const index::FmIndex& fm,
+                          const std::vector<Base>& read,
+                          const AlignerOptions& options = {}) {
+  BatchResult out;
+  SoftwareEngine(fm, options).align_batch(ReadBatch::from_reads({read}), out);
+  return out.result(0);
+}
+
 TEST(Aligner, ExactStageFindsPlantedRead) {
   const Fixture f;
-  const Aligner aligner(f.fm);
   const auto read = f.text.slice(1000, 1060);
-  const auto result = aligner.align(read);
+  const auto result = align_one(f.fm, read);
   EXPECT_EQ(result.stage, AlignmentStage::kExact);
   ASSERT_TRUE(result.best().has_value());
   EXPECT_EQ(result.best()->diffs, 0U);
@@ -45,10 +55,9 @@ TEST(Aligner, ExactStageFindsPlantedRead) {
 
 TEST(Aligner, ReverseComplementReadAlignsToForwardOrigin) {
   const Fixture f;
-  const Aligner aligner(f.fm);
   const auto fwd = f.text.slice(2000, 2050);
   const auto read = genome::reverse_complement(fwd);
-  const auto result = aligner.align(read);
+  const auto result = align_one(f.fm, read);
   EXPECT_EQ(result.stage, AlignmentStage::kExact);
   bool found = false;
   for (const auto& hit : result.hits) {
@@ -64,20 +73,18 @@ TEST(Aligner, RcDisabledMissesReverseReads) {
   AlignerOptions opt;
   opt.try_reverse_complement = false;
   opt.inexact.max_diffs = 0;
-  const Aligner aligner(f.fm, opt);
   const auto read = genome::reverse_complement(f.text.slice(2000, 2050));
-  EXPECT_FALSE(aligner.align(read).aligned());
+  EXPECT_FALSE(align_one(f.fm, read, opt).aligned());
 }
 
 TEST(Aligner, MutatedReadFallsToInexactStage) {
   const Fixture f;
   AlignerOptions opt;
   opt.inexact.max_diffs = 2;
-  const Aligner aligner(f.fm, opt);
   auto read = f.text.slice(3000, 3050);
   read[10] = static_cast<Base>((static_cast<int>(read[10]) + 1) % 4);
   read[40] = static_cast<Base>((static_cast<int>(read[40]) + 2) % 4);
-  const auto result = aligner.align(read);
+  const auto result = align_one(f.fm, read, opt);
   EXPECT_EQ(result.stage, AlignmentStage::kInexact);
   bool found = false;
   for (const auto& hit : result.hits) {
@@ -93,14 +100,13 @@ TEST(Aligner, OverMutatedReadStaysUnaligned) {
   const Fixture f;
   AlignerOptions opt;
   opt.inexact.max_diffs = 1;
-  const Aligner aligner(f.fm, opt);
   auto read = f.text.slice(100, 140);
   // Mutate 8 spread positions — far beyond the budget.
   for (std::size_t i = 0; i < 8; ++i) {
     const std::size_t pos = i * 5;
     read[pos] = static_cast<Base>((static_cast<int>(read[pos]) + 1) % 4);
   }
-  const auto result = aligner.align(read);
+  const auto result = align_one(f.fm, read, opt);
   EXPECT_EQ(result.stage, AlignmentStage::kUnaligned);
   EXPECT_FALSE(result.best().has_value());
 }
@@ -110,16 +116,14 @@ TEST(Aligner, MaxHitsCapsOutput) {
   const auto fm = index::FmIndex::build(text, {.bucket_width = 8});
   AlignerOptions opt;
   opt.max_hits = 5;
-  const Aligner aligner(fm, opt);
-  const auto result = aligner.align(genome::encode("AAAA"));
+  const auto result = align_one(fm, genome::encode("AAAA"), opt);
   EXPECT_EQ(result.stage, AlignmentStage::kExact);
   EXPECT_LE(result.hits.size(), 5U);
 }
 
 TEST(Aligner, HitsSortedByPosition) {
   const Fixture f;
-  const Aligner aligner(f.fm);
-  const auto result = aligner.align(f.text.slice(10, 30));
+  const auto result = align_one(f.fm, f.text.slice(10, 30));
   EXPECT_TRUE(std::is_sorted(
       result.hits.begin(), result.hits.end(),
       [](const AlignmentHit& a, const AlignmentHit& b) {
@@ -131,7 +135,6 @@ TEST(Aligner, BatchStatsReflectStageMix) {
   const Fixture f(30000, 3);
   AlignerOptions opt;
   opt.inexact.max_diffs = 2;
-  const Aligner aligner(f.fm, opt);
 
   readsim::ReadSimSpec spec;
   spec.read_length = 70;
@@ -140,14 +143,15 @@ TEST(Aligner, BatchStatsReflectStageMix) {
   spec.sequencing_error_rate = 0.002;
   spec.seed = 21;
   const auto set = readsim::ReadSimulator(spec).generate(f.text);
-  std::vector<std::vector<Base>> reads;
-  reads.reserve(set.reads.size());
-  for (const auto& r : set.reads) reads.push_back(r.bases);
+  ReadBatchBuilder builder;
+  for (const auto& r : set.reads) builder.add(r.bases);
+  const ReadBatch batch = builder.build();
 
-  AlignerStats stats;
-  const auto results = aligner.align_batch(reads, &stats);
-  EXPECT_EQ(results.size(), reads.size());
-  EXPECT_EQ(stats.reads_total, reads.size());
+  BatchResult results;
+  SoftwareEngine(f.fm, opt).align_batch(batch, results);
+  const EngineStats& stats = results.stats();
+  EXPECT_EQ(results.size(), batch.size());
+  EXPECT_EQ(stats.reads_total, batch.size());
   EXPECT_EQ(stats.reads_exact + stats.reads_inexact + stats.reads_unaligned,
             stats.reads_total);
   // At these rates most reads align exactly, nearly all align overall.
@@ -159,12 +163,11 @@ TEST(Aligner, BatchStatsReflectStageMix) {
 
 TEST(Aligner, EveryExactStageReadTrulyOccurs) {
   const Fixture f(8000, 5);
-  const Aligner aligner(f.fm);
   util::Xoshiro256 rng(17);
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t start = rng.bounded(f.text.size() - 40);
     const auto read = f.text.slice(start, start + 40);
-    const auto result = aligner.align(read);
+    const auto result = align_one(f.fm, read);
     ASSERT_EQ(result.stage, AlignmentStage::kExact);
     for (const auto& hit : result.hits) {
       if (hit.strand != Strand::kForward) continue;

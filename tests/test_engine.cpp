@@ -1,12 +1,12 @@
 // Equivalence suite for the unified batch alignment engine (S37):
-//   * SoftwareEngine, PimEngine, and the legacy per-read Aligner path must
-//     produce bit-identical AlignmentResults on randomized reads (exact,
-//     inexact, reverse-complement, unaligned);
+//   * SoftwareEngine and PimEngine must produce bit-identical results and
+//     stage/search counters on randomized reads (exact, inexact,
+//     reverse-complement, unaligned);
 //   * chunked parallel scheduling must be positionally deterministic across
 //     thread counts and chunk sizes;
 //   * ReadBatch must round-trip reads, names, and qualities losslessly;
-//   * EngineStats must carry the per-stage counters the legacy front-ends
-//     used to drop.
+//   * EngineStats must carry the per-stage counters through every merge
+//     path.
 #include "src/align/engine.h"
 
 #include <gtest/gtest.h>
@@ -148,53 +148,42 @@ TEST(ReadBatch, UnnamedReadsBeforeNamedOnesBackfillEmpty) {
   EXPECT_EQ(batch.name(1), "named");
 }
 
-TEST(Engine, SoftwareEngineBitIdenticalToLegacyAligner) {
-  Fixture f;
-  const Aligner aligner(f.fm, f.options);
-  const SoftwareEngine engine(f.fm, f.options);
-
-  AlignerStats legacy_stats;
-  const auto legacy = aligner.align_batch(f.reads, &legacy_stats);
-
-  BatchResult result;
-  engine.align_batch(f.batch, result);
-
-  ASSERT_EQ(result.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    expect_identical(legacy[i], result.stage(i), result.hits(i), i,
-                     "software");
-  }
-  // Outcome classes all occur in the mix (the suite is vacuous otherwise).
-  EXPECT_GT(result.stats().reads_exact, 0u);
-  EXPECT_GT(result.stats().reads_inexact, 0u);
-  EXPECT_GT(result.stats().reads_unaligned, 0u);
-  // And the stats agree with the legacy accounting.
-  EXPECT_EQ(result.stats().reads_total, legacy_stats.reads_total);
-  EXPECT_EQ(result.stats().reads_exact, legacy_stats.reads_exact);
-  EXPECT_EQ(result.stats().reads_inexact, legacy_stats.reads_inexact);
-  EXPECT_EQ(result.stats().reads_unaligned, legacy_stats.reads_unaligned);
-}
-
 TEST(Engine, PimEngineBitIdenticalToSoftwareEngine) {
   Fixture f(60);  // PIM simulation pays per-op accounting; keep it modest.
-  const SoftwareEngine software(f.fm, f.options);
   hw::TimingEnergyModel timing;
   hw::PimAlignerPlatform platform(f.fm, timing);
-  const hw::PimEngine pim_engine(platform, f.options);
+  // max_hits = 1 lets the forward strand fill the cap, so the reverse-
+  // complement search is skipped: the search counters must show it.
+  for (const std::size_t max_hits : {64u, 1u}) {
+    SCOPED_TRACE("max_hits " + std::to_string(max_hits));
+    AlignerOptions options = f.options;
+    options.max_hits = max_hits;
+    const SoftwareEngine software(f.fm, options);
+    const hw::PimEngine pim_engine(platform, options);
 
-  BatchResult sw, hw_result;
-  software.align_batch(f.batch, sw);
-  const auto report = pim_engine.run(f.batch, hw_result);
+    BatchResult sw, hw_result;
+    software.align_batch(f.batch, sw);
+    const auto report = pim_engine.run(f.batch, hw_result);
 
-  ASSERT_EQ(hw_result.size(), sw.size());
-  for (std::size_t i = 0; i < sw.size(); ++i) {
-    expect_identical(sw.result(i), hw_result.stage(i), hw_result.hits(i), i,
-                     "pim");
+    ASSERT_EQ(hw_result.size(), sw.size());
+    for (std::size_t i = 0; i < sw.size(); ++i) {
+      expect_identical(sw.result(i), hw_result.stage(i), hw_result.hits(i),
+                       i, "pim");
+    }
+    const EngineStats& want = sw.stats();
+    EXPECT_EQ(report.stats.reads_total, want.reads_total);
+    EXPECT_EQ(report.stats.reads_exact, want.reads_exact);
+    EXPECT_EQ(report.stats.reads_inexact, want.reads_inexact);
+    EXPECT_EQ(report.stats.reads_unaligned, want.reads_unaligned);
+    EXPECT_EQ(report.stats.hits_total, want.hits_total);
+    EXPECT_EQ(report.stats.exact_searches, want.exact_searches);
+    EXPECT_EQ(report.stats.inexact_searches, want.inexact_searches);
+    if (max_hits == 1) {
+      EXPECT_LT(want.exact_searches, 2 * want.reads_total);
+    }
+    EXPECT_GT(report.hardware.lfm_calls, 0u);
+    EXPECT_GT(report.energy_pj, 0.0);
   }
-  EXPECT_EQ(report.stats.reads_total, sw.stats().reads_total);
-  EXPECT_EQ(report.stats.reads_exact, sw.stats().reads_exact);
-  EXPECT_GT(report.hardware.lfm_calls, 0u);
-  EXPECT_GT(report.energy_pj, 0.0);
 }
 
 TEST(Engine, ChunkedParallelDeterministicAcrossThreadAndChunkCounts) {
@@ -203,6 +192,10 @@ TEST(Engine, ChunkedParallelDeterministicAcrossThreadAndChunkCounts) {
 
   BatchResult serial;
   engine.align_batch(f.batch, serial);
+  // Outcome classes all occur in the mix (the suite is vacuous otherwise).
+  EXPECT_GT(serial.stats().reads_exact, 0u);
+  EXPECT_GT(serial.stats().reads_inexact, 0u);
+  EXPECT_GT(serial.stats().reads_unaligned, 0u);
 
   for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
     for (const std::size_t chunk : {0u, 1u, 7u, 64u, 1000u}) {
@@ -221,6 +214,10 @@ TEST(Engine, ChunkedParallelDeterministicAcrossThreadAndChunkCounts) {
       EXPECT_EQ(parallel.stats().reads_unaligned,
                 serial.stats().reads_unaligned);
       EXPECT_EQ(parallel.stats().hits_total, serial.stats().hits_total);
+      EXPECT_EQ(parallel.stats().exact_searches,
+                serial.stats().exact_searches);
+      EXPECT_EQ(parallel.stats().inexact_searches,
+                serial.stats().inexact_searches);
     }
   }
 }
@@ -243,25 +240,6 @@ TEST(Engine, SchedulerRunsNonThreadSafeEnginesSerially) {
   }
 }
 
-TEST(Engine, LegacyParallelAdapterMatchesAlignerAndReportsStats) {
-  Fixture f;
-  const Aligner aligner(f.fm, f.options);
-  AlignerStats serial_stats, parallel_stats;
-  const auto serial = aligner.align_batch(f.reads, &serial_stats);
-  const auto parallel =
-      align_batch_parallel(aligner, f.reads, 4, &parallel_stats);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_identical(serial[i], parallel[i].stage,
-                     std::span<const AlignmentHit>(parallel[i].hits), i,
-                     "legacy-adapter");
-  }
-  EXPECT_EQ(parallel_stats.reads_total, serial_stats.reads_total);
-  EXPECT_EQ(parallel_stats.reads_exact, serial_stats.reads_exact);
-  EXPECT_EQ(parallel_stats.reads_inexact, serial_stats.reads_inexact);
-  EXPECT_EQ(parallel_stats.reads_unaligned, serial_stats.reads_unaligned);
-}
-
 TEST(Engine, StatsCarryStageSearchCountersAndWallTime) {
   Fixture f;
   const SoftwareEngine engine(f.fm, f.options);
@@ -273,6 +251,9 @@ TEST(Engine, StatsCarryStageSearchCountersAndWallTime) {
   // Stage two runs (both strands) exactly for stage-one misses.
   EXPECT_EQ(s.inexact_searches,
             2 * (s.reads_inexact + s.reads_unaligned));
+  std::uint64_t hits = 0;
+  for (std::size_t i = 0; i < result.size(); ++i) hits += result.hits(i).size();
+  EXPECT_EQ(s.hits_total, hits);
   EXPECT_EQ(s.batches, 1u);
   EXPECT_GT(s.wall_ms, 0.0);
   EXPECT_GT(s.result_bytes, 0u);
@@ -283,20 +264,15 @@ TEST(Engine, StatsCarryStageSearchCountersAndWallTime) {
   merged.merge(s);
   EXPECT_EQ(merged.reads_total, 2 * s.reads_total);
   EXPECT_EQ(merged.exact_searches, 2 * s.exact_searches);
-
-  const AlignerStats legacy = s.to_aligner_stats();
-  EXPECT_EQ(legacy.reads_total, s.reads_total);
-  EXPECT_EQ(legacy.reads_exact, s.reads_exact);
 }
 
 TEST(Engine, BatchResultBestMatchesLegacyBest) {
   Fixture f;
   const SoftwareEngine engine(f.fm, f.options);
-  const Aligner aligner(f.fm, f.options);
   BatchResult result;
   engine.align_batch(f.batch, result);
   for (std::size_t i = 0; i < f.reads.size(); ++i) {
-    const auto want = aligner.align(f.reads[i]).best();
+    const auto want = result.result(i).best();
     const auto got = result.best(i);
     ASSERT_EQ(got.has_value(), want.has_value()) << i;
     if (want) {
@@ -694,24 +670,6 @@ TEST(Sharded, RejectsEmptyAndNullShards) {
   Fixture f(1);
   hw::TimingEnergyModel timing;
   EXPECT_THROW(hw::PimChipFleet(f.fm, timing, 0), std::invalid_argument);
-}
-
-TEST(Engine, LegacyAdapterRoutesFullEngineStats) {
-  Fixture f(40);
-  const Aligner aligner(f.fm, f.options);
-  AlignerStats legacy;
-  EngineStats full;
-  const auto results = align_batch_parallel(aligner, f.reads, 2, &legacy,
-                                            &full);
-  ASSERT_EQ(results.size(), f.reads.size());
-  EXPECT_EQ(full.reads_total, legacy.reads_total);
-  // The counters the legacy bridge cannot carry arrive via EngineStats.
-  std::uint64_t hits = 0;
-  for (const auto& r : results) hits += r.hits.size();
-  EXPECT_EQ(full.hits_total, hits);
-  EXPECT_EQ(full.exact_searches, 2 * full.reads_total);
-  EXPECT_EQ(full.inexact_searches,
-            2 * (full.reads_inexact + full.reads_unaligned));
 }
 
 TEST(Engine, EmptyBatchIsHarmless) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -345,6 +346,43 @@ TEST(IndexIoIdentity, MappedIndexMoveKeepsBorrowsValid) {
   MappedIndex third;
   third = std::move(second);
   EXPECT_EQ(third.index().locate(11), before);
+}
+
+TEST(IndexIoIdentity, RewriteKeepsOpenMappingValid) {
+  // save_index_file replaces the artifact by rename, so a reader that still
+  // maps the old file keeps valid pages. Rewriting in place would truncate
+  // them under the reader (SIGBUS on its next access).
+  Fixture f;
+  const std::string path = "/tmp/pim_aligner_rewrite_while_mapped.bin";
+  save_index_file(path, f.fm, f.reference);
+  const MappedIndex mapped = MappedIndex::open(path);
+
+  util::Xoshiro256 rng(29);
+  std::vector<std::vector<genome::Base>> reads;
+  for (int i = 0; i < 50; ++i) {
+    const std::size_t start = rng.bounded(f.reference.size() - 30);
+    reads.push_back(f.reference.slice(start, start + 30));
+  }
+  const auto align_all = [&] {
+    std::vector<std::vector<std::uint64_t>> positions;
+    for (const auto& read : reads) {
+      positions.push_back(align::exact_locate(mapped.index(), read));
+    }
+    return positions;
+  };
+  const auto before = align_all();
+
+  genome::SyntheticGenomeSpec small_spec;
+  small_spec.length = 200;
+  small_spec.seed = 13;
+  const PackedSequence small = genome::generate_reference(small_spec);
+  save_index_file(path, FmIndex::build(small, {.bucket_width = 64}), small);
+
+  EXPECT_EQ(align_all(), before);
+  EXPECT_TRUE(mapped.reference() == f.reference);
+  EXPECT_TRUE(load_index_file(path).reference == small);
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  std::remove(path.c_str());
 }
 
 TEST(IndexIoIdentity, MappedOpenOfV1FallsBackToStream) {

@@ -5,10 +5,9 @@
 
 #include <algorithm>
 
-#include "src/align/aligner.h"
+#include "src/align/engine.h"
 #include "src/genome/synthetic_genome.h"
-#include "src/pim/controller.h"
-#include "src/pim/platform.h"
+#include "src/pim/pim_engine.h"
 #include "src/readsim/read_simulator.h"
 
 namespace {
@@ -20,7 +19,7 @@ struct Pipeline {
   pim::index::FmIndex fm;
   pim::hw::TimingEnergyModel timing;
   std::unique_ptr<pim::hw::PimAlignerPlatform> platform;
-  std::vector<std::vector<Base>> reads;
+  pim::align::ReadBatch batch;
   std::vector<pim::readsim::SimulatedRead> truth;
 
   Pipeline(std::size_t genome_len, std::size_t num_reads,
@@ -39,10 +38,12 @@ struct Pipeline {
     rspec.sequencing_error_rate = 0.002;
     rspec.seed = seed + 1;
     const auto set = pim::readsim::ReadSimulator(rspec).generate(reference);
+    pim::align::ReadBatchBuilder builder;
     for (const auto& r : set.reads) {
-      reads.push_back(r.bases);
+      builder.add(r.bases);
       truth.push_back(r);
     }
+    batch = builder.build();
   }
 };
 
@@ -50,18 +51,21 @@ TEST(Integration, SoftwareAndHardwarePathsAgreePerRead) {
   Pipeline p(40000, 40, 64, 101);
   pim::align::AlignerOptions options;
   options.inexact.max_diffs = 2;
-  const pim::align::Aligner software(p.fm, options);
-  pim::hw::PimBatchDriver hardware(*p.platform, options);
+  const pim::align::SoftwareEngine software(p.fm, options);
+  const pim::hw::PimEngine hardware(*p.platform, options);
+  pim::align::BatchResult sw, hw_result;
+  software.align_batch(p.batch, sw);
+  hardware.align_batch(p.batch, hw_result);
 
-  for (std::size_t i = 0; i < p.reads.size(); ++i) {
-    const auto sw = software.align(p.reads[i]);
-    const auto hw_result = hardware.align(p.reads[i]);
-    ASSERT_EQ(hw_result.stage, sw.stage) << "read " << i;
-    ASSERT_EQ(hw_result.hits.size(), sw.hits.size()) << "read " << i;
-    for (std::size_t h = 0; h < sw.hits.size(); ++h) {
-      EXPECT_EQ(hw_result.hits[h].position, sw.hits[h].position);
-      EXPECT_EQ(hw_result.hits[h].diffs, sw.hits[h].diffs);
-      EXPECT_EQ(hw_result.hits[h].strand, sw.hits[h].strand);
+  for (std::size_t i = 0; i < p.batch.size(); ++i) {
+    ASSERT_EQ(hw_result.stage(i), sw.stage(i)) << "read " << i;
+    const auto want = sw.hits(i);
+    const auto got = hw_result.hits(i);
+    ASSERT_EQ(got.size(), want.size()) << "read " << i;
+    for (std::size_t h = 0; h < want.size(); ++h) {
+      EXPECT_EQ(got[h].position, want[h].position);
+      EXPECT_EQ(got[h].diffs, want[h].diffs);
+      EXPECT_EQ(got[h].strand, want[h].strand);
     }
   }
 }
@@ -71,20 +75,20 @@ TEST(Integration, GroundTruthOriginRecovered) {
   pim::align::AlignerOptions options;
   options.inexact.max_diffs = 2;
   options.max_hits = 0;  // unlimited, so the origin cannot be capped away
-  const pim::align::Aligner aligner(p.fm, options);
+  pim::align::BatchResult results;
+  pim::align::SoftwareEngine(p.fm, options).align_batch(p.batch, results);
   std::size_t recovered = 0, aligned = 0;
-  for (std::size_t i = 0; i < p.reads.size(); ++i) {
-    const auto result = aligner.align(p.reads[i]);
-    if (!result.aligned()) continue;
+  for (std::size_t i = 0; i < p.batch.size(); ++i) {
+    if (!results.aligned(i)) continue;
     ++aligned;
-    for (const auto& hit : result.hits) {
+    for (const auto& hit : results.hits(i)) {
       if (hit.position == p.truth[i].origin) {
         ++recovered;
         break;
       }
     }
   }
-  ASSERT_GT(aligned, p.reads.size() * 8 / 10);
+  ASSERT_GT(aligned, p.batch.size() * 8 / 10);
   // Nearly every aligned read reports its true origin among its hits.
   EXPECT_GE(recovered, aligned * 9 / 10);
 }
@@ -93,9 +97,10 @@ TEST(Integration, StageMixMatchesPaperExpectation) {
   Pipeline p(60000, 120, 100, 303);
   pim::align::AlignerOptions options;
   options.inexact.max_diffs = 2;
-  pim::hw::PimBatchDriver driver(*p.platform, options);
-  const auto report = driver.run(p.reads);
-  EXPECT_EQ(report.stats.reads_total, p.reads.size());
+  const pim::hw::PimEngine engine(*p.platform, options);
+  pim::align::BatchResult results;
+  const auto report = engine.run(p.batch, results);
+  EXPECT_EQ(report.stats.reads_total, p.batch.size());
   // ~70% exact at the paper's error rates (loose bounds for 120 reads).
   EXPECT_GT(report.stats.exact_fraction(), 0.55);
   EXPECT_LT(report.stats.exact_fraction(), 0.92);
@@ -109,7 +114,7 @@ TEST(Integration, EnergyScalesWithWork) {
   Pipeline p(30000, 0, 50, 404);
   pim::align::AlignerOptions options;
   options.inexact.max_diffs = 0;
-  pim::hw::PimBatchDriver driver(*p.platform, options);
+  const pim::hw::PimEngine engine(*p.platform, options);
 
   std::vector<std::vector<Base>> small_batch, big_batch;
   for (int i = 0; i < 4; ++i) {
@@ -121,8 +126,11 @@ TEST(Integration, EnergyScalesWithWork) {
   for (int rep = 0; rep < 3; ++rep) {
     big_batch.insert(big_batch.end(), small_batch.begin(), small_batch.end());
   }
-  const auto small_report = driver.run(small_batch);
-  const auto big_report = driver.run(big_batch);
+  pim::align::BatchResult results;
+  const auto small_report = engine.run(
+      pim::align::ReadBatch::from_reads(small_batch), results);
+  const auto big_report =
+      engine.run(pim::align::ReadBatch::from_reads(big_batch), results);
   EXPECT_NEAR(big_report.energy_pj / small_report.energy_pj, 4.0, 0.2);
 }
 
@@ -131,15 +139,19 @@ TEST(Integration, SampledSaStillAlignsCorrectly) {
   Pipeline p(20000, 0, 50, 505);
   const auto sampled_fm = pim::index::FmIndex::build(
       p.reference, {.bucket_width = 128, .sa_sample_rate = 8});
-  const pim::align::Aligner full(p.fm), sampled(sampled_fm);
+  pim::align::ReadBatchBuilder builder;
   for (int i = 0; i < 20; ++i) {
     const std::size_t start = 300 + static_cast<std::size_t>(i) * 611;
-    const auto read = p.reference.slice(start, start + 44);
-    const auto a = full.align(read);
-    const auto b = sampled.align(read);
-    ASSERT_EQ(a.hits.size(), b.hits.size());
-    for (std::size_t h = 0; h < a.hits.size(); ++h) {
-      EXPECT_EQ(a.hits[h].position, b.hits[h].position);
+    builder.add_slice(p.reference, start, start + 44);
+  }
+  const pim::align::ReadBatch batch = builder.build();
+  pim::align::BatchResult a, b;
+  pim::align::SoftwareEngine(p.fm).align_batch(batch, a);
+  pim::align::SoftwareEngine(sampled_fm).align_batch(batch, b);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(a.hits(i).size(), b.hits(i).size());
+    for (std::size_t h = 0; h < a.hits(i).size(); ++h) {
+      EXPECT_EQ(a.hits(i)[h].position, b.hits(i)[h].position);
     }
   }
 }

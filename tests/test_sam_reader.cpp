@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "src/align/aligner.h"
+#include "src/align/engine.h"
 #include "src/align/sam_writer.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/readsim/read_simulator.h"
@@ -93,7 +93,7 @@ TEST(SamReader, RoundTripVariantCalling) {
   const auto fm = pim::index::FmIndex::build(reference, {.bucket_width = 128});
   align::AlignerOptions options;
   options.inexact.max_diffs = 2;
-  const align::Aligner aligner(fm, options);
+  const align::SoftwareEngine engine(fm, options);
 
   readsim::ReadSimSpec rspec;
   rspec.read_length = 100;
@@ -108,11 +108,16 @@ TEST(SamReader, RoundTripVariantCalling) {
   align::SamWriter writer(sam, "demo", reference);
   writer.write_header();
   Pileup direct(reference.size());
+  align::ReadBatchBuilder builder;
   for (std::size_t i = 0; i < set.reads.size(); ++i) {
-    const auto result = aligner.align(set.reads[i].bases);
-    writer.write_alignment("r" + std::to_string(i), set.reads[i].bases,
-                           result);
-    if (const auto best = result.best()) {
+    builder.add(set.reads[i].bases, "r" + std::to_string(i));
+  }
+  const align::ReadBatch batch = builder.build();
+  align::BatchResult results;
+  engine.align_batch(batch, results);
+  writer.write_batch(batch, results);
+  for (std::size_t i = 0; i < set.reads.size(); ++i) {
+    if (const auto best = results.best(i)) {
       AlignedRead aligned;
       aligned.position = best->position;
       aligned.bases = best->strand == align::Strand::kForward

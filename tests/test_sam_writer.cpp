@@ -25,6 +25,15 @@ struct Fixture {
   }
 };
 
+/// One read through SoftwareEngine, as a one-read batch.
+AlignmentResult align_one(const index::FmIndex& fm,
+                          const std::vector<Base>& read,
+                          const AlignerOptions& options = {}) {
+  BatchResult out;
+  SoftwareEngine(fm, options).align_batch(ReadBatch::from_reads({read}), out);
+  return out.result(0);
+}
+
 std::vector<std::string> split(const std::string& line, char sep = '\t') {
   std::vector<std::string> out;
   std::istringstream in(line);
@@ -46,9 +55,8 @@ TEST(SamWriter, HeaderLines) {
 
 TEST(SamWriter, ExactForwardHit) {
   const Fixture f;
-  const Aligner aligner(f.fm);
   const auto read = f.reference.slice(1000, 1050);
-  const auto result = aligner.align(read);
+  const auto result = align_one(f.fm, read);
   std::ostringstream out;
   SamWriter writer(out, "chrTest", f.reference);
   writer.write_alignment("q1", read, result);
@@ -66,10 +74,9 @@ TEST(SamWriter, ExactForwardHit) {
 
 TEST(SamWriter, ReverseStrandHitStoresReferenceOrientation) {
   const Fixture f;
-  const Aligner aligner(f.fm);
   const auto fwd = f.reference.slice(3000, 3040);
   const auto read = genome::reverse_complement(fwd);
-  const auto result = aligner.align(read);
+  const auto result = align_one(f.fm, read);
   ASSERT_EQ(result.stage, AlignmentStage::kExact);
   std::ostringstream out;
   SamWriter writer(out, "chrTest", f.reference);
@@ -102,9 +109,8 @@ TEST(SamWriter, SecondaryFlagsForMultiHits) {
   // A repetitive reference: the read maps to many places.
   const PackedSequence reference("ACGTACGTACGTACGTACGTACGTACGTACGT");
   const auto fm = index::FmIndex::build(reference, {.bucket_width = 8});
-  const Aligner aligner(fm);
   const auto read = genome::encode("ACGTACGT");
-  const auto result = aligner.align(read);
+  const auto result = align_one(fm, read);
   ASSERT_GT(result.hits.size(), 1U);
   std::ostringstream out;
   SamWriter writer(out, "rep", reference);
@@ -125,10 +131,9 @@ TEST(SamWriter, MismatchHitKeepsFullLengthCigar) {
   const Fixture f;
   AlignerOptions opt;
   opt.inexact.max_diffs = 1;
-  const Aligner aligner(f.fm, opt);
   auto read = f.reference.slice(2000, 2040);
   read[20] = static_cast<Base>((static_cast<int>(read[20]) + 1) % 4);
-  const auto result = aligner.align(read);
+  const auto result = align_one(f.fm, read, opt);
   ASSERT_EQ(result.stage, AlignmentStage::kInexact);
   std::ostringstream out;
   SamWriter writer(out, "chrTest", f.reference);
@@ -144,10 +149,9 @@ TEST(SamWriter, IndelHitProducesIndelCigar) {
   AlignerOptions opt;
   opt.inexact.max_diffs = 1;
   opt.inexact.mode = EditMode::kFullEdit;
-  const Aligner aligner(f.fm, opt);
   auto bases = f.reference.slice(4000, 4041);
   bases.erase(bases.begin() + 20);  // 1-bp deletion in the read
-  const auto result = aligner.align(bases);
+  const auto result = align_one(f.fm, bases, opt);
   ASSERT_TRUE(result.aligned());
   std::ostringstream out;
   SamWriter writer(out, "chrTest", f.reference);

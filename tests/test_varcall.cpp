@@ -4,7 +4,7 @@
 
 #include <stdexcept>
 
-#include "src/align/aligner.h"
+#include "src/align/engine.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/readsim/read_simulator.h"
 #include "src/util/rng.h"
@@ -193,11 +193,14 @@ TEST(SnvCaller, EndToEndRecoversPlantedVariants) {
   align::AlignerOptions options;
   options.inexact.max_diffs = 2;
   options.max_hits = 4;
-  const align::Aligner aligner(fm, options);
+  align::ReadBatchBuilder builder;
+  for (const auto& read : set.reads) builder.add(read.bases);
+  align::BatchResult results;
+  align::SoftwareEngine(fm, options).align_batch(builder.build(), results);
   Pileup pileup(reference.size());
-  for (const auto& read : set.reads) {
-    const auto result = aligner.align(read.bases);
-    const auto best = result.best();
+  for (std::size_t i = 0; i < set.reads.size(); ++i) {
+    const auto& read = set.reads[i];
+    const auto best = results.best(i);
     if (!best) continue;
     AlignedRead aligned;
     aligned.position = best->position;
