@@ -1,8 +1,9 @@
 // Micro-benchmarks of the alignment algorithms (google-benchmark):
 // O(m) FM-index backward search versus O(nm) Smith-Waterman — the
 // complexity contrast of Section II — plus the per-call cost of the Occ/LFM
-// kernel, inexact-search cost versus mismatch budget and the effect of
-// lower-bound pruning.
+// kernel, inexact-search cost versus mismatch budget, the effect of
+// lower-bound pruning, and stage two's two host kernels: the D-array and
+// the SAM CIGAR DP.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 
 #include "src/align/backward_search.h"
 #include "src/align/engine.h"
+#include "src/align/global_align.h"
 #include "src/align/inexact_search.h"
 #include "src/align/smith_waterman.h"
 #include "src/genome/synthetic_genome.h"
@@ -95,6 +97,32 @@ void BM_Extend4(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Extend4);
+
+// Stage two's D-array pre-pass on a 100-bp read with one substitution at
+// position 50: two chunks, the paper workload's typical stage-two read.
+void BM_LowerBoundD(benchmark::State& state) {
+  auto& w = workload();
+  auto read = w.reference.slice(4096, 4196);
+  read[50] = pim::genome::complement(read[50]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pim::align::compute_lower_bound_d(w.fm, read));
+  }
+}
+BENCHMARK(BM_LowerBoundD);
+
+// SamWriter's CIGAR DP for a 100-bp read with 2 substitutions, against the
+// window it uses: the read length plus diffs + 2 bases from the hit.
+void BM_GlocalAlign(benchmark::State& state) {
+  auto& w = workload();
+  auto read = w.reference.slice(8192, 8292);
+  read[20] = pim::genome::complement(read[20]);
+  read[80] = pim::genome::complement(read[80]);
+  const auto window = w.reference.slice(8192, 8192 + 100 + 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pim::align::glocal_align(window, read));
+  }
+}
+BENCHMARK(BM_GlocalAlign);
 
 void BM_FmExactSearch(benchmark::State& state) {
   auto& w = workload();

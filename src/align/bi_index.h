@@ -5,8 +5,14 @@
 // the DPU compute the D-array lower bound in O(m) with one forward sweep —
 // occurrence of read[j..i] in S equals occurrence of its reverse in
 // reverse(S), and extending i by one is a single backward-extension step on
-// the reverse index. This replaces the O(m^2)-worst-case restart method of
-// compute_lower_bound_d and is the same trick BWA uses.
+// the reverse index. It is the same trick BWA uses.
+//
+// The engines do not use it: a second FmIndex::build in every set-up would
+// double index build time and index memory. They compute D on the forward
+// index alone by galloping each chunk's end (compute_lower_bound_d, under
+// 3m LFMs for a read that occurs whole). BiFmIndex stays as the independent
+// oracle the tests hold that D against, and as the base for bidirectional
+// search schemes.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +47,8 @@ class BiFmIndex {
 };
 
 /// Algorithm 2 with the D-array supplied by the reverse index: same results
-/// as inexact_search, but the pruning pre-pass is O(m) instead of O(m^2)
-/// worst case — the "reduce excessive backtracking" machinery at full
-/// strength.
+/// as inexact_search, with an O(m) pruning pre-pass instead of the forward
+/// index's O(m log m) galloping one.
 InexactResult inexact_search_bidirectional(const BiFmIndex& bi,
                                            const std::vector<genome::Base>& read,
                                            const InexactOptions& options = {});

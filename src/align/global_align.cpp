@@ -29,13 +29,46 @@ GlocalResult glocal_align(const std::vector<genome::Base>& window,
     at(i, 0) = at(i - 1, 0) + scoring.gap_extend;
     dir[i * (n + 1)] = 2;
   }
+
+  // Score band. The ungapped alignment at window offset 0, with h
+  // mismatches, scores S0 = match*m - slack, slack = h*(match - mismatch),
+  // so the optimum scores at least S0. A path with I insertions and D
+  // deletions scores at most match*(m - I) + gap*(I + D); reaching S0 needs
+  // I*(match - gap) + D*(-gap) <= slack, so I <= Imax = slack/(match - gap).
+  // The path starts in row 0 on diagonal j - i = j0 >= 0, insertions lower
+  // the diagonal, deletions raise it, and it ends by column n, so
+  // j0 + D <= (n - m) + I: it stays on diagonals [-Imax, (n - m) + Imax].
+  // Cells off that band stay -inf. The full matrix's traceback path lies
+  // inside it and keeps its values, every value its direction choices were
+  // compared against can only fall, and so can every other cell of the last
+  // row: directions, the first maximum and the result are unchanged.
+  // Without n >= m or a scoring with gap < 0 < match and mismatch < match
+  // the band is the whole matrix.
+  const auto gap = scoring.gap_extend;
+  std::int64_t lo_diag = -static_cast<std::int64_t>(m);
+  std::int64_t hi_diag = static_cast<std::int64_t>(n);
+  if (n >= m && gap < 0 && scoring.match > 0 &&
+      scoring.mismatch < scoring.match) {
+    std::int64_t h = 0;
+    for (std::size_t i = 0; i < m; ++i) h += read[i] != window[i];
+    const std::int64_t max_ins =
+        h * (scoring.match - scoring.mismatch) / (scoring.match - gap);
+    lo_diag = -max_ins;
+    hi_diag = static_cast<std::int64_t>(n - m) + max_ins;
+  }
+
   for (std::size_t i = 1; i <= m; ++i) {
-    for (std::size_t j = 1; j <= n; ++j) {
+    const auto row = static_cast<std::int64_t>(i);
+    const std::size_t j_lo =
+        static_cast<std::size_t>(std::max<std::int64_t>(1, row + lo_diag));
+    const std::size_t j_hi = static_cast<std::size_t>(
+        std::min<std::int64_t>(static_cast<std::int64_t>(n), row + hi_diag));
+    for (std::size_t j = j_lo; j <= j_hi; ++j) {
       const bool match = read[i - 1] == window[j - 1];
       const std::int32_t diag =
           at(i - 1, j - 1) + (match ? scoring.match : scoring.mismatch);
-      const std::int32_t up = at(i - 1, j) + scoring.gap_extend;   // read ins
-      const std::int32_t left = at(i, j - 1) + scoring.gap_extend;  // ref del
+      const std::int32_t up = at(i - 1, j) + gap;    // read ins
+      const std::int32_t left = at(i, j - 1) + gap;  // ref del
       std::int32_t best = diag;
       std::uint8_t d = 1;
       if (up > best) {

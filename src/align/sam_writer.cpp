@@ -96,13 +96,11 @@ std::vector<SamRecord> SamWriter::make_records(
 
   // Order: the best hit first (primary), the rest secondary.
   std::vector<AlignmentHit> ordered = result.hits;
-  const auto best = result.best();
   std::stable_sort(ordered.begin(), ordered.end(),
                    [&](const AlignmentHit& a, const AlignmentHit& b) {
                      if (a.diffs != b.diffs) return a.diffs < b.diffs;
                      return a.position < b.position;
                    });
-  (void)best;
 
   // SEQ is stored in reference orientation: reverse-strand hits emit the
   // reverse complement (and reversed qualities). Both oriented variants are

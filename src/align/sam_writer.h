@@ -2,9 +2,11 @@
 //
 // Converts AlignmentResults into SAM 1.6 records: header (@HD/@SQ/@PG),
 // flags (reverse-strand 0x10, unmapped 0x4, secondary 0x100), 1-based
-// positions, CIGAR strings (recomputed by banded Smith-Waterman traceback
-// for hits with differences), MAPQ from hit multiplicity and difference
-// count, and NM edit-distance tags.
+// positions, CIGAR strings (recomputed for hits with differences by the
+// semi-global glocal_align, which fills only the score-bounded diagonal
+// band, against a window of read length + diffs + 2 at the hit), MAPQ from
+// hit multiplicity and difference count, and NM edit-distance tags. An
+// unaligned read, the empty read included, is one unmapped record.
 #pragma once
 
 #include <cstdint>

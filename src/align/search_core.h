@@ -83,18 +83,50 @@ bool chunk_occurs(const Backend& backend,
 
 /// BWA's D array: D[i] = lower bound on differences needed to align R[0..i]
 /// (number of disjoint chunks of R[0..i] absent from the reference).
+///
+/// Greedy chunking: from chunk start b, the chunk ends at the first i where
+/// R[b..i] is absent; D steps up there and the next chunk starts at i + 1.
+/// "R[b..i] occurs" is monotone in i, so the first absent i is found by
+/// galloping the probe length (1, 2, 4, ..., clamped to the read end) and
+/// then bisecting between the longest present and the shortest absent
+/// length. That is O(m log m) LFMs worst case and under 3m when the read
+/// occurs whole, where restarting the search at every i costs O(m^2); the
+/// chunk boundaries, and so D, are the same.
 template <typename Backend>
 std::vector<std::uint32_t> compute_lower_bound_d_core(
     const Backend& backend, const std::vector<genome::Base>& read) {
-  std::vector<std::uint32_t> d(read.size(), 0);
+  const std::size_t m = read.size();
+  std::vector<std::uint32_t> d(m, 0);
   std::uint32_t z = 0;
-  std::size_t chunk_begin = 0;
-  for (std::size_t i = 0; i < read.size(); ++i) {
-    if (!detail::chunk_occurs(backend, read, chunk_begin, i)) {
-      ++z;
-      chunk_begin = i + 1;
+  std::size_t begin = 0;
+  while (begin < m) {
+    const std::size_t rest = m - begin;
+    // Invariant: a chunk of length `present` occurs; one of length `absent`
+    // does not (absent == rest + 1 while no absent length is known).
+    std::size_t present = 0, absent = rest + 1;
+    for (std::size_t len = 1; absent == rest + 1; len *= 2) {
+      len = std::min(len, rest);
+      if (detail::chunk_occurs(backend, read, begin, begin + len - 1)) {
+        present = len;
+        if (len == rest) break;
+      } else {
+        absent = len;
+      }
     }
-    d[i] = z;
+    while (absent - present > 1) {
+      const std::size_t mid = present + (absent - present) / 2;
+      if (detail::chunk_occurs(backend, read, begin, begin + mid - 1)) {
+        present = mid;
+      } else {
+        absent = mid;
+      }
+    }
+    std::fill(d.begin() + static_cast<std::ptrdiff_t>(begin),
+              d.begin() + static_cast<std::ptrdiff_t>(begin + present), z);
+    if (present == rest) break;
+    // R[begin .. begin + present] is the first absent chunk.
+    d[begin + present] = ++z;
+    begin += present + 1;
   }
   return d;
 }
@@ -253,7 +285,9 @@ struct TwoStageScratch {
 /// filled max_hits) its reverse complement, exactly; reads without an exact
 /// hit go through stage two's inexact search in the same strand order. On
 /// return scratch.hits holds the read's hits sorted by position; `stats`
-/// (may be null) counts the strand searches actually issued.
+/// (may be null) counts the strand searches actually issued. An empty read
+/// is unaligned without any search: the empty pattern "matches" every BWT
+/// row, sentinel included, which is no placement.
 template <typename Backend>
 AlignmentStage align_two_stage(const Backend& backend,
                                const AlignerOptions& options,
@@ -261,6 +295,7 @@ AlignmentStage align_two_stage(const Backend& backend,
                                TwoStageScratch& scratch, EngineStats* stats) {
   auto& hits = scratch.hits;
   hits.clear();
+  if (read.empty()) return AlignmentStage::kUnaligned;
   const auto full = [&] {
     return options.max_hits != 0 && hits.size() >= options.max_hits;
   };

@@ -186,6 +186,36 @@ TEST(Engine, PimEngineBitIdenticalToSoftwareEngine) {
   }
 }
 
+// An empty read has no placement. Without the guard the empty pattern's
+// whole-interval "exact hit" reported every BWT row (up to max_hits), the
+// sentinel row included. Neither engine may issue a search for it.
+TEST(Engine, EmptyReadIsUnalignedWithoutSearchOnBothEngines) {
+  Fixture f(4);
+  hw::TimingEnergyModel timing;
+  hw::PimAlignerPlatform platform(f.fm, timing);
+  ReadBatchBuilder builder;
+  builder.add(std::vector<genome::Base>{});
+  const ReadBatch empty_read = builder.build();
+  for (const std::size_t max_hits : {0u, 64u}) {
+    SCOPED_TRACE("max_hits " + std::to_string(max_hits));
+    AlignerOptions options = f.options;
+    options.max_hits = max_hits;
+    BatchResult sw, hw_result;
+    SoftwareEngine(f.fm, options).align_batch(empty_read, sw);
+    const auto report =
+        hw::PimEngine(platform, options).run(empty_read, hw_result);
+    for (const BatchResult* result : {&sw, &hw_result}) {
+      ASSERT_EQ(result->size(), 1U);
+      EXPECT_EQ(result->stage(0), AlignmentStage::kUnaligned);
+      EXPECT_TRUE(result->hits(0).empty());
+      EXPECT_EQ(result->stats().reads_unaligned, 1U);
+      EXPECT_EQ(result->stats().exact_searches, 0U);
+      EXPECT_EQ(result->stats().inexact_searches, 0U);
+    }
+    EXPECT_EQ(report.hardware.lfm_calls, 0U);
+  }
+}
+
 TEST(Engine, ChunkedParallelDeterministicAcrossThreadAndChunkCounts) {
   Fixture f;
   const SoftwareEngine engine(f.fm, f.options);

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/genome/fastq.h"
 #include "src/genome/synthetic_genome.h"
 
 namespace pim::align {
@@ -254,6 +255,28 @@ TEST(SamWriter, EmptyBatchWritesNothing) {
   writer.write_batch(batch, results);
   EXPECT_TRUE(out.str().empty());
   EXPECT_EQ(writer.records_written(), 0U);
+}
+
+// An empty FASTQ record parses; it must come out as one unmapped record,
+// not as a hit at every reference position.
+TEST(SamWriter, EmptyFastqRecordIsOneUnmappedRecord) {
+  const Fixture f;
+  std::istringstream fastq("@e\n\n+\n\n");
+  const auto batch = ReadBatch::from_fastq(genome::read_fastq(fastq));
+  ASSERT_EQ(batch.size(), 1U);
+  for (const std::size_t max_hits : {0u, 64u}) {
+    AlignerOptions options;
+    options.inexact.max_diffs = 2;
+    options.max_hits = max_hits;
+    BatchResult results;
+    SoftwareEngine(f.fm, options).align_batch(batch, results);
+    std::ostringstream out;
+    SamWriter writer(out, "chrTest", f.reference);
+    writer.write_batch(batch, results);
+    EXPECT_EQ(out.str(), "e\t4\t*\t0\t0\t*\t*\t0\t0\t*\t*\n")
+        << "max_hits " << max_hits;
+    EXPECT_EQ(writer.records_written(), 1U);
+  }
 }
 
 // Golden-file test over hand-built pair results, covering the pair flag
