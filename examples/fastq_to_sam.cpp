@@ -1,5 +1,8 @@
 // End-to-end aligner tool: FASTA reference + FASTQ reads -> SAM alignments,
-// on the streaming pipeline (S39): a producer thread packs FASTQ records
+// on the streaming pipeline (S39). Every FASTA record is a chromosome: one
+// index covers their concatenation, and the SAM carries one @SQ per record
+// with per-chromosome RNAME/POS (hits across a junction are dropped and
+// counted). On the streaming pipeline a producer thread packs FASTQ records
 // into double-buffered ReadBatch generations while the engine aligns the
 // previous one, and every completed chunk is written to the SAM file as
 // soon as it (and all earlier chunks) finish. Peak memory is two batch
@@ -15,8 +18,9 @@
 //
 // --metrics=PATH  installs the S40 observability registry end to end and
 //                 writes the stage-resolved snapshot (stream.*, sched.*,
-//                 shard.*, plus chip.*/fleet.* with --pim-chips) and the
-//                 fill/align trace as JSON lines to PATH after the run.
+//                 shard.*, sam.junction_dropped, plus chip.*/fleet.* with
+//                 --pim-chips) and the fill/align trace as JSON lines to
+//                 PATH after the run.
 // --pim-chips=N   aligns on a simulated N-chip SOT-MRAM fleet (PimChipFleet)
 //                 instead of software shards. Cycle/energy-accurate and
 //                 correspondingly slow — use small read counts.
@@ -36,6 +40,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/align/sam_writer.h"
@@ -68,16 +73,16 @@ int run(const std::string& ref_path, const std::string& fastq_path,
   // (optionally persisted via --save-index for the next run).
   index::MappedIndex mapped;
   index::FmIndex built;
-  genome::PackedSequence built_reference;
+  genome::MultiReference built_reference;
   const index::FmIndex* fm = nullptr;
   const genome::PackedSequence* reference = nullptr;
-  std::string ref_name = "ref";
+  std::vector<genome::Chromosome> chromosomes;
 
   if (!index_path.empty()) {
     mapped = index::MappedIndex::open(index_path);
     fm = &mapped.index();
     reference = &mapped.reference();
-    if (!mapped.chromosomes().empty()) ref_name = mapped.chromosomes()[0].name;
+    chromosomes = mapped.chromosomes();
     std::printf("index: %s (%s, %zu bp reference, %zu B resident)\n",
                 index_path.c_str(),
                 mapped.mapped() ? "mapped" : "stream-loaded",
@@ -88,19 +93,18 @@ int run(const std::string& ref_path, const std::string& fastq_path,
       std::fprintf(stderr, "no FASTA records in %s\n", ref_path.c_str());
       return 1;
     }
-    built_reference = refs[0].sequence;
-    reference = &built_reference;
-    ref_name = refs[0].name.substr(0, refs[0].name.find(' '));
-    if (ref_name.empty()) ref_name = "ref";
-    std::printf("reference: %s (%zu bp)\n", refs[0].name.c_str(),
+    // One index over every record, concatenated; SamWriter maps hits back
+    // to their chromosome.
+    built_reference = genome::MultiReference::from_fasta_records(refs);
+    reference = &built_reference.concatenated();
+    chromosomes = built_reference.chromosomes();
+    std::printf("reference: %zu chromosome(s), %zu bp\n", chromosomes.size(),
                 reference->size());
     built = index::FmIndex::build(*reference, {.bucket_width = 128});
     fm = &built;
     std::printf("index built (%zu B resident)\n",
                 fm->memory_footprint().total());
     if (!save_index_path.empty()) {
-      const std::vector<genome::Chromosome> chromosomes{
-          {ref_name, 0, reference->size()}};
       index::save_index_file(save_index_path, built, *reference, chromosomes);
       std::printf("index saved -> %s\n", save_index_path.c_str());
     }
@@ -119,7 +123,7 @@ int run(const std::string& ref_path, const std::string& fastq_path,
     std::fprintf(stderr, "cannot write %s\n", sam_path.c_str());
     return 1;
   }
-  align::SamWriter writer(sam_out, ref_name, *reference);
+  align::SamWriter writer(sam_out, *reference, std::move(chromosomes));
   writer.write_header();
 
   // Stream: FASTQ records never all live at once. The producer packs the
@@ -186,6 +190,8 @@ int run(const std::string& ref_path, const std::string& fastq_path,
   }
 
   if (observed) {
+    registry.counter("sam.junction_dropped")
+        .add(writer.junction_artifacts_dropped());
     std::ofstream metrics_out(metrics_path);
     if (!metrics_out) {
       std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
@@ -199,7 +205,8 @@ int run(const std::string& ref_path, const std::string& fastq_path,
 
   std::printf("\naligned %llu/%llu reads (%llu exact, %llu inexact, "
               "%llu unaligned) in %.1f ms; %llu generations, %llu chunks, "
-              "peak %.2f MB batch arenas; %zu SAM records -> %s\n",
+              "peak %.2f MB batch arenas; %zu SAM records (%zu junction "
+              "artefacts dropped) -> %s\n",
               static_cast<unsigned long long>(es.reads_exact +
                                               es.reads_inexact),
               static_cast<unsigned long long>(es.reads_total),
@@ -210,7 +217,8 @@ int run(const std::string& ref_path, const std::string& fastq_path,
               static_cast<unsigned long long>(stats.batches),
               static_cast<unsigned long long>(stats.chunks),
               static_cast<double>(stats.peak_batch_bytes) / (1024.0 * 1024.0),
-              writer.records_written(), sam_path.c_str());
+              writer.records_written(), writer.junction_artifacts_dropped(),
+              sam_path.c_str());
   return 0;
 }
 

@@ -12,8 +12,9 @@
 // v2 artifact including the per-chromosome table; `info` inspects the
 // section layout without loading payloads; `verify` proves integrity by
 // running both loaders (stream + mmap) over every checksummed section;
-// `align` mmaps the artifact (zero-copy, no rebuild) and runs the
-// multithreaded two-stage pipeline.
+// `align` mmaps the artifact (zero-copy, no rebuild), runs the
+// multithreaded two-stage pipeline and writes SAM through the stored
+// chromosome table (one @SQ per FASTA record).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -137,20 +138,18 @@ int cmd_align(const std::string& index_path, const std::string& fastq_path,
   const align::EngineStats& stats = results.stats();
 
   std::ofstream out(sam_path);
-  const std::string ref_name = mapped.chromosomes().empty()
-                                   ? "ref"
-                                   : mapped.chromosomes()[0].name;
-  align::SamWriter writer(out, ref_name, mapped.reference());
+  align::SamWriter writer(out, mapped.reference(), mapped.chromosomes());
   writer.write_header();
   writer.write_batch(batch, results);
   std::printf("aligned %llu reads in %.2f s (%.0f reads/s): "
-              "%llu exact, %llu inexact, %llu unaligned -> %s\n",
+              "%llu exact, %llu inexact, %llu unaligned; %zu junction "
+              "artefacts dropped -> %s\n",
               static_cast<unsigned long long>(stats.reads_total), align_s,
               static_cast<double>(stats.reads_total) / align_s,
               static_cast<unsigned long long>(stats.reads_exact),
               static_cast<unsigned long long>(stats.reads_inexact),
               static_cast<unsigned long long>(stats.reads_unaligned),
-              sam_path.c_str());
+              writer.junction_artifacts_dropped(), sam_path.c_str());
   return 0;
 }
 

@@ -5,8 +5,8 @@
 // pipeline (SoftwareEngine), the simulated SOT-MRAM platform
 // (pim::hw::PimEngine, defined in src/pim to respect library layering), and
 // seed-and-extend long-read alignment (SeedExtendEngine). Front-ends
-// (parallel scheduler, MultiAligner, PairedAligner, SamWriter, examples,
-// benches) program against AlignmentEngine, so swapping the software path
+// (parallel scheduler, PairedAligner, SamWriter, examples, benches)
+// program against AlignmentEngine, so swapping the software path
 // for the PIM model — or a future sharded/async backend — is a one-line
 // change. SoftwareEngine and PimEngine run the same two-stage function
 // (detail::align_two_stage) over different search backends, and the

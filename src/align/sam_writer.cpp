@@ -38,53 +38,98 @@ std::uint8_t estimate_mapq(std::size_t num_hits, std::uint32_t diffs) {
   return 0;  // repeat region: essentially unplaceable
 }
 
+SamWriter::SamWriter(std::ostream& out,
+                     const genome::PackedSequence& reference,
+                     std::vector<genome::Chromosome> table)
+    : out_(&out), reference_(&reference), chromosomes_(std::move(table)) {
+  if (chromosomes_.empty()) {
+    chromosomes_.push_back({"ref", 0, reference.size()});
+  }
+  genome::validate_chromosomes(chromosomes_, reference.size());
+}
+
 SamWriter::SamWriter(std::ostream& out, std::string reference_name,
                      const genome::PackedSequence& reference)
-    : out_(&out),
-      reference_name_(std::move(reference_name)),
-      reference_(&reference) {}
+    : SamWriter(out, reference,
+                {{std::move(reference_name), 0, reference.size()}}) {}
 
 void SamWriter::write_header(const std::string& program_name,
                              const std::string& version) {
   (*out_) << "@HD\tVN:1.6\tSO:unknown\n";
-  (*out_) << "@SQ\tSN:" << reference_name_ << "\tLN:" << reference_->size()
-          << "\n";
+  for (const auto& chrom : chromosomes_) {
+    (*out_) << "@SQ\tSN:" << chrom.name << "\tLN:" << chrom.length << "\n";
+  }
   (*out_) << "@PG\tID:" << program_name << "\tPN:" << program_name
           << "\tVN:" << version << "\n";
 }
 
-std::string SamWriter::cigar_for_hit(
-    const std::vector<genome::Base>& oriented_read,
-    const AlignmentHit& hit) const {
+std::optional<SamWriter::Placement> SamWriter::place(
+    const std::vector<genome::Base>& oriented_read, const AlignmentHit& hit) {
+  const auto loc = genome::locate(chromosomes_, hit.position);
   const std::size_t m = oriented_read.size();
-  if (hit.diffs == 0) {
-    return std::to_string(m) + "M";  // exact: one match run
+  std::string cigar;
+  std::uint64_t ref_span = m;  // exact: one match run
+  if (loc && hit.diffs == 0) {
+    cigar = std::to_string(m) + "M";
+  } else if (loc) {
+    // Re-align the full read semi-globally against a window around the hit:
+    // every read base is consumed (no soft clips), so the CIGAR and NM are
+    // the true edit script. The window pads by the difference budget so
+    // indel alignments fit; it may reach into the next chromosome, and the
+    // check below drops the hit if the alignment does.
+    const std::uint64_t end = std::min<std::uint64_t>(
+        reference_->size(), hit.position + m + hit.diffs + 2);
+    const GlocalResult glocal =
+        glocal_align(reference_->slice(hit.position, end), oriented_read);
+    cigar = glocal_cigar_string(glocal);
+    ref_span = glocal.ref_end;
   }
-  // Re-align the full read semi-globally against a window around the hit:
-  // every read base is consumed (no soft clips), so the CIGAR and NM are
-  // the true edit script. The window pads by the difference budget so
-  // indel alignments fit.
-  const std::uint64_t pad = hit.diffs + 2;
-  const std::uint64_t begin = hit.position;
-  const std::uint64_t end =
-      std::min<std::uint64_t>(reference_->size(), begin + m + pad);
-  if (begin >= end) return std::to_string(m) + "M";
-  const std::vector<genome::Base> window = reference_->slice(begin, end);
-  const GlocalResult glocal = glocal_align(window, oriented_read);
-  return glocal_cigar_string(glocal);
+  if (!loc || loc->offset + ref_span > chromosomes_[loc->chromosome].length) {
+    ++junction_dropped_;
+    return std::nullopt;
+  }
+  return Placement{hit, loc->chromosome, std::move(cigar)};
 }
 
 std::vector<SamRecord> SamWriter::make_records(
     const std::string& qname, const std::vector<genome::Base>& read,
     const AlignmentResult& result,
-    const std::optional<std::string>& qualities) const {
+    const std::optional<std::string>& qualities) {
   if (qualities && qualities->size() != read.size()) {
     throw std::invalid_argument("SamWriter: quality/read length mismatch");
   }
   const std::string name = sanitize_qname(qname);
   std::vector<SamRecord> records;
 
-  if (!result.aligned()) {
+  // Reverse-strand hits align (and store SEQ) in reference orientation.
+  // Every oriented variant is built at most once for the whole hit set — a
+  // repeat-heavy read with many secondary hits must not redo the copy per
+  // hit.
+  std::vector<genome::Base> rc;
+  bool rc_ready = false;
+  const auto oriented =
+      [&](Strand strand) -> const std::vector<genome::Base>& {
+    if (strand != Strand::kReverseComplement) return read;
+    if (!rc_ready) {
+      rc = genome::reverse_complement(read);
+      rc_ready = true;
+    }
+    return rc;
+  };
+
+  // Junction artefacts are dropped before the primary and MAPQ are chosen:
+  // they are not placements of the read.
+  std::vector<Placement> placed;
+  if (result.aligned()) {
+    placed.reserve(result.hits.size());
+    for (const auto& hit : result.hits) {
+      if (auto p = place(oriented(hit.strand), hit)) {
+        placed.push_back(std::move(*p));
+      }
+    }
+  }
+
+  if (placed.empty()) {
     SamRecord rec;
     rec.qname = name;
     rec.flag = SamRecord::kFlagUnmapped;
@@ -95,52 +140,46 @@ std::vector<SamRecord> SamWriter::make_records(
   }
 
   // Order: the best hit first (primary), the rest secondary.
-  std::vector<AlignmentHit> ordered = result.hits;
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [&](const AlignmentHit& a, const AlignmentHit& b) {
-                     if (a.diffs != b.diffs) return a.diffs < b.diffs;
-                     return a.position < b.position;
+  std::stable_sort(placed.begin(), placed.end(),
+                   [](const Placement& a, const Placement& b) {
+                     if (a.hit.diffs != b.hit.diffs) {
+                       return a.hit.diffs < b.hit.diffs;
+                     }
+                     return a.hit.position < b.hit.position;
                    });
 
-  // SEQ is stored in reference orientation: reverse-strand hits emit the
-  // reverse complement (and reversed qualities). Both oriented variants are
-  // built at most once for the whole hit set — a repeat-heavy read with many
-  // secondary hits must not redo the copy per hit.
   const std::string fwd_seq = genome::decode(read);
   const std::string fwd_qual = qualities.value_or("*");
-  std::vector<genome::Base> rc;
   std::string rc_seq, rc_qual;
-  bool rc_ready = false;
 
-  const std::uint8_t mapq = estimate_mapq(ordered.size(), ordered[0].diffs);
-  for (std::size_t i = 0; i < ordered.size(); ++i) {
-    const auto& hit = ordered[i];
+  const std::uint8_t mapq =
+      estimate_mapq(placed.size(), placed[0].hit.diffs);
+  records.reserve(placed.size());
+  for (std::size_t i = 0; i < placed.size(); ++i) {
+    auto& p = placed[i];
+    const genome::Chromosome& chrom = chromosomes_[p.chromosome];
     SamRecord rec;
     rec.qname = name;
-    rec.rname = reference_name_;
-    rec.pos = hit.position + 1;  // SAM is 1-based
+    rec.rname = chrom.name;
+    rec.pos = p.hit.position - chrom.offset + 1;  // SAM is 1-based
     rec.mapq = (i == 0) ? mapq : 0;
-    rec.edit_distance = hit.diffs;
+    rec.edit_distance = p.hit.diffs;
     if (i > 0) rec.flag |= SamRecord::kFlagSecondary;
 
-    const std::vector<genome::Base>* oriented = &read;
-    if (hit.strand == Strand::kReverseComplement) {
+    if (p.hit.strand == Strand::kReverseComplement) {
       rec.flag |= SamRecord::kFlagReverse;
-      if (!rc_ready) {
-        rc = genome::reverse_complement(read);
+      if (rc_seq.empty()) {
         rc_seq = genome::decode(rc);
         rc_qual = fwd_qual;
         if (qualities) std::reverse(rc_qual.begin(), rc_qual.end());
-        rc_ready = true;
       }
-      oriented = &rc;
       rec.seq = rc_seq;
       rec.qual = rc_qual;
     } else {
       rec.seq = fwd_seq;
       rec.qual = fwd_qual;
     }
-    rec.cigar = cigar_for_hit(*oriented, hit);
+    rec.cigar = std::move(p.cigar);
     records.push_back(std::move(rec));
   }
   return records;
@@ -217,7 +256,13 @@ void SamWriter::write_pair(const std::string& qname,
 
   r1.flag |= SamRecord::kFlagPaired | SamRecord::kFlagFirstInPair;
   r2.flag |= SamRecord::kFlagPaired | SamRecord::kFlagSecondInPair;
-  if (result.cls == PairClass::kProperPair) {
+  // A pair is proper, and has a TLEN, only with both mates mapped on one
+  // chromosome: not across a junction, and not when a mate's forced hit was
+  // dropped as a junction artefact.
+  const bool mapped1 = (r1.flag & SamRecord::kFlagUnmapped) == 0;
+  const bool mapped2 = (r2.flag & SamRecord::kFlagUnmapped) == 0;
+  const bool same_chromosome = mapped1 && mapped2 && r1.rname == r2.rname;
+  if (result.cls == PairClass::kProperPair && same_chromosome) {
     r1.flag |= SamRecord::kFlagProperPair;
     r2.flag |= SamRecord::kFlagProperPair;
   }
@@ -225,8 +270,6 @@ void SamWriter::write_pair(const std::string& qname,
   // takes its mate's RNAME/POS (it stays flagged 0x4 with CIGAR "*"), so
   // the pair stays adjacent under coordinate sort instead of the unmapped
   // half drifting to the unplaced block.
-  const bool mapped1 = (r1.flag & SamRecord::kFlagUnmapped) == 0;
-  const bool mapped2 = (r2.flag & SamRecord::kFlagUnmapped) == 0;
   if (!mapped1 && mapped2) {
     r1.rname = r2.rname;
     r1.pos = r2.pos;
@@ -243,13 +286,13 @@ void SamWriter::write_pair(const std::string& qname,
       self.flag |= SamRecord::kFlagMateReverse;
     }
     if (mate.pos != 0) {
-      self.rnext = "=";
+      self.rnext = mate.rname == self.rname ? "=" : mate.rname;
       self.pnext = mate.pos;
     }
   };
   cross_link(r1, r2);
   cross_link(r2, r1);
-  if (result.pair) {
+  if (result.pair && same_chromosome) {
     const auto tlen = static_cast<std::int64_t>(result.pair->observed_insert);
     // Leftmost mate gets +TLEN, the other -TLEN.
     if (r1.pos <= r2.pos) {

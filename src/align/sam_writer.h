@@ -1,12 +1,20 @@
 // SAM output — the interchange format downstream genomics pipelines expect.
 //
-// Converts AlignmentResults into SAM 1.6 records: header (@HD/@SQ/@PG),
-// flags (reverse-strand 0x10, unmapped 0x4, secondary 0x100), 1-based
-// positions, CIGAR strings (recomputed for hits with differences by the
-// semi-global glocal_align, which fills only the score-bounded diagonal
-// band, against a window of read length + diffs + 2 at the hit), MAPQ from
-// hit multiplicity and difference count, and NM edit-distance tags. An
-// unaligned read, the empty read included, is one unmapped record.
+// Converts AlignmentResults into SAM 1.6 records: header (@HD, one @SQ per
+// chromosome, @PG), flags (reverse-strand 0x10, unmapped 0x4, secondary
+// 0x100), 1-based per-chromosome positions, CIGAR strings (recomputed for
+// hits with differences by the semi-global glocal_align, which fills only
+// the score-bounded diagonal band, against a window of read length +
+// diffs + 2 at the hit), MAPQ from hit multiplicity and difference count,
+// and NM edit-distance tags. An unaligned read, the empty read included, is
+// one unmapped record.
+//
+// The engines align against one concatenated reference and never see
+// chromosomes. The writer is the one place that maps their hit positions
+// back through the chromosome table, and it drops (and counts) every hit
+// whose record would run past its chromosome's end: SAM forbids a record
+// longer than its @SQ LN, and on a concatenated index such a hit is exactly
+// a junction artefact.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +27,7 @@
 #include "src/align/engine.h"
 #include "src/align/paired.h"
 #include "src/align/read_batch.h"
+#include "src/genome/multi_reference.h"
 #include "src/genome/packed_sequence.h"
 
 namespace pim::align {
@@ -62,17 +71,25 @@ std::string sanitize_qname(std::string_view name);
 
 class SamWriter {
  public:
-  /// Single-reference writer; `reference` is kept (not copied) for CIGAR
-  /// recomputation and must outlive the writer.
+  /// Writer over a concatenated reference and its chromosome table. The
+  /// table must tile `reference` (std::invalid_argument otherwise); an empty
+  /// table means one chromosome named "ref". `reference` is kept (not
+  /// copied) for CIGAR recomputation and must outlive the writer.
+  SamWriter(std::ostream& out, const genome::PackedSequence& reference,
+            std::vector<genome::Chromosome> table);
+
+  /// Single-chromosome writer: a one-entry table named `reference_name`.
   SamWriter(std::ostream& out, std::string reference_name,
             const genome::PackedSequence& reference);
 
-  /// Emit @HD, @SQ and @PG lines. Call once, first.
+  /// Emit @HD, one @SQ per chromosome and @PG. Call once, first.
   void write_header(const std::string& program_name = "pim-aligner",
                     const std::string& version = "1.0.0");
 
-  /// Convert one read's alignment into records: the best hit is primary,
-  /// remaining hits are secondary. Unaligned reads get an unmapped record.
+  /// Convert one read's alignment into records: the best surviving hit is
+  /// primary, the remaining survivors are secondary. A read without
+  /// surviving hits (unaligned, or only junction artefacts) gets one
+  /// unmapped record.
   /// `qualities` (Phred+33), if given, must match the read length.
   void write_alignment(const std::string& qname,
                        const std::vector<genome::Base>& read,
@@ -91,9 +108,11 @@ class SamWriter {
   void write_chunk(const BatchResultChunk& chunk);
 
   /// Emit the two primary records of a paired alignment with full pair
-  /// flags (0x1/0x2/0x40/0x80, mate strand/unmapped, RNEXT "=", TLEN).
+  /// flags (0x1/0x2/0x40/0x80, mate strand/unmapped), RNEXT/PNEXT and TLEN.
   /// Proper pairs use the ProperPair hits; other classes fall back to each
-  /// mate's best hit (or an unmapped record).
+  /// mate's best hit (or an unmapped record). 0x2 and TLEN need both mates
+  /// mapped on one chromosome; RNEXT is "=" only when the mate shares the
+  /// RNAME.
   void write_pair(const std::string& qname,
                   const std::vector<genome::Base>& read1,
                   const std::vector<genome::Base>& read2,
@@ -102,22 +121,35 @@ class SamWriter {
                   const std::optional<std::string>& qual2 = {});
 
   std::size_t records_written() const { return records_; }
+  /// Hits dropped because their record would run past its chromosome's end.
+  std::size_t junction_artifacts_dropped() const { return junction_dropped_; }
 
   /// Build (without writing) the records for an alignment — exposed for
-  /// tests and custom sinks.
+  /// tests and custom sinks. Dropped junction artefacts are counted.
   std::vector<SamRecord> make_records(
       const std::string& qname, const std::vector<genome::Base>& read,
       const AlignmentResult& result,
-      const std::optional<std::string>& qualities = {}) const;
+      const std::optional<std::string>& qualities = {});
 
  private:
-  std::string cigar_for_hit(const std::vector<genome::Base>& oriented_read,
-                            const AlignmentHit& hit) const;
+  /// A hit that fits inside its chromosome, with its CIGAR.
+  struct Placement {
+    AlignmentHit hit;
+    std::size_t chromosome = 0;
+    std::string cigar;
+  };
+
+  /// Place `hit` of the read in its orientation, or nullopt (counted) when
+  /// its record would run past its chromosome's end.
+  std::optional<Placement> place(
+      const std::vector<genome::Base>& oriented_read,
+      const AlignmentHit& hit);
 
   std::ostream* out_;
-  std::string reference_name_;
   const genome::PackedSequence* reference_;
+  std::vector<genome::Chromosome> chromosomes_;
   std::size_t records_ = 0;
+  std::size_t junction_dropped_ = 0;
 };
 
 }  // namespace pim::align

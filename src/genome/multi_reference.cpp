@@ -5,6 +5,38 @@
 
 namespace pim::genome {
 
+void validate_chromosomes(std::span<const Chromosome> table,
+                          std::uint64_t reference_length) {
+  const auto not_tiling = [] {
+    return std::invalid_argument(
+        "chromosome lengths do not tile the reference");
+  };
+  std::uint64_t expected_offset = 0;
+  for (const auto& chrom : table) {
+    if (chrom.offset != expected_offset) {
+      throw std::invalid_argument("chromosome offsets not contiguous");
+    }
+    // Compared against the room left, so a stored length cannot wrap the
+    // running offset back onto the reference length.
+    if (chrom.length > reference_length - expected_offset) throw not_tiling();
+    expected_offset += chrom.length;
+  }
+  if (expected_offset != reference_length) throw not_tiling();
+}
+
+std::optional<ChromosomeLocation> locate(std::span<const Chromosome> table,
+                                         std::uint64_t global) {
+  if (table.empty() || global >= table.back().offset + table.back().length) {
+    return std::nullopt;
+  }
+  // Binary search the last chromosome with offset <= global.
+  const auto it = std::upper_bound(
+      table.begin(), table.end(), global,
+      [](std::uint64_t pos, const Chromosome& c) { return pos < c.offset; });
+  const auto idx = static_cast<std::size_t>(it - table.begin()) - 1;
+  return ChromosomeLocation{idx, global - table[idx].offset};
+}
+
 MultiReference MultiReference::from_parts(
     std::vector<std::pair<std::string, PackedSequence>> parts) {
   MultiReference ref;
@@ -21,28 +53,6 @@ MultiReference MultiReference::from_parts(
   return ref;
 }
 
-MultiReference MultiReference::from_concatenated(
-    PackedSequence concatenated, std::vector<Chromosome> chromosomes) {
-  std::uint64_t expected_offset = 0;
-  for (const auto& chrom : chromosomes) {
-    if (chrom.offset != expected_offset) {
-      throw std::invalid_argument(
-          "MultiReference::from_concatenated: chromosome offsets not "
-          "contiguous");
-    }
-    expected_offset += chrom.length;
-  }
-  if (expected_offset != concatenated.size()) {
-    throw std::invalid_argument(
-        "MultiReference::from_concatenated: chromosome lengths do not tile "
-        "the concatenation");
-  }
-  MultiReference ref;
-  ref.concatenated_ = std::move(concatenated);
-  ref.chromosomes_ = std::move(chromosomes);
-  return ref;
-}
-
 MultiReference MultiReference::from_fasta_records(
     const std::vector<FastaRecord>& records) {
   std::vector<std::pair<std::string, PackedSequence>> parts;
@@ -53,47 +63,6 @@ MultiReference MultiReference::from_fasta_records(
     parts.emplace_back(rec.name.substr(0, cut), rec.sequence);
   }
   return from_parts(std::move(parts));
-}
-
-std::optional<ChromosomeLocation> MultiReference::locate(
-    std::uint64_t global) const {
-  if (global >= concatenated_.size() || chromosomes_.empty()) {
-    return std::nullopt;
-  }
-  // Binary search the last chromosome with offset <= global.
-  const auto it = std::upper_bound(
-      chromosomes_.begin(), chromosomes_.end(), global,
-      [](std::uint64_t pos, const Chromosome& c) { return pos < c.offset; });
-  const auto idx = static_cast<std::size_t>(it - chromosomes_.begin()) - 1;
-  return ChromosomeLocation{idx, global - chromosomes_[idx].offset};
-}
-
-bool MultiReference::spans_boundary(std::uint64_t global,
-                                    std::uint64_t length) const {
-  if (length == 0) return false;
-  const auto begin = locate(global);
-  const auto end = locate(global + length - 1);
-  if (!begin || !end) return true;  // runs past the concatenation
-  return begin->chromosome != end->chromosome;
-}
-
-std::optional<std::size_t> MultiReference::chromosome_index(
-    const std::string& name) const {
-  for (std::size_t i = 0; i < chromosomes_.size(); ++i) {
-    if (chromosomes_[i].name == name) return i;
-  }
-  return std::nullopt;
-}
-
-std::uint64_t MultiReference::to_global(const ChromosomeLocation& loc) const {
-  if (loc.chromosome >= chromosomes_.size()) {
-    throw std::out_of_range("MultiReference::to_global: bad chromosome");
-  }
-  const auto& chrom = chromosomes_[loc.chromosome];
-  if (loc.offset >= chrom.length) {
-    throw std::out_of_range("MultiReference::to_global: offset past end");
-  }
-  return chrom.offset + loc.offset;
 }
 
 }  // namespace pim::genome

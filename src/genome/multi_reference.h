@@ -2,14 +2,16 @@
 //
 // The human reference is 24 chromosomes; a single FM-index over their
 // concatenation is how production aligners (and the paper's 3.2 Gbp "the
-// reference genome") handle it. This class owns the concatenation and the
-// coordinate map, translating global hit positions back to
-// (chromosome, offset) and flagging hits that straddle a junction (which
-// are artefacts of concatenation, not real alignments).
+// reference genome") handle it. MultiReference owns the concatenation and
+// its chromosome table; the free functions below are the one coordinate
+// map every consumer (index save/load, SamWriter) shares. The engines never
+// see chromosomes: SamWriter maps their concatenated hit positions back to
+// (chromosome, offset) and drops records that would run past a junction.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,10 +28,20 @@ struct Chromosome {
 };
 
 struct ChromosomeLocation {
-  std::size_t chromosome = 0;  ///< Index into chromosomes().
+  std::size_t chromosome = 0;  ///< Index into the chromosome table.
   std::uint64_t offset = 0;    ///< 0-based position within it.
   bool operator==(const ChromosomeLocation&) const = default;
 };
+
+/// Throw std::invalid_argument unless `table` tiles [0, reference_length):
+/// offsets contiguous from 0, lengths summing to reference_length.
+void validate_chromosomes(std::span<const Chromosome> table,
+                          std::uint64_t reference_length);
+
+/// Map a concatenated position to its chromosome in a tiling `table`;
+/// nullopt past the last chromosome's end.
+std::optional<ChromosomeLocation> locate(std::span<const Chromosome> table,
+                                         std::uint64_t global);
 
 class MultiReference {
  public:
@@ -40,31 +52,9 @@ class MultiReference {
   static MultiReference from_fasta_records(
       const std::vector<FastaRecord>& records);
 
-  /// Reassemble from an already-concatenated sequence and its coordinate
-  /// table (the shape a v2 index artifact stores) without re-packing bases.
-  /// The chromosome table must tile `concatenated` exactly: offsets
-  /// contiguous from 0, lengths summing to its size. Throws
-  /// std::invalid_argument otherwise.
-  static MultiReference from_concatenated(PackedSequence concatenated,
-                                          std::vector<Chromosome> chromosomes);
-
   const PackedSequence& concatenated() const { return concatenated_; }
   const std::vector<Chromosome>& chromosomes() const { return chromosomes_; }
   std::uint64_t total_length() const { return concatenated_.size(); }
-
-  /// Map a global position to its chromosome; nullopt past the end.
-  std::optional<ChromosomeLocation> locate(std::uint64_t global) const;
-
-  /// Does [global, global+length) cross a chromosome junction? Such hits
-  /// are concatenation artefacts and must be filtered.
-  bool spans_boundary(std::uint64_t global, std::uint64_t length) const;
-
-  /// Chromosome lookup by name; nullopt if absent.
-  std::optional<std::size_t> chromosome_index(const std::string& name) const;
-
-  /// Global coordinate of (chromosome, offset). Throws std::out_of_range
-  /// for a bad chromosome index or an offset past its end.
-  std::uint64_t to_global(const ChromosomeLocation& loc) const;
 
  private:
   PackedSequence concatenated_;

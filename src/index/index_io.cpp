@@ -214,18 +214,7 @@ void check_save_args(const FmIndex& index,
     throw std::invalid_argument("save_index: empty reference");
   }
   if (!chromosomes.empty()) {
-    std::uint64_t expected_offset = 0;
-    for (const auto& chrom : chromosomes) {
-      if (chrom.offset != expected_offset) {
-        throw std::invalid_argument(
-            "save_index: chromosome offsets not contiguous");
-      }
-      expected_offset += chrom.length;
-    }
-    if (expected_offset != reference.size()) {
-      throw std::invalid_argument(
-          "save_index: chromosome lengths do not tile the reference");
-    }
+    genome::validate_chromosomes(chromosomes, reference.size());
   }
 }
 
@@ -393,11 +382,10 @@ LoadedIndex assemble_v2(const FileHeaderV2& header,
   const std::uint64_t n = header.reference_bases;
   const std::uint64_t rows = n + 1;
   if (!chromosomes.empty()) {
-    std::uint64_t total = 0;
-    for (const auto& chrom : chromosomes) total += chrom.length;
-    if (total != n) {
-      fail_section(SectionId::kChromosomes,
-                   "lengths inconsistent with reference");
+    try {
+      genome::validate_chromosomes(chromosomes, n);
+    } catch (const std::invalid_argument& e) {
+      fail_section(SectionId::kChromosomes, e.what());
     }
   }
   try {
@@ -701,14 +689,6 @@ LoadedIndex load_index_file(const std::string& path,
   std::ifstream in(path, std::ios::binary);
   if (!in) fail("cannot open " + path);
   return load_index(in, metrics);
-}
-
-genome::MultiReference LoadedIndex::multi_reference() const {
-  if (chromosomes.empty()) return {};
-  // Copying `reference` is cheap in both storage modes: owned copies share
-  // nothing but are small next to the index; borrowed copies are views into
-  // the same mapping (which must outlive the result, as it outlives *this).
-  return genome::MultiReference::from_concatenated(reference, chromosomes);
 }
 
 IndexFileInfo inspect_index_file(const std::string& path) {

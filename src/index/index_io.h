@@ -45,8 +45,9 @@ inline constexpr std::uint32_t kIndexVersion = 2;
 /// the per-chromosome coordinate table of a MultiReference built over
 /// `reference`; pass multi.chromosomes() to make the artifact round-trip a
 /// multi-reference. Throws std::runtime_error on I/O failure,
-/// std::invalid_argument on an index/reference mismatch or an empty
-/// reference.
+/// std::invalid_argument on an index/reference mismatch, an empty
+/// reference, or a chromosome table that does not tile the reference
+/// (genome::validate_chromosomes).
 void save_index(std::ostream& out, const FmIndex& index,
                 const genome::PackedSequence& reference,
                 const std::vector<genome::Chromosome>& chromosomes = {});
@@ -66,11 +67,8 @@ struct LoadedIndex {
   FmIndex index;
   genome::PackedSequence reference;
   /// Per-chromosome table when the artifact stored one (v2), else empty.
+  /// A stored table always tiles `reference` (both loaders validate it).
   std::vector<genome::Chromosome> chromosomes;
-
-  /// Rebuild the MultiReference coordinate map (empty when no chromosome
-  /// table was stored).
-  genome::MultiReference multi_reference() const;
 };
 
 /// Deserialize either format version into owned structures. Throws

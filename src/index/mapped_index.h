@@ -62,11 +62,6 @@ class MappedIndex {
   const std::vector<genome::Chromosome>& chromosomes() const {
     return loaded_.chromosomes;
   }
-  /// See LoadedIndex::multi_reference — the result borrows from the mapping
-  /// (when mapped) and must not outlive this MappedIndex.
-  genome::MultiReference multi_reference() const {
-    return loaded_.multi_reference();
-  }
 
   /// True when the index borrows an mmap region; false on the stream-load
   /// fallback (owned structures).

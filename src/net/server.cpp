@@ -491,9 +491,12 @@ std::string AlignServer::Impl::render_sam(
       src->second.reference == nullptr) {
     return {};
   }
+  const SamSource& source = src->second;
   std::ostringstream out;
-  align::SamWriter writer(out, src->second.reference_name,
-                          *src->second.reference);
+  align::SamWriter writer =
+      source.chromosomes.empty()
+          ? align::SamWriter(out, source.reference_name, *source.reference)
+          : align::SamWriter(out, *source.reference, source.chromosomes);
   const std::size_t n = p.reads.size() < results.size() ? p.reads.size()
                                                         : results.size();
   for (std::size_t i = 0; i < n; ++i) {

@@ -40,7 +40,9 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "src/genome/multi_reference.h"
 #include "src/genome/packed_sequence.h"
 #include "src/net/frame.h"
 #include "src/obs/metrics.h"
@@ -67,10 +69,14 @@ struct NetMetrics {
 class AlignServer {
  public:
   /// Reference material for server-side SAM rendering (want_sam requests).
-  /// The PackedSequence must outlive the server.
+  /// The PackedSequence must outlive the server. A multi-chromosome
+  /// reference passes its chromosome table (it must tile the reference) and
+  /// gets per-chromosome RNAME/POS; without one, every record is named
+  /// `reference_name`.
   struct SamSource {
     std::string reference_name;
     const genome::PackedSequence* reference = nullptr;
+    std::vector<genome::Chromosome> chromosomes = {};
   };
 
   struct Options {

@@ -18,6 +18,7 @@
 #include "src/index/index_io.h"
 #include "src/obs/metrics.h"
 #include "src/util/rng.h"
+#include "tests/temp_dir.h"
 
 namespace pim::serve {
 namespace {
@@ -29,23 +30,16 @@ struct Artifact {
   index::FmIndex fm;
 };
 
-/// A /tmp path unique to the running test. ctest -j runs the tests of one
-/// binary as parallel processes; a path shared between tests would be
-/// rewritten while another test has it mapped.
-std::string per_test_path(const std::string& stem) {
-  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
-  return "/tmp/" + stem + "_" + test->test_suite_name() + "." + test->name() +
-         ".index";
-}
-
-/// Builds `count` distinct references and persists each as a v2 artifact.
-std::vector<Artifact> make_artifacts(std::size_t count,
+/// Builds `count` distinct references and persists each as a v2 artifact
+/// in `dir`.
+std::vector<Artifact> make_artifacts(const tests::TempDir& dir,
+                                     std::size_t count,
                                      std::size_t length = 20000) {
   std::vector<Artifact> artifacts;
   for (std::size_t i = 0; i < count; ++i) {
     Artifact a;
     a.id = "ref" + std::to_string(i);
-    a.path = per_test_path("pim_cache_test_" + a.id);
+    a.path = dir.file(a.id + ".index");
     genome::SyntheticGenomeSpec spec;
     spec.length = length;
     spec.seed = 900 + i;
@@ -59,12 +53,13 @@ std::vector<Artifact> make_artifacts(std::size_t count,
 }
 
 TEST(IndexCache, RegistrationValidation) {
+  const tests::TempDir dir;
   IndexCache cache;
-  cache.add_reference("a", "/tmp/nonexistent_a.index");
+  cache.add_reference("a", dir.file("nonexistent_a.index"));
   EXPECT_TRUE(cache.has_reference("a"));
   EXPECT_FALSE(cache.has_reference("b"));
-  EXPECT_THROW(cache.add_reference("", "/tmp/x"), std::invalid_argument);
-  EXPECT_THROW(cache.add_reference("a", "/tmp/other"), std::invalid_argument);
+  EXPECT_THROW(cache.add_reference("", dir.file("x")), std::invalid_argument);
+  EXPECT_THROW(cache.add_reference("a", dir.file("other")), std::invalid_argument);
   EXPECT_THROW(cache.acquire("unregistered"), std::out_of_range);
   // Registered but unloadable: the open error propagates, nothing becomes
   // resident.
@@ -73,7 +68,8 @@ TEST(IndexCache, RegistrationValidation) {
 }
 
 TEST(IndexCache, LruEvictionAtCapacity) {
-  const auto artifacts = make_artifacts(3, 8000);
+  const tests::TempDir dir;
+  const auto artifacts = make_artifacts(dir, 3, 8000);
   IndexCacheOptions options;
   options.max_resident = 2;
   IndexCache cache(options);
@@ -112,7 +108,8 @@ TEST(IndexCache, LruEvictionAtCapacity) {
 }
 
 TEST(IndexCache, PublishesMetrics) {
-  const auto artifacts = make_artifacts(2, 6000);
+  const tests::TempDir dir;
+  const auto artifacts = make_artifacts(dir, 2, 6000);
   obs::MetricsRegistry registry;
   IndexCacheOptions options;
   options.max_resident = 1;
@@ -137,7 +134,8 @@ TEST(IndexCache, PublishesMetrics) {
 }
 
 TEST(IndexCache, MaxResidentClampedToOne) {
-  const auto artifacts = make_artifacts(1, 4000);
+  const tests::TempDir dir;
+  const auto artifacts = make_artifacts(dir, 1, 4000);
   IndexCacheOptions options;
   options.max_resident = 0;  // clamped
   IndexCache cache(options);
@@ -189,7 +187,8 @@ void expect_same_results(const align::BatchResult& want,
 }
 
 TEST(IndexProvenance, EngineResultsIdenticalBuiltStreamMapped) {
-  const auto artifacts = make_artifacts(1);
+  const tests::TempDir dir;
+  const auto artifacts = make_artifacts(dir, 1);
   const auto& a = artifacts[0];
   const auto reads = sample_reads(a.reference, 64);
   const auto batch = align::ReadBatch::from_reads(reads);
@@ -213,7 +212,8 @@ TEST(IndexProvenance, EngineResultsIdenticalBuiltStreamMapped) {
 }
 
 TEST(IndexProvenance, ShardedEngineOverMappedIndexIdentical) {
-  const auto artifacts = make_artifacts(1);
+  const tests::TempDir dir;
+  const auto artifacts = make_artifacts(dir, 1);
   const auto& a = artifacts[0];
   const auto reads = sample_reads(a.reference, 48);
   const auto batch = align::ReadBatch::from_reads(reads);
@@ -236,7 +236,8 @@ TEST(IndexProvenance, ShardedEngineOverMappedIndexIdentical) {
 }
 
 TEST(IndexProvenance, CacheAcquiredIndexIdenticalToBuilt) {
-  const auto artifacts = make_artifacts(2);
+  const tests::TempDir dir;
+  const auto artifacts = make_artifacts(dir, 2);
   IndexCache cache;
   for (const auto& a : artifacts) cache.add_reference(a.id, a.path);
   for (const auto& a : artifacts) {

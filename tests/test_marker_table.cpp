@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -16,6 +12,7 @@
 #include "src/index/fm_index.h"
 #include "src/index/mapped_index.h"
 #include "src/util/rng.h"
+#include "tests/temp_dir.h"
 
 namespace pim::index {
 namespace {
@@ -185,18 +182,13 @@ TEST(LfmKernel, PrimaryInFirstAndLastLaneOfAWord) {
 TEST(LfmKernel, BorrowedWordsFromMappedArtifact) {
   const PackedSequence text = reference_of(60001, 77);
   const FmIndex built = FmIndex::build(text, {.bucket_width = 128});
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("pim_lfm_kernel_oracle_" + std::to_string(::getpid()) + ".bin"))
-          .string();
+  const tests::TempDir dir;
+  const std::string path = dir.file("oracle.index");
   save_index_file(path, built, text);
-  {
-    const MappedIndex mapped = MappedIndex::open(path);
-    ASSERT_TRUE(mapped.mapped());
-    ASSERT_FALSE(mapped.index().bwt().symbols.owns_storage());
-    expect_lfm_matches_oracle(mapped.index(), OccTable(built.bwt()), 78);
-  }
-  std::remove(path.c_str());
+  const MappedIndex mapped = MappedIndex::open(path);
+  ASSERT_TRUE(mapped.mapped());
+  ASSERT_FALSE(mapped.index().bwt().symbols.owns_storage());
+  expect_lfm_matches_oracle(mapped.index(), OccTable(built.bwt()), 78);
 }
 
 TEST(MarkerTable, MemoryScalesInverselyWithBucket) {

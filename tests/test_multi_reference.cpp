@@ -4,7 +4,6 @@
 
 #include <stdexcept>
 
-#include "src/align/multi_aligner.h"
 #include "src/genome/synthetic_genome.h"
 
 namespace pim::genome {
@@ -38,33 +37,63 @@ TEST(MultiReference, ConcatenationContentMatchesParts) {
 
 TEST(MultiReference, LocateMapsBoundariesCorrectly) {
   const auto ref = three_chromosomes();
-  EXPECT_EQ(ref.locate(0), (ChromosomeLocation{0, 0}));
-  EXPECT_EQ(ref.locate(999), (ChromosomeLocation{0, 999}));
-  EXPECT_EQ(ref.locate(1000), (ChromosomeLocation{1, 0}));
-  EXPECT_EQ(ref.locate(1499), (ChromosomeLocation{1, 499}));
-  EXPECT_EQ(ref.locate(1500), (ChromosomeLocation{2, 0}));
-  EXPECT_EQ(ref.locate(2999), (ChromosomeLocation{2, 1499}));
-  EXPECT_FALSE(ref.locate(3000).has_value());
+  const auto& table = ref.chromosomes();
+  EXPECT_EQ(locate(table, 0), (ChromosomeLocation{0, 0}));
+  EXPECT_EQ(locate(table, 999), (ChromosomeLocation{0, 999}));
+  EXPECT_EQ(locate(table, 1000), (ChromosomeLocation{1, 0}));
+  EXPECT_EQ(locate(table, 1499), (ChromosomeLocation{1, 499}));
+  EXPECT_EQ(locate(table, 1500), (ChromosomeLocation{2, 0}));
+  EXPECT_EQ(locate(table, 2999), (ChromosomeLocation{2, 1499}));
+  EXPECT_FALSE(locate(table, 3000).has_value());
+  EXPECT_FALSE(locate({}, 0).has_value());
+}
+
+/// SamWriter's junction rule over locate: does [global, global + length)
+/// run past the end of the chromosome holding `global`?
+bool runs_past_chromosome(const MultiReference& ref, std::uint64_t global,
+                          std::uint64_t length) {
+  const auto loc = locate(ref.chromosomes(), global);
+  return !loc ||
+         loc->offset + length > ref.chromosomes()[loc->chromosome].length;
 }
 
 TEST(MultiReference, SpansBoundary) {
   const auto ref = three_chromosomes();
-  EXPECT_FALSE(ref.spans_boundary(0, 1000));
-  EXPECT_TRUE(ref.spans_boundary(999, 2));
-  EXPECT_FALSE(ref.spans_boundary(999, 1));
-  EXPECT_TRUE(ref.spans_boundary(1400, 200));
-  EXPECT_FALSE(ref.spans_boundary(1500, 1500));
-  EXPECT_TRUE(ref.spans_boundary(2999, 2));  // off the end
-  EXPECT_FALSE(ref.spans_boundary(100, 0));
+  EXPECT_FALSE(runs_past_chromosome(ref, 0, 1000));
+  EXPECT_TRUE(runs_past_chromosome(ref, 999, 2));
+  EXPECT_FALSE(runs_past_chromosome(ref, 999, 1));
+  EXPECT_TRUE(runs_past_chromosome(ref, 1400, 200));
+  EXPECT_FALSE(runs_past_chromosome(ref, 1500, 1500));
+  EXPECT_TRUE(runs_past_chromosome(ref, 2999, 2));  // off the end
+  EXPECT_TRUE(runs_past_chromosome(ref, 3000, 1));  // past the end
+  EXPECT_FALSE(runs_past_chromosome(ref, 100, 0));
 }
 
-TEST(MultiReference, NameLookupAndToGlobal) {
+TEST(MultiReference, LocateSkipsEmptyChromosomes) {
+  const std::vector<Chromosome> table = {
+      {"a", 0, 10}, {"empty", 10, 0}, {"b", 10, 5}};
+  EXPECT_EQ(locate(table, 9), (ChromosomeLocation{0, 9}));
+  EXPECT_EQ(locate(table, 10), (ChromosomeLocation{2, 0}));
+}
+
+TEST(MultiReference, ValidateRequiresATiling) {
   const auto ref = three_chromosomes();
-  EXPECT_EQ(ref.chromosome_index("chr2"), 1U);
-  EXPECT_FALSE(ref.chromosome_index("chrX").has_value());
-  EXPECT_EQ(ref.to_global({1, 10}), 1010U);
-  EXPECT_THROW(ref.to_global({5, 0}), std::out_of_range);
-  EXPECT_THROW(ref.to_global({1, 500}), std::out_of_range);
+  EXPECT_NO_THROW(validate_chromosomes(ref.chromosomes(), 3000));
+  EXPECT_THROW(validate_chromosomes(ref.chromosomes(), 3001),
+               std::invalid_argument);
+  // Lengths sum to n but the offsets overlap: not a tiling.
+  const std::vector<Chromosome> overlapping = {{"chr1", 0, 3000},
+                                               {"chr2", 2000, 2000}};
+  EXPECT_THROW(validate_chromosomes(overlapping, 5000),
+               std::invalid_argument);
+  const std::vector<Chromosome> gap = {{"chr1", 0, 1000},
+                                       {"chr2", 1500, 3500}};
+  EXPECT_THROW(validate_chromosomes(gap, 5000), std::invalid_argument);
+  // Contiguous offsets whose lengths sum to n only modulo 2^64.
+  const std::vector<Chromosome> wrapping = {
+      {"chr1", 0, 6000}, {"chr2", 6000, ~std::uint64_t{0} - 999}};
+  EXPECT_THROW(validate_chromosomes(wrapping, 5000), std::invalid_argument);
+  EXPECT_THROW(validate_chromosomes({}, 5000), std::invalid_argument);
 }
 
 TEST(MultiReference, FromFastaTruncatesNames) {
@@ -74,65 +103,6 @@ TEST(MultiReference, FromFastaTruncatesNames) {
   const auto ref = MultiReference::from_fasta_records(records);
   EXPECT_EQ(ref.chromosomes()[0].name, "chr1");
   EXPECT_EQ(ref.chromosomes()[1].name, "chr2");
-}
-
-TEST(MultiAligner, HitsResolveToChromosomes) {
-  const auto ref = three_chromosomes();
-  const auto fm =
-      pim::index::FmIndex::build(ref.concatenated(), {.bucket_width = 64});
-  const pim::align::MultiAligner aligner(ref, fm);
-  // A read planted inside chr2.
-  const auto read = ref.concatenated().slice(1100, 1160);
-  const auto result = aligner.align(read);
-  ASSERT_TRUE(result.aligned());
-  bool found = false;
-  for (const auto& hit : result.hits) {
-    if (hit.chromosome == 1 && hit.offset == 100) found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(MultiAligner, JunctionArtifactsFiltered) {
-  // Build a reference whose junction creates an artificial match: chr1 ends
-  // with the prefix of the probe, chr2 starts with its suffix.
-  std::vector<std::pair<std::string, PackedSequence>> parts;
-  parts.emplace_back("chrA", PackedSequence("ACGTACGTAAAACCCC"));
-  parts.emplace_back("chrB", PackedSequence("GGGGTTTTACGTACGT"));
-  const auto ref = MultiReference::from_parts(std::move(parts));
-  const auto fm =
-      pim::index::FmIndex::build(ref.concatenated(), {.bucket_width = 8});
-  pim::align::AlignerOptions opt;
-  opt.inexact.max_diffs = 0;
-  opt.try_reverse_complement = false;
-  const pim::align::MultiAligner aligner(ref, fm, opt);
-  // "CCCCGGGG" exists only across the junction.
-  const auto result = aligner.align(genome::encode("CCCCGGGG"));
-  EXPECT_FALSE(result.aligned());
-  EXPECT_GT(result.boundary_artifacts_dropped, 0U);
-}
-
-TEST(MultiAligner, MismatchedIndexRejected) {
-  const auto ref = three_chromosomes();
-  const auto other = generate_uniform(100, 9);
-  const auto fm = pim::index::FmIndex::build(other, {.bucket_width = 64});
-  EXPECT_THROW(pim::align::MultiAligner(ref, fm), std::invalid_argument);
-}
-
-TEST(MultiAligner, HitAtChromosomeEndNotDropped) {
-  const auto ref = three_chromosomes();
-  const auto fm =
-      pim::index::FmIndex::build(ref.concatenated(), {.bucket_width = 64});
-  pim::align::AlignerOptions opt;
-  opt.inexact.max_diffs = 2;  // span = read + 2 would overrun chr3's end
-  const pim::align::MultiAligner aligner(ref, fm, opt);
-  const auto read = ref.concatenated().slice(2960, 3000);  // last 40 bp
-  const auto result = aligner.align(read);
-  ASSERT_TRUE(result.aligned());
-  bool found = false;
-  for (const auto& hit : result.hits) {
-    if (hit.chromosome == 2 && hit.offset == 1460) found = true;
-  }
-  EXPECT_TRUE(found);
 }
 
 }  // namespace

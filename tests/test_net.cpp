@@ -42,6 +42,7 @@
 #include "src/serve/index_cache.h"
 #include "src/serve/service.h"
 #include "src/util/rng.h"
+#include "tests/temp_dir.h"
 
 namespace pim::net {
 namespace {
@@ -504,28 +505,36 @@ TEST(AlignServer, WireResultsAndSamBitIdenticalToDirect) {
   service.shutdown();
 }
 
+// genome0 is one chromosome; genome1 is two chromosomes behind one index,
+// so its wire SAM carries per-chromosome RNAME/POS.
 TEST(AlignServer, RoutesMultiReferenceRequestsOverTheWire) {
   struct Ref {
     std::string id;
     std::string path;
     genome::PackedSequence reference;
+    std::vector<genome::Chromosome> chromosomes;
     index::FmIndex fm;
     std::vector<std::vector<genome::Base>> reads;
   };
+  const tests::TempDir dir;
   std::vector<Ref> refs;
   align::AlignerOptions aligner;
   aligner.inexact.max_diffs = 2;
   for (std::size_t i = 0; i < 2; ++i) {
     Ref r;
     r.id = "genome" + std::to_string(i);
-    r.path = "/tmp/pim_net_test_" + r.id + ".index";
+    r.path = dir.file(r.id + ".index");
     genome::SyntheticGenomeSpec spec;
     spec.length = 20000;
     spec.seed = 700 + i;
     r.reference = genome::generate_reference(spec);
+    if (i == 0) {
+      r.chromosomes = {{r.id, 0, 20000}};
+    } else {
+      r.chromosomes = {{r.id + "_a", 0, 12000}, {r.id + "_b", 12000, 8000}};
+    }
     r.fm = index::FmIndex::build(r.reference, {.bucket_width = 128});
-    index::save_index_file(r.path, r.fm, r.reference,
-                           {{r.id, 0, r.reference.size()}});
+    index::save_index_file(r.path, r.fm, r.reference, r.chromosomes);
     r.reads = make_read_mix(r.reference, 24, 80 + i);
     refs.push_back(std::move(r));
   }
@@ -538,7 +547,7 @@ TEST(AlignServer, RoutesMultiReferenceRequestsOverTheWire) {
 
   AlignServer::Options options;
   for (const auto& r : refs) {
-    options.sam_sources[r.id] = {r.id, &r.reference};
+    options.sam_sources[r.id] = {r.id, &r.reference, r.chromosomes};
   }
   AlignServer server(service, options);
   server.start();
@@ -563,9 +572,14 @@ TEST(AlignServer, RoutesMultiReferenceRequestsOverTheWire) {
                              r.id.c_str());
 
     std::ostringstream direct_sam;
-    align::SamWriter writer(direct_sam, r.id, r.reference);
+    align::SamWriter writer(direct_sam, r.reference, r.chromosomes);
     writer.write_batch(batch, batch_result);
     EXPECT_EQ(response.sam, direct_sam.str()) << r.id;
+    for (const auto& chrom : r.chromosomes) {
+      EXPECT_NE(response.sam.find("\t" + chrom.name + "\t"),
+                std::string::npos)
+          << chrom.name;
+    }
   }
 
   // Unknown references are an application-level rejection, not a protocol

@@ -5,8 +5,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/genome/fasta.h"
 #include "src/genome/fastq.h"
+#include "src/genome/multi_reference.h"
 #include "src/genome/synthetic_genome.h"
+#include "tests/temp_dir.h"
 
 namespace pim::align {
 namespace {
@@ -283,9 +286,8 @@ TEST(SamWriter, EmptyFastqRecordIsOneUnmappedRecord) {
 // bits, TLEN signs (including the r1.pos == r2.pos tie), QNAME comment
 // trimming, and the unmapped-mate placement recommended by the SAM spec.
 // Every field is deterministic: forced exact hits make CIGAR/NM trivial and
-// MAPQ fixed. Regenerate the golden after an intended format change by
-// copying /tmp/pim_paired_end_actual.sam (dumped on mismatch) over
-// tests/golden/paired_end.sam and reviewing the diff.
+// MAPQ fixed. On a mismatch the actual output is dumped to a kept temp
+// directory named in the failure.
 TEST(SamWriter, PairedGoldenFile) {
   const std::string ref_str =
       "ACGTAGCTTGCAATCGGATCAAGCTTGACCGTTAGGCCAT"
@@ -368,17 +370,266 @@ TEST(SamWriter, PairedGoldenFile) {
   EXPECT_EQ(c2[6], "=");
 
   // Byte-exact golden comparison.
-  std::ifstream golden(std::string(PIMALIGNER_SOURCE_DIR) +
-                       "/tests/golden/paired_end.sam");
-  ASSERT_TRUE(golden.good()) << "missing tests/golden/paired_end.sam";
-  std::stringstream want;
-  want << golden.rdbuf();
-  if (out.str() != want.str()) {
-    std::ofstream dump("/tmp/pim_paired_end_actual.sam");
-    dump << out.str();
+  tests::expect_golden(out.str(), "paired_end.sam");
+}
+
+// ---------------------------------------------------------------------------
+// Multi-chromosome output: one index over the concatenation, and the writer
+// maps every hit back to its chromosome and drops junction artefacts.
+// ---------------------------------------------------------------------------
+
+genome::MultiReference three_chromosomes() {
+  std::vector<std::pair<std::string, PackedSequence>> parts;
+  parts.emplace_back("chr1", genome::generate_uniform(1000, 1));
+  parts.emplace_back("chr2", genome::generate_uniform(500, 2));
+  parts.emplace_back("chr3", genome::generate_uniform(1500, 3));
+  return genome::MultiReference::from_parts(std::move(parts));
+}
+
+/// The primary record's RNAME and POS.
+std::pair<std::string, std::uint64_t> primary_placement(
+    const std::vector<SamRecord>& records) {
+  for (const auto& rec : records) {
+    if ((rec.flag & SamRecord::kFlagSecondary) == 0) {
+      return {rec.rname, rec.pos};
+    }
   }
-  EXPECT_EQ(out.str(), want.str())
-      << "actual output dumped to /tmp/pim_paired_end_actual.sam";
+  return {"", 0};
+}
+
+TEST(SamWriter, HitsResolveToChromosomes) {
+  const auto ref = three_chromosomes();
+  const auto fm =
+      index::FmIndex::build(ref.concatenated(), {.bucket_width = 64});
+  std::ostringstream out;
+  SamWriter writer(out, ref.concatenated(), ref.chromosomes());
+  writer.write_header();
+  EXPECT_NE(out.str().find("@SQ\tSN:chr1\tLN:1000\n@SQ\tSN:chr2\tLN:500\n"
+                           "@SQ\tSN:chr3\tLN:1500\n"),
+            std::string::npos);
+  // A read planted inside chr2.
+  const auto read = ref.concatenated().slice(1100, 1160);
+  const auto records = writer.make_records("q", read, align_one(fm, read));
+  EXPECT_EQ(primary_placement(records),
+            (std::pair<std::string, std::uint64_t>{"chr2", 101}));
+  EXPECT_EQ(writer.junction_artifacts_dropped(), 0U);
+}
+
+TEST(SamWriter, JunctionArtifactsFiltered) {
+  // chrA ends with the probe's prefix, chrB starts with its suffix:
+  // "CCCCGGGG" exists only across the junction.
+  std::vector<std::pair<std::string, PackedSequence>> parts;
+  parts.emplace_back("chrA", PackedSequence("ACGTACGTAAAACCCC"));
+  parts.emplace_back("chrB", PackedSequence("GGGGTTTTACGTACGT"));
+  const auto ref = genome::MultiReference::from_parts(std::move(parts));
+  const auto fm = index::FmIndex::build(ref.concatenated(), {.bucket_width = 8});
+  AlignerOptions opt;
+  opt.inexact.max_diffs = 0;
+  opt.try_reverse_complement = false;
+  const auto read = genome::encode("CCCCGGGG");
+  const auto result = align_one(fm, read, opt);
+  ASSERT_TRUE(result.aligned());  // the engine does see the artefact
+
+  std::ostringstream out;
+  SamWriter writer(out, ref.concatenated(), ref.chromosomes());
+  const auto records = writer.make_records("q", read, result);
+  ASSERT_EQ(records.size(), 1U);
+  EXPECT_TRUE(records[0].flag & SamRecord::kFlagUnmapped);
+  EXPECT_EQ(records[0].rname, "*");
+  EXPECT_EQ(writer.junction_artifacts_dropped(), 1U);
+}
+
+TEST(SamWriter, HitAtChromosomeEndNotDropped) {
+  const auto ref = three_chromosomes();
+  const auto fm =
+      index::FmIndex::build(ref.concatenated(), {.bucket_width = 64});
+  AlignerOptions opt;
+  opt.inexact.max_diffs = 2;  // a read + z span would overrun the end
+  std::ostringstream out;
+  SamWriter writer(out, ref.concatenated(), ref.chromosomes());
+  // The last 40 bp of chr3 (the last chromosome) and of chr1 (an inner one).
+  const auto last = ref.concatenated().slice(2960, 3000);
+  EXPECT_EQ(primary_placement(
+                writer.make_records("q", last, align_one(fm, last, opt))),
+            (std::pair<std::string, std::uint64_t>{"chr3", 1461}));
+  const auto inner = ref.concatenated().slice(960, 1000);
+  EXPECT_EQ(primary_placement(
+                writer.make_records("q", inner, align_one(fm, inner, opt))),
+            (std::pair<std::string, std::uint64_t>{"chr1", 961}));
+  EXPECT_EQ(writer.junction_artifacts_dropped(), 0U);
+}
+
+TEST(SamWriter, InexactHitDroppedOnlyWhenItsAlignmentCrossesTheJunction) {
+  const auto ref = three_chromosomes();
+  const auto& concat = ref.concatenated();
+  std::ostringstream out;
+  SamWriter writer(out, concat, ref.chromosomes());
+  // The last 40 bp of chr1 with one substitution: the CIGAR window reaches
+  // into chr2, but the alignment itself ends at chr1's end.
+  auto fits = concat.slice(960, 1000);
+  fits[20] = static_cast<Base>((static_cast<int>(fits[20]) + 1) % 4);
+  const AlignmentResult kept{AlignmentStage::kInexact,
+                             {{960, 1, Strand::kForward}}};
+  const auto records = writer.make_records("q", fits, kept);
+  EXPECT_EQ(primary_placement(records),
+            (std::pair<std::string, std::uint64_t>{"chr1", 961}));
+  EXPECT_EQ(records[0].cigar, "40M");
+  EXPECT_EQ(writer.junction_artifacts_dropped(), 0U);
+  // One base later the alignment ends one base inside chr2.
+  auto crosses = concat.slice(961, 1001);
+  crosses[10] = static_cast<Base>((static_cast<int>(crosses[10]) + 1) % 4);
+  const AlignmentResult dropped{AlignmentStage::kInexact,
+                                {{961, 1, Strand::kForward}}};
+  EXPECT_TRUE(writer.make_records("q", crosses, dropped)[0].flag &
+              SamRecord::kFlagUnmapped);
+  EXPECT_EQ(writer.junction_artifacts_dropped(), 1U);
+}
+
+TEST(SamWriter, DroppedHitsDoNotCountTowardMapq) {
+  const auto ref = three_chromosomes();
+  const auto& concat = ref.concatenated();
+  std::ostringstream out;
+  SamWriter writer(out, concat, ref.chromosomes());
+  const auto read = concat.slice(100, 140);
+  // One real placement plus one junction artefact: the survivor is unique.
+  const AlignmentResult result{
+      AlignmentStage::kExact,
+      {{100, 0, Strand::kForward}, {980, 0, Strand::kForward}}};
+  const auto records = writer.make_records("q", read, result);
+  ASSERT_EQ(records.size(), 1U);
+  EXPECT_EQ(records[0].mapq, estimate_mapq(1, 0));
+  EXPECT_EQ(writer.junction_artifacts_dropped(), 1U);
+}
+
+TEST(SamWriter, TableNotTilingReferenceRejected) {
+  const auto ref = three_chromosomes();
+  std::ostringstream out;
+  const auto other = genome::generate_uniform(100, 9);
+  EXPECT_THROW(SamWriter(out, other, ref.chromosomes()),
+               std::invalid_argument);
+  EXPECT_THROW(SamWriter(out, ref.concatenated(), {{"chr1", 0, 1000}}),
+               std::invalid_argument);
+  EXPECT_THROW(SamWriter(out, ref.concatenated(),
+                         {{"chr1", 0, 2000}, {"chr2", 1000, 1000}}),
+               std::invalid_argument);
+  // An empty table is one chromosome named "ref".
+  SamWriter fallback(out, ref.concatenated(), {});
+  fallback.write_header();
+  EXPECT_NE(out.str().find("@SQ\tSN:ref\tLN:3000\n"), std::string::npos);
+}
+
+TEST(SamWriter, PairAcrossChromosomes) {
+  const auto ref = three_chromosomes();
+  const auto& concat = ref.concatenated();
+  std::ostringstream out;
+  SamWriter writer(out, concat, ref.chromosomes());
+  // Mate 1 ends chr1, mate 2 (reverse) starts chr2: the engine's insert
+  // model sees one proper pair across the junction.
+  const AlignmentHit h1{950, 0, Strand::kForward};
+  const AlignmentHit h2{1010, 0, Strand::kReverseComplement};
+  PairedResult res;
+  res.cls = PairClass::kProperPair;
+  res.pair = ProperPair{h1, h2, 90, 0};
+  res.mate1 = {AlignmentStage::kExact, {h1}};
+  res.mate2 = {AlignmentStage::kExact, {h2}};
+  writer.write_pair("x", concat.slice(950, 980),
+                    genome::reverse_complement(concat.slice(1010, 1040)), res);
+  const auto lines = split(out.str(), '\n');
+  const auto f1 = split(lines[0]), f2 = split(lines[1]);
+  EXPECT_EQ(f1[2], "chr1");
+  EXPECT_EQ(f1[3], "951");
+  EXPECT_EQ(f2[2], "chr2");
+  EXPECT_EQ(f2[3], "11");
+  EXPECT_EQ(f1[6], "chr2");  // RNEXT names the mate's chromosome
+  EXPECT_EQ(f1[7], "11");
+  EXPECT_EQ(f2[6], "chr1");
+  EXPECT_EQ(f2[7], "951");
+  EXPECT_EQ(f1[8], "0");  // no TLEN across chromosomes
+  EXPECT_EQ(f2[8], "0");
+  EXPECT_FALSE(std::stoi(f1[1]) & SamRecord::kFlagProperPair);
+  EXPECT_FALSE(std::stoi(f2[1]) & SamRecord::kFlagProperPair);
+  EXPECT_TRUE(std::stoi(f1[1]) & SamRecord::kFlagMateReverse);
+}
+
+TEST(SamWriter, PairWithForcedHitAcrossJunction) {
+  const auto ref = three_chromosomes();
+  const auto& concat = ref.concatenated();
+  std::ostringstream out;
+  SamWriter writer(out, concat, ref.chromosomes());
+  // Mate 2's forced hit straddles the chr1/chr2 junction.
+  const AlignmentHit h1{900, 0, Strand::kForward};
+  const AlignmentHit h2{990, 0, Strand::kReverseComplement};
+  PairedResult res;
+  res.cls = PairClass::kProperPair;
+  res.pair = ProperPair{h1, h2, 120, 0};
+  res.mate1 = {AlignmentStage::kExact, {h1}};
+  res.mate2 = {AlignmentStage::kExact, {h2}};
+  writer.write_pair("y", concat.slice(900, 930),
+                    genome::reverse_complement(concat.slice(990, 1020)), res);
+  EXPECT_EQ(writer.junction_artifacts_dropped(), 1U);
+  const auto lines = split(out.str(), '\n');
+  const auto f1 = split(lines[0]), f2 = split(lines[1]);
+  const int flag1 = std::stoi(f1[1]), flag2 = std::stoi(f2[1]);
+  EXPECT_TRUE(flag2 & SamRecord::kFlagUnmapped);
+  EXPECT_TRUE(flag1 & SamRecord::kFlagMateUnmapped);
+  EXPECT_FALSE(flag1 & SamRecord::kFlagProperPair);
+  EXPECT_FALSE(flag2 & SamRecord::kFlagProperPair);
+  EXPECT_EQ(f2[2], "chr1");  // placed at its mate, per the SAM spec
+  EXPECT_EQ(f2[3], "901");
+  EXPECT_EQ(f1[6], "=");
+  EXPECT_EQ(f1[8], "0");
+  EXPECT_EQ(f2[8], "0");
+}
+
+// Golden pin of multi-chromosome output over committed inputs: three FASTA
+// records, one index over their concatenation. Each planted read is named
+// <chromosome>_<1-based POS>_<kind>; the junction read comes out unmapped
+// and counted. CI checks that both CLIs reproduce these bytes.
+TEST(SamWriter, MultiChromosomeGoldenFile) {
+  const std::string dir = std::string(PIMALIGNER_SOURCE_DIR) + "/tests/golden/";
+  const auto ref = genome::MultiReference::from_fasta_records(
+      genome::read_fasta_file(dir + "multi_chrom.fa"));
+  ASSERT_EQ(ref.chromosomes().size(), 3U);
+  const auto fm =
+      index::FmIndex::build(ref.concatenated(), {.bucket_width = 128});
+  const auto batch =
+      ReadBatch::from_fastq(genome::read_fastq_file(dir + "multi_chrom.fastq"));
+  AlignerOptions options;
+  options.inexact.max_diffs = 2;
+  BatchResult results;
+  SoftwareEngine(fm, options).align_batch(batch, results);
+
+  std::ostringstream out;
+  SamWriter writer(out, ref.concatenated(), ref.chromosomes());
+  writer.write_header();
+  writer.write_batch(batch, results);
+  EXPECT_EQ(writer.junction_artifacts_dropped(), 1U);
+
+  std::size_t planted = 0;
+  bool saw_reverse = false, saw_inexact = false;
+  for (const auto& line : split(out.str(), '\n')) {
+    if (line.empty() || line[0] == '@') continue;
+    const auto fields = split(line);
+    const int flag = std::stoi(fields[1]);
+    if (flag & SamRecord::kFlagSecondary) continue;
+    const auto name = split(fields[0], '_');
+    if (name[0].rfind("chr", 0) != 0) {
+      EXPECT_TRUE(flag & SamRecord::kFlagUnmapped) << line;
+      continue;
+    }
+    ++planted;
+    EXPECT_EQ(fields[2], name[0]) << line;
+    EXPECT_EQ(fields[3], name[1]) << line;
+    EXPECT_EQ((flag & SamRecord::kFlagReverse) != 0,
+              fields[0].find("rev") != std::string::npos)
+        << line;
+    saw_reverse |= (flag & SamRecord::kFlagReverse) != 0;
+    saw_inexact |= line.find("NM:i:0") == std::string::npos;
+  }
+  EXPECT_EQ(planted, 8U);
+  EXPECT_TRUE(saw_reverse);
+  EXPECT_TRUE(saw_inexact);
+  tests::expect_golden(out.str(), "multi_chrom.sam");
 }
 
 TEST(EstimateMapq, Heuristic) {

@@ -38,6 +38,7 @@
 #include "src/obs/request_trace.h"
 #include "src/serve/index_cache.h"
 #include "src/util/rng.h"
+#include "tests/temp_dir.h"
 
 namespace pim::serve {
 namespace {
@@ -1212,15 +1213,6 @@ TEST(RequestTracing, ConcurrentTracedSubmittersGetUniqueCompleteTimelines) {
 // bit-identical to a single-reference service over the same index.
 // ---------------------------------------------------------------------------
 
-/// A /tmp path unique to the running test. ctest -j runs the tests of one
-/// binary as parallel processes; a path shared between tests would be
-/// rewritten while another test has it mapped.
-std::string per_test_path(const std::string& stem) {
-  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
-  return "/tmp/" + stem + "_" + test->test_suite_name() + "." + test->name() +
-         ".index";
-}
-
 struct MultiRefFixture {
   struct Ref {
     std::string id;
@@ -1229,6 +1221,7 @@ struct MultiRefFixture {
     index::FmIndex fm;
     std::vector<std::vector<genome::Base>> reads;
   };
+  tests::TempDir dir;  ///< Holds the artifacts; outlives every Ref.
   std::vector<Ref> refs;
   align::AlignerOptions aligner;
 
@@ -1237,7 +1230,7 @@ struct MultiRefFixture {
     for (std::size_t i = 0; i < count; ++i) {
       Ref r;
       r.id = "genome" + std::to_string(i);
-      r.path = per_test_path("pim_serve_test_" + r.id);
+      r.path = dir.file(r.id + ".index");
       genome::SyntheticGenomeSpec spec;
       spec.length = 20000;
       spec.seed = 500 + i;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -15,6 +14,7 @@
 #include "src/align/sharded_engine.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/readsim/read_simulator.h"
+#include "tests/temp_dir.h"
 
 namespace pim::align {
 namespace {
@@ -322,27 +322,14 @@ TEST(SamWriterChunk, BaseIndexKeepsGlobalReadNumbering) {
 }
 
 // Golden pin of the whole streaming trip (deterministic workload): catches
-// unintended format or ordering drift. Regenerate by copying
-// /tmp/pim_streaming_actual.sam (dumped on mismatch) over
-// tests/golden/streaming_end_to_end.sam and reviewing the diff.
+// unintended format or ordering drift. On a mismatch the actual output is
+// dumped to a kept temp directory named in the failure.
 TEST(StreamingPipeline, GoldenFile) {
   const auto& f = fixture();
   StreamingOptions options;
   options.batch_reads = 128;
-  const std::string sam = f.stream_sam(*f.engine, options);
-  std::ifstream golden(std::string(PIMALIGNER_SOURCE_DIR) +
-                       "/tests/golden/streaming_end_to_end.sam");
-  std::stringstream want;
-  if (golden.good()) want << golden.rdbuf();
-  if (!golden.good() || sam != want.str()) {
-    std::ofstream dump("/tmp/pim_streaming_actual.sam");
-    dump << sam;
-  }
-  ASSERT_TRUE(golden.good())
-      << "missing tests/golden/streaming_end_to_end.sam; actual output "
-         "dumped to /tmp/pim_streaming_actual.sam";
-  EXPECT_EQ(sam, want.str())
-      << "actual output dumped to /tmp/pim_streaming_actual.sam";
+  tests::expect_golden(f.stream_sam(*f.engine, options),
+                       "streaming_end_to_end.sam");
 }
 
 }  // namespace
