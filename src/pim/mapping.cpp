@@ -127,20 +127,13 @@ std::uint64_t PimTile::count_match(genome::Base nt, std::uint64_t id) {
   }
   const auto row = static_cast<std::uint32_t>(local / d);
 
-  // XNOR_Match: one triple sense comparing the BWT row with CRef(nt).
-  const util::BitVector match = array_.xnor2(
+  // XNOR_Match (one triple sense comparing the BWT row with CRef(nt)) fused
+  // with the DPU's lane-pair popcount over the [0, residual) prefix.
+  std::uint64_t count = array_.xnor2_lane_matches(
       layout_.bwt_zone_begin() + row,
-      layout_.cref_zone_begin() + static_cast<std::uint32_t>(nt));
-
-  // DPU: pair the 2-bit lanes and popcount the [0, residual) prefix.
+      layout_.cref_zone_begin() + static_cast<std::uint32_t>(nt),
+      static_cast<std::uint32_t>(residual));
   array_.charge_dpu_word();
-  std::uint64_t count = 0;
-  for (std::uint64_t j = 0; j < residual; ++j) {
-    if (match.get(static_cast<std::size_t>(2 * j)) &&
-        match.get(static_cast<std::size_t>(2 * j + 1))) {
-      ++count;
-    }
-  }
 
   // Sentinel correction: the dummy base stored at the primary row would
   // otherwise count as a real occurrence of kSentinelFill.

@@ -16,8 +16,18 @@
 // job and is Monte-Carlo-verified separately — the paper's tox fix makes the
 // failure rate effectively zero, which is the regime this functional model
 // assumes.
+//
+// Host representation: the grid is one contiguous row-major array of 64-bit
+// words (four per row at 256 columns; unused tail bits kept zero), and every
+// op works on those words in place. IM_ADD computes each bit's Sum and Carry
+// word by word through one full-adder helper, with no temporary rows. Each
+// op still charges the model once per modelled command, in command order,
+// so the op tallies, energy/busy sums, command traces and write counts do
+// not depend on how the host computes the result.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <vector>
@@ -48,12 +58,15 @@ class SubArray {
   std::uint32_t cols() const { return model_->cols(); }
 
   // --- Memory mode ---------------------------------------------------------
+  /// Copies `bits` (owned or borrowed) into the row.
   void write_row(std::uint32_t row, const util::BitVector& bits);
   /// MEM: sense one row. Charged as a read.
   util::BitVector mem_read_row(std::uint32_t row);
 
-  /// Test/debug access without charging the cost model.
-  const util::BitVector& peek_row(std::uint32_t row) const;
+  /// Test/debug access without charging the cost model: a zero-copy view of
+  /// the row's words, valid while this SubArray lives (the grid never
+  /// reallocates); later writes to the row show through it.
+  util::BitVector peek_row(std::uint32_t row) const;
 
   // --- Compute mode ----------------------------------------------------------
   struct TripleOutputs {
@@ -66,12 +79,21 @@ class SubArray {
   /// XNOR2 of two rows (XOR3 with the all-ones init row); one triple sense.
   util::BitVector xnor2(std::uint32_t r1, std::uint32_t r2);
 
+  /// XNOR_Match of rows r1 and r2 fused with the DPU's lane-pair popcount:
+  /// the number of 2-bit lanes j < `lanes` (bit-lines 2j and 2j+1) where the
+  /// two rows agree on both bits. Charged and traced exactly as xnor2 (one
+  /// triple sense); the caller charges the DPU word. Requires
+  /// 2 * lanes <= cols().
+  std::uint64_t xnor2_lane_matches(std::uint32_t r1, std::uint32_t r2,
+                                   std::uint32_t lanes);
+
   // --- Vertical (bit-line local) word access -------------------------------
   /// Read a `bits`-wide little-endian word stored down one column starting
-  /// at `row_begin`. Costs `bits` row senses.
+  /// at `row_begin`. Costs `bits` row senses. `bits` must be 1..64
+  /// (std::invalid_argument otherwise).
   std::uint64_t read_word_vertical(std::uint32_t col, std::uint32_t row_begin,
                                    std::uint32_t bits);
-  /// Write a word vertically; costs `bits` row writes.
+  /// Write a word vertically; costs `bits` row writes. `bits` as above.
   void write_word_vertical(std::uint32_t col, std::uint32_t row_begin,
                            std::uint32_t bits, std::uint64_t value);
 
@@ -79,7 +101,8 @@ class SubArray {
   /// and [row_b, ...) into [row_sum, ...), using `row_carry` as the carry
   /// row. Operates on ALL bit-lines in parallel (that is the point of the
   /// design); cost: per bit one triple sense + sum/carry write-backs, plus
-  /// one carry-row clear.
+  /// one carry-row clear. The sum rows may alias the operand rows
+  /// (row_sum == row_a computes A += B).
   void im_add(std::uint32_t row_a, std::uint32_t row_b, std::uint32_t row_sum,
               std::uint32_t row_carry, std::uint32_t bits);
 
@@ -118,9 +141,21 @@ class SubArray {
   void note_write(std::uint32_t row);
   void trace(SubArrayOp op, std::initializer_list<std::uint32_t> rows);
   void check_row(std::uint32_t row) const;
+  void check_vertical(std::uint32_t col, std::uint32_t row_begin,
+                      std::uint32_t bits) const;
+  std::uint64_t* row_words(std::uint32_t row) {
+    return grid_.data() + static_cast<std::size_t>(row) * words_per_row_;
+  }
+  const std::uint64_t* row_words(std::uint32_t row) const {
+    return grid_.data() + static_cast<std::size_t>(row) * words_per_row_;
+  }
 
   const TimingEnergyModel* model_;
-  std::vector<util::BitVector> grid_;
+  /// model_->op_cost(op) for every op, indexed by the op's value. Cached
+  /// because an out-of-line call per charge was most of an LFM's host time.
+  std::array<OpCost, 4> costs_;
+  std::uint32_t words_per_row_;
+  std::vector<std::uint64_t> grid_;  ///< rows() x words_per_row_, row-major.
   SubArrayStats stats_;
   std::vector<std::uint64_t> row_writes_;
   CommandTrace* trace_ = nullptr;

@@ -154,55 +154,4 @@ bool BitVector::operator==(const BitVector& other) const {
   return num_bits_ == other.num_bits_ && words_ == other.words_;
 }
 
-BitVector BitVector::majority3(const BitVector& a, const BitVector& b,
-                               const BitVector& c) {
-  check_same_size(a, b);
-  check_same_size(b, c);
-  BitVector result(a.num_bits_);
-  auto& out = result.words_.vec();
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const std::uint64_t x = a.words_[i];
-    const std::uint64_t y = b.words_[i];
-    const std::uint64_t z = c.words_[i];
-    out[i] = (x & y) | (y & z) | (x & z);
-  }
-  return result;
-}
-
-BitVector BitVector::xor3(const BitVector& a, const BitVector& b,
-                          const BitVector& c) {
-  check_same_size(a, b);
-  check_same_size(b, c);
-  BitVector result(a.num_bits_);
-  auto& out = result.words_.vec();
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = a.words_[i] ^ b.words_[i] ^ c.words_[i];
-  }
-  return result;
-}
-
-BitVector BitVector::and3(const BitVector& a, const BitVector& b,
-                          const BitVector& c) {
-  check_same_size(a, b);
-  check_same_size(b, c);
-  BitVector result(a.num_bits_);
-  auto& out = result.words_.vec();
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = a.words_[i] & b.words_[i] & c.words_[i];
-  }
-  return result;
-}
-
-BitVector BitVector::or3(const BitVector& a, const BitVector& b,
-                         const BitVector& c) {
-  check_same_size(a, b);
-  check_same_size(b, c);
-  BitVector result(a.num_bits_);
-  auto& out = result.words_.vec();
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = a.words_[i] | b.words_[i] | c.words_[i];
-  }
-  return result;
-}
-
 }  // namespace pim::util

@@ -1,8 +1,7 @@
 // Packed bit vector with word-level bulk operations and popcount.
 //
-// The PIM sub-array model stores rows as BitVectors and implements the bulk
-// bit-wise primitives (AND3/MAJ/OR3/XOR3) as word-parallel operations over
-// them, mirroring the bit-line parallelism of the hardware.
+// The PIM sub-array model takes and returns rows as BitVectors; it computes
+// its bulk bit-wise primitives (AND3/MAJ/OR3/XOR3) on its own word grid.
 //
 // Backed by Storage<uint64_t> (S42): built vectors own their words; load
 // paths may borrow a read-only word region (a section of a mapped index
@@ -72,18 +71,6 @@ class BitVector {
   BitVector& operator^=(const BitVector& other);
 
   bool operator==(const BitVector& other) const;
-
-  /// Three-operand majority: out bit = 1 iff at least two of (a,b,c) are 1.
-  /// This is the carry of a full adder — exactly the MAJ3 in-memory primitive.
-  static BitVector majority3(const BitVector& a, const BitVector& b,
-                             const BitVector& c);
-  /// Three-operand parity (XOR3) — the sum of a full adder.
-  static BitVector xor3(const BitVector& a, const BitVector& b,
-                        const BitVector& c);
-  static BitVector and3(const BitVector& a, const BitVector& b,
-                        const BitVector& c);
-  static BitVector or3(const BitVector& a, const BitVector& b,
-                       const BitVector& c);
 
   std::span<const std::uint64_t> words() const { return words_.span(); }
   /// True when the words are owned (heap) rather than borrowed (mapped).

@@ -140,7 +140,6 @@ TEST(BitVector, SizeMismatchThrows) {
   BitVector a(10), b(11);
   EXPECT_THROW(a & b, std::invalid_argument);
   EXPECT_THROW(a ^ b, std::invalid_argument);
-  EXPECT_THROW(BitVector::majority3(a, a, b), std::invalid_argument);
 }
 
 TEST(BitVector, Equality) {
@@ -150,41 +149,6 @@ TEST(BitVector, Equality) {
   EXPECT_FALSE(a == b);
   b.set(12, true);
   EXPECT_TRUE(a == b);
-}
-
-// Property sweep: MAJ3/XOR3/AND3/OR3 against per-bit truth over random data.
-TEST(BitVector, ThreeOperandOpsMatchTruthTable) {
-  Xoshiro256 rng(13);
-  BitVector a(300), b(300), c(300);
-  for (std::size_t i = 0; i < 300; ++i) {
-    a.set(i, rng.bernoulli(0.5));
-    b.set(i, rng.bernoulli(0.5));
-    c.set(i, rng.bernoulli(0.5));
-  }
-  const BitVector maj = BitVector::majority3(a, b, c);
-  const BitVector xor3 = BitVector::xor3(a, b, c);
-  const BitVector and3 = BitVector::and3(a, b, c);
-  const BitVector or3 = BitVector::or3(a, b, c);
-  for (std::size_t i = 0; i < 300; ++i) {
-    const int ones = (a.get(i) ? 1 : 0) + (b.get(i) ? 1 : 0) + (c.get(i) ? 1 : 0);
-    EXPECT_EQ(maj.get(i), ones >= 2) << i;
-    EXPECT_EQ(xor3.get(i), ones % 2 == 1) << i;
-    EXPECT_EQ(and3.get(i), ones == 3) << i;
-    EXPECT_EQ(or3.get(i), ones >= 1) << i;
-  }
-}
-
-// Full-adder identity: for any bit triple, (MAJ, XOR3) == carry/sum.
-TEST(BitVector, FullAdderIdentity) {
-  for (int mask = 0; mask < 8; ++mask) {
-    BitVector a(1), b(1), c(1);
-    a.set(0, mask & 1);
-    b.set(0, mask & 2);
-    c.set(0, mask & 4);
-    const int sum_total = (mask & 1) + ((mask >> 1) & 1) + ((mask >> 2) & 1);
-    EXPECT_EQ(BitVector::majority3(a, b, c).get(0), (sum_total >> 1) & 1);
-    EXPECT_EQ(BitVector::xor3(a, b, c).get(0), sum_total & 1);
-  }
 }
 
 }  // namespace

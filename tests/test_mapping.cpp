@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "src/genome/synthetic_genome.h"
 #include "src/util/rng.h"
@@ -125,6 +126,58 @@ TEST(PimTile, CountMatchSentinelCorrection) {
               sampled.count_match(f.fm.bwt(), Base::A, id))
         << "id=" << id;
   }
+}
+
+// count_match fuses XNOR_Match with the DPU's lane-pair popcount. It must
+// equal the unfused procedure: materialise the XNOR2 row, test each lane's
+// two bits, then apply the DPU's sentinel correction.
+std::uint64_t unfused_count_match(PimTile& tile, const ZoneLayout& layout,
+                                  const index::Bwt& bwt, Base nt,
+                                  std::uint64_t id) {
+  const std::uint64_t local = id - tile.base();
+  const std::uint64_t residual = local % 128;
+  const util::BitVector match = tile.array().xnor2(
+      layout.bwt_zone_begin() + static_cast<std::uint32_t>(local / 128),
+      layout.cref_zone_begin() + static_cast<std::uint32_t>(nt));
+  std::uint64_t count = 0;
+  for (std::uint64_t j = 0; j < residual; ++j) {
+    if (match.get(2 * j) && match.get(2 * j + 1)) ++count;
+  }
+  if (nt == index::Bwt::kSentinelFill && bwt.primary >= id - residual &&
+      bwt.primary < id) {
+    --count;
+  }
+  return count;
+}
+
+TEST(PimTile, FusedCountMatchEqualsUnfusedReference) {
+  Fixture f(50000, 17);  // two tiles; one of them holds the primary row
+  const std::uint64_t primary = f.fm.bwt().primary;
+  std::uint64_t sentinel_cases = 0;
+  for (const std::uint64_t base : {0ULL, 32768ULL}) {
+    PimTile tile(f.model, f.layout, f.fm, base);
+    const std::uint64_t last_row = (tile.size() - 1) / 128;
+    std::vector<std::uint64_t> rows = {0, last_row};
+    if (primary >= base && primary < base + tile.size()) {
+      rows.push_back((primary - base) / 128);
+    }
+    for (const std::uint64_t row : rows) {
+      for (const auto nt : genome::kAllBases) {
+        for (std::uint64_t residual = 1; residual < 128; ++residual) {
+          const std::uint64_t id = base + row * 128 + residual;
+          if (id > base + tile.size()) break;
+          if (nt == index::Bwt::kSentinelFill && primary >= id - residual &&
+              primary < id) {
+            ++sentinel_cases;
+          }
+          ASSERT_EQ(tile.count_match(nt, id),
+                    unfused_count_match(tile, f.layout, f.fm.bwt(), nt, id))
+              << "id=" << id << " nt=" << genome::to_char(nt);
+        }
+      }
+    }
+  }
+  EXPECT_GT(sentinel_cases, 0U);
 }
 
 TEST(PimTile, CountMatchRejectsOutOfRange) {

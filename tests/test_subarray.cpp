@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
+#include "src/pim/trace.h"
 #include "src/util/rng.h"
 
 namespace pim::hw {
@@ -88,6 +90,33 @@ TEST(SubArray, VerticalWordBoundsChecked) {
   EXPECT_THROW(f.array.read_word_vertical(256, 0, 32), std::out_of_range);
   EXPECT_THROW(f.array.read_word_vertical(0, 0, 65), std::invalid_argument);
   EXPECT_THROW(f.array.write_word_vertical(0, 500, 32, 1), std::out_of_range);
+}
+
+TEST(SubArray, VerticalWordOfZeroBitsRejected) {
+  Fixture f;
+  // At row 0 (where row_begin + bits - 1 would wrap) and mid-array.
+  EXPECT_THROW(f.array.read_word_vertical(0, 0, 0), std::invalid_argument);
+  EXPECT_THROW(f.array.read_word_vertical(5, 10, 0), std::invalid_argument);
+  EXPECT_THROW(f.array.write_word_vertical(0, 0, 0, 1), std::invalid_argument);
+  EXPECT_THROW(f.array.write_word_vertical(5, 10, 0, 1),
+               std::invalid_argument);
+  EXPECT_EQ(f.array.stats().reads + f.array.stats().writes, 0U);
+}
+
+TEST(SubArray, WriteRowCopiesBorrowedBits) {
+  Fixture f;
+  const auto expected = random_row(f.array.cols(), 11);
+  {
+    const std::vector<std::uint64_t> buffer(expected.words().begin(),
+                                            expected.words().end());
+    const auto view = util::BitVector::borrowed(buffer.data(), f.array.cols());
+    ASSERT_FALSE(view.owns_storage());
+    f.array.write_row(4, view);
+  }  // the borrowed buffer is gone; the row must not point into it
+  f.array.write_row(5, util::BitVector(f.array.cols(), true));
+  EXPECT_TRUE(f.array.mem_read_row(4) == expected);
+  EXPECT_TRUE(f.array.peek_row(4) == expected);
+  EXPECT_TRUE(f.array.xnor2(4, 5) == expected);
 }
 
 TEST(SubArray, ImAddSingleColumn) {
@@ -188,6 +217,58 @@ TEST_P(ImAddWidth, MatchesIntegerAddition) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, ImAddWidth,
                          ::testing::Values(1U, 8U, 16U, 24U, 32U, 48U));
+
+// In-place IM_ADD against the adder spelled out with the public triple
+// sense: clear the carry row, then per bit sense (a_i, b_i, carry) and write
+// back XOR3 to the sum row and MAJ3 to the carry row. Both arrays run the
+// same commands, so rows, tallies and traces must all agree.
+void reference_im_add(SubArray& array, std::uint32_t row_a,
+                      std::uint32_t row_b, std::uint32_t row_sum,
+                      std::uint32_t row_carry, std::uint32_t bits) {
+  array.write_row(row_carry, util::BitVector(array.cols()));
+  for (std::uint32_t i = 0; i < bits; ++i) {
+    const auto t = array.triple_sense(row_a + i, row_b + i, row_carry);
+    array.write_row(row_sum + i, t.xor3);
+    array.write_row(row_carry, t.maj3);
+  }
+}
+
+class ImAddKernel : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(ImAddKernel, InPlaceEqualsTripleSenseReference) {
+  const std::uint32_t bits = GetParam();
+  TimingEnergyModel model;
+  struct Case {
+    std::uint32_t a, b, sum, carry;
+  };
+  // Separate sum rows, and A += B (the sum rows are the A rows).
+  for (const Case c : {Case{0, 64, 128, 200}, Case{0, 64, 0, 200}}) {
+    SubArray fast(model);
+    SubArray reference(model);
+    for (std::uint32_t row = 0; row < 2 * bits; ++row) {
+      const std::uint32_t target = row < bits ? row : 64 + row - bits;
+      const auto bits_row = random_row(model.cols(), 97 * bits + row);
+      fast.write_row(target, bits_row);
+      reference.write_row(target, bits_row);
+    }
+    CommandTrace fast_trace, reference_trace;
+    fast.attach_trace(&fast_trace);
+    reference.attach_trace(&reference_trace);
+    fast.im_add(c.a, c.b, c.sum, c.carry, bits);
+    reference_im_add(reference, c.a, c.b, c.sum, c.carry, bits);
+    for (std::uint32_t row = 0; row < model.rows(); ++row) {
+      ASSERT_TRUE(fast.peek_row(row) == reference.peek_row(row))
+          << "bits=" << bits << " sum=" << c.sum << " row=" << row;
+    }
+    EXPECT_EQ(fast_trace.entries(), reference_trace.entries());
+    EXPECT_EQ(fast.stats().writes, reference.stats().writes);
+    EXPECT_EQ(fast.stats().triple_senses, reference.stats().triple_senses);
+    EXPECT_EQ(fast.stats().energy_pj, reference.stats().energy_pj);
+    EXPECT_EQ(fast.stats().busy_ns, reference.stats().busy_ns);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryWidth, ImAddKernel, ::testing::Range(1U, 65U));
 
 TEST(SubArray, DpuChargeCounts) {
   Fixture f;
