@@ -1,11 +1,8 @@
 // Host-side batch dispatch: first the streaming pipeline (S39) against the
 // materialize-everything path — peak RSS (getrusage) and throughput as JSON
-// lines — then the multi-chip shard sweep (S38): the same batch fanned
-// across 1/2/4/8 engine shards behind ShardedEngine, with per-shard load
-// emitted as JSON lines (grep '^{') so the throughput trajectory is
-// machine-trackable across PRs. A small PIM-chip-fleet pass closes the
-// loop: measured per-chip LFM tallies feed the closed-loop chip simulator
-// in place of assumed demand.
+// lines (grep '^{'). A small PIM-chip-fleet pass closes the loop: measured
+// per-chip LFM tallies feed the closed-loop chip simulator in place of
+// assumed demand.
 //
 // The streaming section runs FIRST: ru_maxrss is a process-lifetime
 // high-water mark, so the bounded-memory pass must finish before anything
@@ -36,7 +33,6 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <memory>
 #include <thread>
 #include <string>
 #include <vector>
@@ -47,7 +43,6 @@
 #include "src/obs/reporter.h"
 #include "src/align/parallel_aligner.h"
 #include "src/align/sam_writer.h"
-#include "src/align/sharded_engine.h"
 #include "src/align/streaming_pipeline.h"
 #include "src/genome/fastq.h"
 #include "src/genome/synthetic_genome.h"
@@ -109,44 +104,6 @@ pim::align::ReadBatch build_batch(const Workload& w, std::size_t n) {
                       w.starts[i] + Workload::kReadLen);
   }
   return builder.build();
-}
-
-/// One shard-sweep point: the batch fanned across `shards` SoftwareEngine
-/// instances (one simulated chip each), emitted as a JSON line with the
-/// per-shard breakdown. Returns reads/s.
-double run_shard_point(const Workload& w, const pim::align::ReadBatch& batch,
-                       const pim::align::AlignerOptions& options,
-                       std::size_t shards, std::uint64_t want_hits) {
-  namespace align = pim::align;
-  std::vector<std::unique_ptr<align::AlignmentEngine>> engines;
-  for (std::size_t s = 0; s < shards; ++s) {
-    engines.push_back(std::make_unique<align::SoftwareEngine>(w.fm, options));
-  }
-  const align::ShardedEngine sharded(std::move(engines));
-
-  const auto t0 = Clock::now();
-  align::BatchResult results;
-  sharded.align_batch(batch, results);
-  const auto t1 = Clock::now();
-  const double seconds = std::chrono::duration<double>(t1 - t0).count();
-  const double qps = static_cast<double>(batch.size()) / seconds;
-
-  std::string per_shard;
-  for (const auto& s : sharded.shard_stats()) {
-    if (!per_shard.empty()) per_shard += ",";
-    per_shard += "{\"shard\":" + std::to_string(s.shard) +
-                 ",\"reads\":" + std::to_string(s.reads) +
-                 ",\"hits\":" + std::to_string(s.hits) + ",\"wall_ms\":" +
-                 std::to_string(s.wall_ms) + "}";
-  }
-  std::printf("{\"bench\":\"shard_sweep\",\"shards\":%zu,\"reads\":%zu,"
-              "\"reads_per_s\":%.0f,\"hits\":%llu,\"identical\":%s,"
-              "\"peak_rss_kb\":%ld,\"per_shard\":[%s]}\n",
-              shards, batch.size(), qps,
-              static_cast<unsigned long long>(results.stats().hits_total),
-              results.stats().hits_total == want_hits ? "true" : "false",
-              peak_rss_kb(), per_shard.c_str());
-  return qps;
 }
 
 }  // namespace
@@ -232,25 +189,7 @@ int main(int argc, char** argv) {
   std::printf("streaming equivalence vs materialize: %s\n",
               stream_ok ? "bit-identical hit counts" : "MISMATCH");
 
-  // --- Shard sweep (S38): one batch across 1/2/4/8 simulated chips --------
-  std::printf("\n=== Shard sweep: ShardedEngine over N software chips, "
-              "%zu reads (JSON lines) ===\n",
-              kMax);
   const auto batch = build_batch(w, kMax);
-  pim::align::BatchResult unsharded;
-  engine.align_batch(batch, unsharded);
-  const std::uint64_t want_hits = unsharded.stats().hits_total;
-  const double base_qps =
-      static_cast<double>(batch.size()) / (unsharded.stats().wall_ms / 1e3);
-
-  double qps1 = 0.0;
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    const double qps = run_shard_point(w, batch, options, shards, want_hits);
-    if (shards == 1) qps1 = qps;
-  }
-  std::printf("unsharded baseline: %.0f reads/s; sharded(1): %.0f reads/s "
-              "(%.2fx)\n",
-              base_qps, qps1, qps1 / base_qps);
 
   // --- Metrics overhead (S40): instrumented vs bare chunked scheduler ----
   // The same parallel chunked pass with and without a registry installed;
@@ -262,14 +201,12 @@ int main(int argc, char** argv) {
     pim::align::ParallelOptions popts;
     popts.metrics = registry;
     // At least two workers, even on a one-core host: the comparison must
-    // exercise the instrumented parallel scheduler, not the serial
-    // fallback (which bypasses the sched.* series entirely).
+    // exercise the window and the in-order drain across threads.
     popts.num_threads = std::max<std::size_t>(
         2, std::thread::hardware_concurrency());
     const auto t0 = Clock::now();
-    const auto stats = pim::align::align_batch_parallel_chunked(
-        engine, batch, [](const pim::align::BatchResultChunk&) {}, popts);
-    (void)stats;
+    engine.align_batch_chunked(
+        batch, [](const pim::align::BatchResultChunk&) {}, popts);
     return std::chrono::duration<double>(Clock::now() - t0).count();
   };
   (void)sched_pass(nullptr);  // warm-up

@@ -35,7 +35,9 @@
 // reference and ART-like FASTQ reads (with quality ramp), writes them to
 // temporary files, aligns with the multithreaded two-stage pipeline, and
 // prints the first SAM records plus summary statistics.
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -267,6 +269,22 @@ int run_demo(const std::string& metrics_path, std::size_t pim_chips) {
 
 }  // namespace
 
+/// Parse a plain decimal count into `out`: digits only (no sign, no
+/// whitespace), at most `max`. Returns false on anything else.
+bool parse_count(const std::string& text, std::uint64_t max,
+                 std::uint64_t& out) {
+  if (text.empty()) return false;
+  std::uint64_t value = 0;
+  for (const char ch : text) {
+    if (ch < '0' || ch > '9') return false;
+    const auto digit = static_cast<std::uint64_t>(ch - '0');
+    if (value > (max - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
+  out = value;
+  return true;
+}
+
 void print_usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s ref.fasta reads.fastq out.sam [threads] "
@@ -284,14 +302,25 @@ int main(int argc, char** argv) {
   std::string metrics_path;
   std::string index_path;
   std::string save_index_path;
-  std::size_t pim_chips = 0;
+  std::uint64_t pim_chips = 0;
   std::vector<std::string> positional;
+  // Threads, shards and chips each start a thread or a simulated chip per
+  // unit: cap them far below anything that would exhaust the host.
+  constexpr std::uint64_t kMaxCount = 4096;
+  const auto bad_value = [&](const std::string& value) {
+    std::fprintf(stderr, "%s: bad numeric argument '%s'\n", argv[0],
+                 value.c_str());
+    print_usage(argv[0]);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--metrics=", 0) == 0) {
       metrics_path = arg.substr(10);
     } else if (arg.rfind("--pim-chips=", 0) == 0) {
-      pim_chips = static_cast<std::size_t>(std::stoul(arg.substr(12)));
+      if (!parse_count(arg.substr(12), kMaxCount, pim_chips)) {
+        return bad_value(arg);
+      }
     } else if (arg.rfind("--index=", 0) == 0) {
       index_path = arg.substr(8);
     } else if (arg.rfind("--save-index=", 0) == 0) {
@@ -324,18 +353,29 @@ int main(int argc, char** argv) {
     print_usage(argv[0]);
     return 2;
   }
-  const std::size_t threads =
-      positional.size() > 3
-          ? static_cast<std::size_t>(std::stoul(positional[3]))
-          : 0;
-  const std::uint32_t max_diffs =
-      positional.size() > 4
-          ? static_cast<std::uint32_t>(std::stoul(positional[4]))
-          : 2;
-  const std::size_t shards =
-      positional.size() > 5
-          ? static_cast<std::size_t>(std::stoul(positional[5]))
-          : 1;
-  return run(positional[0], positional[1], positional[2], threads, max_diffs,
-             shards, metrics_path, pim_chips, index_path, save_index_path);
+  std::uint64_t threads = 0;
+  std::uint64_t max_diffs = 2;
+  std::uint64_t shards = 1;
+  if (positional.size() > 3 &&
+      !parse_count(positional[3], kMaxCount, threads)) {
+    return bad_value(positional[3]);
+  }
+  if (positional.size() > 4 &&
+      !parse_count(positional[4], UINT32_MAX, max_diffs)) {
+    return bad_value(positional[4]);
+  }
+  if (positional.size() > 5 &&
+      !parse_count(positional[5], kMaxCount, shards)) {
+    return bad_value(positional[5]);
+  }
+  try {
+    return run(positional[0], positional[1], positional[2], threads,
+               static_cast<std::uint32_t>(max_diffs), shards, metrics_path,
+               pim_chips, index_path, save_index_path);
+  } catch (const std::exception& e) {
+    // Unreadable inputs (missing FASTA, malformed FASTQ, bad index
+    // artifact) are user errors, not crashes.
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 1;
+  }
 }

@@ -42,30 +42,6 @@ std::vector<MeasuredChipLoad> measured_loads(const hw::PimChipFleet& fleet) {
   return loads;
 }
 
-std::vector<double> rebalanced_shard_weights(
-    const std::vector<MeasuredChipLoad>& loads) {
-  const std::size_t num = loads.size();
-  std::vector<double> tput(num, 0.0);
-  double sum = 0.0;
-  std::size_t measured = 0;
-  for (std::size_t c = 0; c < num; ++c) {
-    if (loads[c].reads > 0 && loads[c].wall_ms > 1e-6) {
-      tput[c] = static_cast<double>(loads[c].reads) / loads[c].wall_ms;
-      sum += tput[c];
-      ++measured;
-    }
-  }
-  std::vector<double> weights(num,
-                              num ? 1.0 / static_cast<double>(num) : 0.0);
-  if (measured == 0) return weights;
-  const double mean = sum / static_cast<double>(measured);
-  const double total = sum + mean * static_cast<double>(num - measured);
-  for (std::size_t c = 0; c < num; ++c) {
-    weights[c] = (tput[c] > 0.0 ? tput[c] : mean) / total;
-  }
-  return weights;
-}
-
 ChipSimConfig chip_sim_from_measured(const MeasuredChipLoad& load,
                                      ChipSimConfig base) {
   if (load.reads > 0) {

@@ -56,17 +56,6 @@ std::vector<MeasuredChipLoad> measured_loads(
 /// the tallies cover exactly that batch).
 std::vector<MeasuredChipLoad> measured_loads(const hw::PimChipFleet& fleet);
 
-/// Proportional shard reweighting from the measured wall-time skew of a
-/// sharded run: weight_c ∝ reads_c / wall_ms_c (measured throughput), so
-/// the next batch's boundaries equalize expected wall time instead of read
-/// counts. Chips without a usable measurement (no reads, or wall below
-/// timer resolution) get the mean measured throughput. Returns normalized
-/// weights (sum 1) for align::ShardedEngine::set_shard_weights — or uniform
-/// weights when nothing was measured. ShardedOptions::rebalance applies the
-/// same reweighting automatically between streaming batches.
-std::vector<double> rebalanced_shard_weights(
-    const std::vector<MeasuredChipLoad>& loads);
-
 /// Chip-sim config whose per-read service demand and horizon come from the
 /// measured chip instead of the assumed averages. Fields of `base` the
 /// measurement cannot inform (groups, service_ns, seed) pass through.

@@ -122,36 +122,6 @@ void AlignmentEngine::align_batch(const ReadBatch& batch,
   out.stats().result_bytes = out.memory_bytes();
 }
 
-EngineStats AlignmentEngine::align_batch_chunked(const ReadBatch& batch,
-                                                 std::size_t chunk_size,
-                                                 const ChunkSink& sink,
-                                                 bool best_hit_only) const {
-  const auto t0 = std::chrono::steady_clock::now();
-  if (chunk_size == 0) {
-    chunk_size = std::max<std::size_t>(
-        1, std::min<std::size_t>(batch.size(), 1024));
-  }
-  EngineStats total;
-  // One chunk result recycled across iterations: clear() keeps the arena
-  // capacity, so a steady-state pass allocates nothing per chunk.
-  BatchResult chunk;
-  chunk.set_best_hit_only(best_hit_only);
-  for (std::size_t begin = 0; begin < batch.size(); begin += chunk_size) {
-    const std::size_t end = std::min(begin + chunk_size, batch.size());
-    chunk.clear();
-    chunk.reserve(end - begin, (end - begin) * 2);
-    align_range(batch, begin, end, chunk);
-    sink(BatchResultChunk{&batch, begin, end, &chunk, begin});
-    total.merge(chunk.stats());
-    ++total.chunks;
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  total.batches = 1;
-  total.wall_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  return total;
-}
-
 void SoftwareEngine::align_range(const ReadBatch& batch, std::size_t begin,
                                  std::size_t end, BatchResult& out) const {
   if (options_.best_hit_only) out.set_best_hit_only(true);

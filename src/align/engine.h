@@ -33,6 +33,10 @@
 #include "src/genome/packed_sequence.h"
 #include "src/index/fm_index.h"
 
+namespace pim::obs {
+class MetricsRegistry;
+}
+
 namespace pim::align {
 
 /// Arena-backed batch results: stages + one contiguous hits vector with
@@ -48,9 +52,8 @@ class BatchResult {
   /// Best-hit-only mode: add_read keeps only the best (fewest-diff,
   /// leftmost) hit per read, shrinking the hit arena for workloads that
   /// never inspect secondary hits. Configuration, not content: it survives
-  /// clear(). append() does NOT re-truncate already-built chunks, so paths
-  /// that stitch chunk results (parallel scheduler, ShardedEngine) propagate
-  /// the flag to their private chunks.
+  /// clear(). Engines switch it on from AlignerOptions::best_hit_only in
+  /// align_range; append() does NOT re-truncate already-built chunks.
   void set_best_hit_only(bool enabled) { best_hit_only_ = enabled; }
   bool best_hit_only() const { return best_hit_only_; }
 
@@ -113,12 +116,29 @@ struct BatchResultChunk {
 /// not necessarily from the thread that started the alignment.
 using ChunkSink = std::function<void(const BatchResultChunk&)>;
 
+/// Scheduling knobs of AlignmentEngine::align_batch_chunked.
+struct ParallelOptions {
+  std::size_t num_threads = 0;  ///< 0 = hardware concurrency.
+  /// Reads per scheduling unit; 0 picks min(reads, 1024) on one thread, and
+  /// otherwise a size that gives each thread ~8 chunks (load balance)
+  /// without dropping below 16 reads (dispatch amortization).
+  std::size_t chunk_size = 0;
+  /// Observability sink (S40). When set, the scheduler publishes per-chunk
+  /// align latency ("sched.chunk_align_ms"), start-window occupancy at
+  /// chunk grab ("sched.window_occupancy"), per-worker busy/idle split
+  /// ("sched.worker_busy_ms"/"sched.worker_idle_ms"), and delivery/wait
+  /// counters ("sched.chunks", "sched.window_wait_us"). When null (the
+  /// default) the scheduler takes no extra clock reads on the non-blocking
+  /// path.
+  obs::MetricsRegistry* metrics = nullptr;
+};
+
 /// The one engine interface. Implementations align half-open read ranges of
 /// a batch; align_batch adds timing. align_range must append exactly
 /// (end - begin) reads to `out` in read order. Engines whose thread_safe()
 /// returns true guarantee align_range is safe to call concurrently from
-/// multiple threads (on disjoint output chunks) — the chunked parallel
-/// scheduler in parallel_aligner.h checks this before fanning out.
+/// multiple threads (on disjoint output chunks) — align_batch_chunked
+/// checks this before fanning out.
 class AlignmentEngine {
  public:
   virtual ~AlignmentEngine() = default;
@@ -132,18 +152,18 @@ class AlignmentEngine {
   /// wall time and arena footprint in out.stats().
   void align_batch(const ReadBatch& batch, BatchResult& out) const;
 
-  /// Streaming alternative to align_batch: align the batch in chunks of
-  /// `chunk_size` reads (0 picks a default), delivering each completed chunk
-  /// to `sink` in index order instead of materializing one whole-batch
-  /// BatchResult — memory stays O(chunk) rather than O(batch). The default
-  /// implementation runs chunks serially through align_range; ShardedEngine
-  /// overrides it to forward per-shard completions, and the chunked parallel
-  /// scheduler (align_batch_parallel_chunked) provides the multi-threaded
-  /// version for thread-safe engines. Returns the merged stats of the run.
-  virtual EngineStats align_batch_chunked(const ReadBatch& batch,
-                                          std::size_t chunk_size,
-                                          const ChunkSink& sink,
-                                          bool best_hit_only = false) const;
+  /// Streaming alternative to align_batch: align the batch in chunks and
+  /// hand each completed chunk — in index order, serialized — to `sink`
+  /// instead of materializing one whole-batch BatchResult, so memory stays
+  /// O(threads x chunk) rather than O(batch). The default fans the chunks
+  /// across options.num_threads workers when thread_safe(), and runs them
+  /// inline on the calling thread otherwise (detail::run_in_order in
+  /// parallel_aligner.h is the one scheduler). ShardedEngine overrides it
+  /// with one chunk per shard. Engine or sink exceptions abort the run and
+  /// rethrow here. Returns the merged stats of the run.
+  virtual EngineStats align_batch_chunked(
+      const ReadBatch& batch, const ChunkSink& sink,
+      const ParallelOptions& options = {}) const;
 };
 
 /// The two-stage FM pipeline (Algorithms 1 and 2; detail::align_two_stage

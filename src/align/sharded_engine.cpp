@@ -1,16 +1,12 @@
 #include "src/align/sharded_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <string>
-#include <condition_variable>
-#include <exception>
-#include <functional>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
+#include <string>
 #include <utility>
+
+#include "src/align/parallel_aligner.h"
 
 namespace pim::align {
 
@@ -72,17 +68,6 @@ void ShardedEngine::publish_weights() const {
   }
 }
 
-std::pair<std::size_t, std::size_t> ShardedEngine::shard_range(
-    std::size_t reads, std::size_t num_shards, std::size_t s) {
-  // Balanced contiguous split: the first (reads % num_shards) shards take
-  // one extra read, so shard sizes differ by at most one.
-  const std::size_t base = reads / num_shards;
-  const std::size_t extra = reads % num_shards;
-  const std::size_t begin = s * base + std::min(s, extra);
-  const std::size_t end = begin + base + (s < extra ? 1 : 0);
-  return {begin, end};
-}
-
 void ShardedEngine::set_shard_weights(std::vector<double> weights) {
   if (weights.size() != shards_.size()) {
     throw std::invalid_argument("ShardedEngine: weight count != shard count");
@@ -115,211 +100,96 @@ std::vector<std::size_t> ShardedEngine::partition(std::size_t reads) const {
   return bounds;
 }
 
-void ShardedEngine::update_weights() const {
-  const std::size_t num = shards_.size();
-  // Target weight ∝ measured throughput (reads/ms). Shards without a usable
-  // measurement (no reads routed, or wall below timer resolution) get the
-  // mean measured throughput so they neither starve nor balloon.
+std::vector<double> rebalanced_weights(
+    std::vector<double> weights, const std::vector<ShardStats>& shard_stats) {
+  const std::size_t num = weights.size();
   std::vector<double> tput(num, 0.0);
   double sum = 0.0;
   std::size_t measured = 0;
-  if (!series_.empty()) {
-    // S40: the rebalance math reads the published "shard.<i>.reads_per_ms"
-    // series back from the registry — the registry is the one data path
-    // for measured load, not a side channel next to it. run_shards wrote
-    // these gauges from exactly the tallies shard_stats_ carries, so the
-    // two sources are equal by construction.
-    for (std::size_t s = 0; s < num; ++s) {
-      const double t = series_[s].reads_per_ms.value();
-      if (t > 0.0) {
-        tput[s] = t;
-        sum += t;
-        ++measured;
-      }
-    }
-  } else {
-    for (const auto& s : shard_stats_) {
-      if (s.shard < num && s.reads > 0 && s.wall_ms > 1e-6) {
-        tput[s.shard] = static_cast<double>(s.reads) / s.wall_ms;
-        sum += tput[s.shard];
-        ++measured;
-      }
+  for (const auto& s : shard_stats) {
+    if (s.shard < num && s.reads > 0 && s.wall_ms > 1e-6) {
+      tput[s.shard] = static_cast<double>(s.reads) / s.wall_ms;
+      sum += tput[s.shard];
+      ++measured;
     }
   }
-  if (measured == 0) return;
+  if (measured == 0) return weights;
   const double mean = sum / static_cast<double>(measured);
-  const double alpha = std::clamp(options_.rebalance_smoothing, 0.0, 1.0);
   const double target_total = sum + mean * static_cast<double>(num - measured);
-  // A floor of 10% of a uniform share keeps a transiently slow shard from
-  // being starved out of future measurements entirely.
+  // Blend halfway toward the measured throughput: smooths per-batch noise.
+  constexpr double kSmoothing = 0.5;
   const double floor_w = 0.1 / static_cast<double>(num);
   double total = 0.0;
   for (std::size_t s = 0; s < num; ++s) {
     const double target = (tput[s] > 0.0 ? tput[s] : mean) / target_total;
-    weights_[s] =
-        std::max(floor_w, (1.0 - alpha) * weights_[s] + alpha * target);
-    total += weights_[s];
+    weights[s] = std::max(
+        floor_w, (1.0 - kSmoothing) * weights[s] + kSmoothing * target);
+    total += weights[s];
   }
-  for (double& w : weights_) w /= total;
-  publish_weights();
+  for (double& w : weights) w /= total;
+  return weights;
 }
 
-double ShardedEngine::run_shards(
-    const ReadBatch& batch, std::size_t begin,
-    std::vector<std::size_t> const& bounds, std::vector<BatchResult>& chunks,
-    const ChunkSink* sink) const {
-  using Clock = std::chrono::steady_clock;
+EngineStats ShardedEngine::run(const ReadBatch& batch, std::size_t begin,
+                               std::size_t end, const ChunkSink& sink) const {
   const std::size_t num = shards_.size();
-  const std::size_t reads = bounds.back();
-
-  auto run_shard = [&](std::size_t s) {
-    const std::size_t lo = bounds[s];
-    const std::size_t hi = bounds[s + 1];
-    const auto t0 = Clock::now();
-    if (hi > lo) {
-      chunks[s].reserve(hi - lo, (hi - lo) * 2);
-      shards_[s]->align_range(batch, begin + lo, begin + hi, chunks[s]);
-    }
-    const auto t1 = Clock::now();
-    ShardStats& stats = shard_stats_[s];
-    stats.shard = s;
-    stats.reads = chunks[s].stats().reads_total;
-    stats.hits = chunks[s].stats().hits_total;
-    stats.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    stats.stats = chunks[s].stats();
-    stats.stats.wall_ms = stats.wall_ms;
-    if (!series_.empty()) {
-      // Each shard is driven by exactly one thread, so these publishes are
-      // the single-writer fast path of the registry.
-      const ShardSeries& series = series_[s];
-      series.reads.add(stats.reads);
-      series.hits.add(stats.hits);
-      series.wall_ms.set(stats.wall_ms);
-      series.reads_per_ms.set(stats.reads > 0 && stats.wall_ms > 1e-6
-                                  ? static_cast<double>(stats.reads) /
-                                        stats.wall_ms
-                                  : 0.0);
-    }
-  };
-
-  // Forward shard s to the sink once it and all predecessors are done:
-  // shard order == read order, so delivery is globally in index order, and
-  // freeing each forwarded chunk keeps resident results bounded by the
-  // not-yet-forwarded shards instead of the whole batch.
-  auto forward = [&](std::size_t s) {
-    if (sink != nullptr && bounds[s + 1] > bounds[s]) {
-      (*sink)(BatchResultChunk{&batch, bounds[s], bounds[s + 1], &chunks[s],
-                               bounds[s]});
-      chunks[s] = BatchResult();  // free the forwarded arena
-    }
-  };
-
-  double wait_ms = 0.0;
-  if (options_.parallel && num > 1 && reads > 1) {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<char> done(num, 0);
-    std::vector<std::exception_ptr> errors(num);
-    std::vector<std::thread> threads;
-    threads.reserve(num);
-    for (std::size_t s = 0; s < num; ++s) {
-      threads.emplace_back([&, s]() {
-        try {
-          run_shard(s);
-        } catch (...) {
-          errors[s] = std::current_exception();
-        }
-        {
-          std::lock_guard<std::mutex> lk(mu);
-          done[s] = 1;
-        }
-        cv.notify_all();
-      });
-    }
-    // The calling thread forwards completions in shard order while later
-    // shards are still aligning. Time spent blocked on an unfinished
-    // predecessor is the fan-out's stall: a straggler shard shows up here.
-    std::exception_ptr forward_error;
-    for (std::size_t s = 0; s < num; ++s) {
-      {
-        std::unique_lock<std::mutex> lk(mu);
-        if (done[s] == 0) {
-          const auto w0 = Clock::now();
-          cv.wait(lk, [&] { return done[s] != 0; });
-          wait_ms += std::chrono::duration<double, std::milli>(Clock::now() -
-                                                               w0)
-                         .count();
-        }
-      }
-      if (errors[s]) break;  // join everything, then rethrow in shard order
-      try {
-        forward(s);
-      } catch (...) {
-        forward_error = std::current_exception();
-        break;
-      }
-    }
-    for (auto& t : threads) t.join();
-    for (const auto& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
-    if (forward_error) std::rethrow_exception(forward_error);
-  } else {
-    // Serial fan-out never blocks on a predecessor.
-    for (std::size_t s = 0; s < num; ++s) {
-      run_shard(s);
-      forward(s);
+  // Reset the per-shard breakdown at call entry: a reused engine never
+  // reports a previous batch's load, even if a shard throws before any
+  // stats land. Idle shards keep zeroed counters.
+  shard_stats_.assign(num, ShardStats{});
+  std::vector<std::size_t> task_shard;
+  std::vector<detail::RangeTask> tasks;
+  const auto bounds = partition(end - begin);
+  for (std::size_t s = 0; s < num; ++s) {
+    shard_stats_[s].shard = s;
+    if (bounds[s + 1] > bounds[s]) {
+      task_shard.push_back(s);
+      tasks.push_back(detail::RangeTask{shards_[s], begin + bounds[s],
+                                        begin + bounds[s + 1]});
     }
   }
-  return wait_ms;
+  // One worker per shard task; each writes only its own shard's stats.
+  const EngineStats stats = detail::run_in_order(
+      batch, tasks, tasks.size(), sink, /*metrics=*/nullptr,
+      [&](std::size_t task, const BatchResult& result, double align_ms) {
+        ShardStats& shard = shard_stats_[task_shard[task]];
+        shard.reads = result.stats().reads_total;
+        shard.hits = result.stats().hits_total;
+        shard.wall_ms = align_ms;
+        shard.stats = result.stats();
+        shard.stats.wall_ms = align_ms;
+      });
+
+  for (std::size_t s = 0; s < series_.size(); ++s) {
+    const ShardStats& shard = shard_stats_[s];
+    series_[s].reads.add(shard.reads);
+    series_[s].hits.add(shard.hits);
+    series_[s].wall_ms.set(shard.wall_ms);
+    series_[s].reads_per_ms.set(
+        shard.reads > 0 && shard.wall_ms > 1e-6
+            ? static_cast<double>(shard.reads) / shard.wall_ms
+            : 0.0);
+  }
+  if (options_.rebalance) {
+    weights_ = rebalanced_weights(std::move(weights_), shard_stats_);
+    publish_weights();
+  }
+  return stats;
 }
 
 void ShardedEngine::align_range(const ReadBatch& batch, std::size_t begin,
                                 std::size_t end, BatchResult& out) const {
-  const std::size_t num = shards_.size();
-  // Reset the per-shard breakdown at call entry, not mid-fan-out: a reused
-  // engine never reports a previous batch's load, even if partitioning or
-  // a shard throws before any stats land.
-  shard_stats_.assign(num, ShardStats{});
-  const auto bounds = partition(end - begin);
-
-  std::vector<BatchResult> chunks(num);
-  for (auto& chunk : chunks) chunk.set_best_hit_only(out.best_hit_only());
-  const double stall_ms = run_shards(batch, begin, bounds, chunks, nullptr);
-
   // Stitch in shard order == read order; BatchResult::append merges the
   // per-shard EngineStats associatively, so the combined counters equal an
   // unsharded run over the same range.
-  for (const auto& chunk : chunks) out.append(chunk);
-  out.stats().stall_ms += stall_ms;
-  if (options_.rebalance) update_weights();
+  run(batch, begin, end,
+      [&out](const BatchResultChunk& chunk) { out.append(*chunk.result); });
 }
 
-EngineStats ShardedEngine::align_batch_chunked(const ReadBatch& batch,
-                                               std::size_t /*chunk_size*/,
-                                               const ChunkSink& sink,
-                                               bool best_hit_only) const {
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t num = shards_.size();
-  shard_stats_.assign(num, ShardStats{});
-  const auto bounds = partition(batch.size());
-
-  std::vector<BatchResult> chunks(num);
-  for (auto& chunk : chunks) chunk.set_best_hit_only(best_hit_only);
-  EngineStats total;
-  const ChunkSink forward = [&](const BatchResultChunk& chunk) {
-    sink(chunk);
-    total.merge(chunk.result->stats());
-    ++total.chunks;
-  };
-  total.stall_ms += run_shards(batch, 0, bounds, chunks, &forward);
-  if (options_.rebalance) update_weights();
-
-  const auto t1 = std::chrono::steady_clock::now();
-  total.batches = 1;
-  total.wall_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  return total;
+EngineStats ShardedEngine::align_batch_chunked(
+    const ReadBatch& batch, const ChunkSink& sink,
+    const ParallelOptions& /*options*/) const {
+  return run(batch, 0, batch.size(), sink);
 }
 
 }  // namespace pim::align

@@ -17,13 +17,13 @@
 // the seam (parallel scheduler, SamWriter::write_batch, examples, benches)
 // gets multi-chip execution without code changes.
 //
-// Thread model: each shard engine instance is driven by exactly ONE thread,
-// so backends whose thread_safe() is false (PimEngine: per-chip op/energy
+// Thread model: each shard engine instance is driven by exactly ONE thread
+// (one scheduler task per non-empty shard, one worker per task), so
+// backends whose thread_safe() is false (PimEngine: per-chip op/energy
 // tallies) shard safely — the contract is that shard instances share no
 // mutable state (each PIM chip owns its platform). ShardedEngine itself
 // reports thread_safe() == false because it records a per-shard load
-// breakdown (shard_stats()) on each run; the chunked scheduler therefore
-// runs it through the serial path, and ShardedEngine does its own fan-out.
+// breakdown (shard_stats()) on each run.
 #pragma once
 
 #include <cstddef>
@@ -49,30 +49,30 @@ struct ShardStats {
 };
 
 struct ShardedOptions {
-  /// Run shards concurrently, one thread per shard (chips are independent
-  /// devices). false runs them sequentially — useful for deterministic
-  /// profiling of a single chip's share.
-  bool parallel = true;
-  /// After each run, reweight the shard boundaries proportionally to each
-  /// shard's measured throughput (reads / wall_ms from shard_stats()), so
-  /// the next batch equalizes expected wall time instead of read counts —
-  /// the load-balanced-sharding loop for streaming runs, where repeat-heavy
+  /// After each run, reweight the shard boundaries toward each shard's
+  /// measured throughput (rebalanced_weights over shard_stats()), so the
+  /// next batch equalizes expected wall time instead of read counts — the
+  /// load-balanced-sharding loop for streaming runs, where repeat-heavy
   /// reads clustering in one shard would otherwise stall the whole fan-out
-  /// every generation. accel::rebalanced_shard_weights applies the same
-  /// reweighting to externally measured loads.
+  /// every generation.
   bool rebalance = false;
-  /// Blend factor for rebalancing: 0 keeps the old weights, 1 jumps to the
-  /// measured throughput. Intermediate values smooth out per-batch noise.
-  double rebalance_smoothing = 0.5;
   /// Observability sink (S40). When set, every run publishes per-shard
-  /// series — "shard.<i>.reads"/"shard.<i>.hits" counters (cumulative) and
-  /// "shard.<i>.wall_ms"/"shard.<i>.reads_per_ms"/"shard.<i>.weight"
-  /// gauges (last run) — and the rebalance math consumes the published
-  /// reads/ms series from the registry instead of the internal tallies
-  /// (identical values; the registry is the data path, shard_stats() the
-  /// programmatic view). Null = zero overhead.
+  /// series after the fan-out — "shard.<i>.reads"/"shard.<i>.hits"
+  /// counters (cumulative) and "shard.<i>.wall_ms"/"shard.<i>.reads_per_ms"
+  /// /"shard.<i>.weight" gauges (last run), the same measurement
+  /// shard_stats() exposes programmatically. Null = zero overhead.
   obs::MetricsRegistry* metrics = nullptr;
 };
+
+/// Shard weights moved halfway from `weights` toward each shard's measured
+/// throughput (reads / wall_ms in `shard_stats`). Shards without a usable
+/// measurement (no reads routed, or wall below timer resolution) are
+/// targeted at the mean measured throughput, and every weight keeps a floor
+/// of 10% of a uniform share so a transiently slow shard is never starved
+/// out of future measurements. Returns normalized weights (sum 1), or
+/// `weights` unchanged when nothing was measured.
+std::vector<double> rebalanced_weights(
+    std::vector<double> weights, const std::vector<ShardStats>& shard_stats);
 
 // Not final: pim::hw::PimChipFleet derives a transfer-charging engine (S43)
 // that brackets the fan-out with host->chip staging accounting.
@@ -95,15 +95,15 @@ class ShardedEngine : public AlignmentEngine {
   void align_range(const ReadBatch& batch, std::size_t begin, std::size_t end,
                    BatchResult& out) const override;
 
-  /// Streaming execution (S39): shards run concurrently as usual, but each
-  /// shard's completed result is forwarded to `sink` as soon as it AND every
-  /// lower-indexed shard finish (shard order == read order), then its arena
-  /// is freed — so a multi-chip fleet streams chunks out while later chips
-  /// are still aligning, instead of holding all shard results until join.
-  /// `chunk_size` is ignored: the shard ranges are the chunks.
-  EngineStats align_batch_chunked(const ReadBatch& batch,
-                                  std::size_t chunk_size, const ChunkSink& sink,
-                                  bool best_hit_only = false) const override;
+  /// Streaming execution (S39): one scheduler task per non-empty shard,
+  /// one thread each; each shard's result is forwarded to `sink` as soon as
+  /// it AND every lower-indexed shard finish (shard order == read order), so
+  /// a multi-chip fleet streams chunks out while later chips are still
+  /// aligning. `options` is ignored: the shard ranges are the chunks, and
+  /// the sched.* series stay with unsharded runs.
+  EngineStats align_batch_chunked(
+      const ReadBatch& batch, const ChunkSink& sink,
+      const ParallelOptions& options = {}) const override;
 
   std::size_t num_shards() const { return shards_.size(); }
   const AlignmentEngine& shard(std::size_t i) const { return *shards_[i]; }
@@ -117,8 +117,8 @@ class ShardedEngine : public AlignmentEngine {
   /// Relative shard weights steering the partition (uniform initially;
   /// normalized to sum 1). With options().rebalance they update after every
   /// run; set_shard_weights installs externally computed weights (e.g.
-  /// accel::rebalanced_shard_weights over a fleet's measured load). Throws
-  /// if the size mismatches or any weight is not positive.
+  /// rebalanced_weights over a fleet's measured load). Throws if the size
+  /// mismatches or any weight is not positive.
   const std::vector<double>& shard_weights() const { return weights_; }
   void set_shard_weights(std::vector<double> weights);
 
@@ -126,13 +126,6 @@ class ShardedEngine : public AlignmentEngine {
   /// num_shards()+1 monotone boundaries with front()==0, back()==reads.
   /// Exposed for tests and front-ends that pre-route per-shard data.
   std::vector<std::size_t> partition(std::size_t reads) const;
-
-  /// Balanced contiguous partition: the half-open read range shard `s` of
-  /// `num_shards` covers within [0, reads). Exposed for tests and for
-  /// front-ends that pre-route per-shard auxiliary data.
-  static std::pair<std::size_t, std::size_t> shard_range(std::size_t reads,
-                                                         std::size_t num_shards,
-                                                         std::size_t s);
 
  private:
   /// Per-shard metric handles (empty when no registry is installed).
@@ -144,14 +137,11 @@ class ShardedEngine : public AlignmentEngine {
     obs::Gauge weight;
   };
 
-  /// Returns the in-order forward/join wait in ms (time the stitching
-  /// thread spent blocked on unfinished predecessor shards).
-  double run_shards(const ReadBatch& batch, std::size_t begin,
-                    std::vector<std::size_t> const& bounds,
-                    std::vector<BatchResult>& chunks,
-                    const ChunkSink* sink) const;
+  /// Fan [begin, end) of `batch` out across the shards through the one
+  /// scheduler, refresh shard_stats() and the shard series, and rebalance.
+  EngineStats run(const ReadBatch& batch, std::size_t begin, std::size_t end,
+                  const ChunkSink& sink) const;
   void init_metrics();
-  void update_weights() const;
   void publish_weights() const;
 
   std::vector<std::unique_ptr<AlignmentEngine>> owned_;

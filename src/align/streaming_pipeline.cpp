@@ -189,14 +189,8 @@ StreamingStats StreamingPipeline::run(genome::FastqStreamReader& reader,
         }
         sink(global);
       };
-      EngineStats generation;
-      if (engine_->thread_safe()) {
-        generation = align_batch_parallel_chunked(
-            *engine_, batch, rebased, parallel, options_.best_hit_only);
-      } else {
-        generation = engine_->align_batch_chunked(
-            batch, parallel.chunk_size, rebased, options_.best_hit_only);
-      }
+      const EngineStats generation =
+          engine_->align_batch_chunked(batch, rebased, parallel);
       stats.engine.merge(generation);
       ++stats.batches;
       stats.reads += batch.size();

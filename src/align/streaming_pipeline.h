@@ -9,16 +9,16 @@
 // StreamingPipeline replaces all three with one seam:
 //
 //   producer thread --(<=2 ReadBatch generations)--> consumer
-//   FastqStreamReader -> ReadBatchBuilder            align_batch_parallel_chunked
-//   (arena recycled per generation via                 / engine.align_batch_chunked
-//    ReadBatchBuilder::reset)                        -> ChunkSink (in read order)
+//   FastqStreamReader -> ReadBatchBuilder            engine.align_batch_chunked
+//   (arena recycled per generation via               -> ChunkSink (in read order)
+//    ReadBatchBuilder::reset)
 //
 // The producer packs generation g+1 while the engine aligns generation g
 // (double buffering: at most two batch arenas exist, recycled through a
 // free list, so steady state allocates nothing per generation). Completed
 // chunks are delivered to the sink in global read order — within a batch by
-// the in-order chunked scheduler (or ShardedEngine's per-shard completion
-// forwarding), across batches because generations are consumed
+// the one in-order scheduler (parallel_aligner.h), across batches because
+// generations are consumed
 // sequentially — so streaming SAM output is byte-identical to a
 // materialize-everything write_batch run. Peak memory is O(2 batches +
 // in-flight chunks) instead of O(dataset).
@@ -47,11 +47,10 @@ struct StreamingOptions {
   /// Reads per generation batch. Bigger amortizes scheduling; smaller
   /// bounds memory tighter and smooths the ingest/align overlap.
   std::size_t batch_reads = 32768;
-  /// Scheduler knobs for thread-safe engines (threads, chunk size); the
-  /// chunk size also feeds serial engines' align_batch_chunked.
+  /// Scheduler knobs handed to the engine's align_batch_chunked (threads
+  /// for thread-safe engines, chunk size). Best-hit-only output is an
+  /// engine option (AlignerOptions::best_hit_only).
   ParallelOptions parallel;
-  /// Keep only the best hit per read (see AlignerOptions::best_hit_only).
-  bool best_hit_only = false;
   /// Observability sink (S40). When set, run() publishes the stage-resolved
   /// series the paper's Fig. 8-10 accounting needs live instead of post
   /// hoc: "stream.reads"/"stream.batches"/"stream.chunks" counters,
@@ -84,10 +83,8 @@ struct StreamingStats {
 
 class StreamingPipeline {
  public:
-  /// `engine` must outlive the pipeline. Thread-safe engines align each
-  /// generation through the in-order chunked parallel scheduler; serial
-  /// engines (PimEngine, ShardedEngine) stream through their virtual
-  /// align_batch_chunked.
+  /// `engine` must outlive the pipeline. Each generation streams through
+  /// the engine's (virtual) align_batch_chunked.
   explicit StreamingPipeline(const AlignmentEngine& engine,
                              StreamingOptions options = {});
 

@@ -105,14 +105,13 @@ struct EngineStats {
   std::uint64_t batches = 0;
   double wall_ms = 0.0;            ///< align_batch / scheduler wall time.
   std::uint64_t result_bytes = 0;  ///< BatchResult arena footprint.
-  /// Chunks delivered through the chunk seam (S39): align_batch_chunked,
-  /// the chunked parallel scheduler's in-order drain, and ShardedEngine's
-  /// per-shard forwarding all count here. 0 on non-chunked paths.
+  /// Chunks delivered through the chunk seam (S39): every
+  /// align_batch_chunked run counts its in-order deliveries here (one per
+  /// shard on a ShardedEngine). 0 on non-chunked paths.
   std::uint64_t chunks = 0;
   /// Scheduler stall time (S39/S40): worker wait on the bounded start
-  /// window plus in-order forwarding wait on unfinished predecessors.
-  /// Execution-shape dependent (threads/chunking), unlike the workload
-  /// counters above — equivalence tests must not compare it.
+  /// window. Execution-shape dependent (threads/chunking), unlike the
+  /// workload counters above — equivalence tests must not compare it.
   double stall_ms = 0.0;
 
   double exact_fraction() const {

@@ -28,11 +28,11 @@ class PimChipFleet::FleetEngine final : public align::ShardedEngine {
   }
 
   align::EngineStats align_batch_chunked(
-      const align::ReadBatch& batch, std::size_t chunk_size,
-      const align::ChunkSink& sink, bool best_hit_only) const override {
+      const align::ReadBatch& batch, const align::ChunkSink& sink,
+      const align::ParallelOptions& options) const override {
     const auto bounds = partition(batch.size());
-    align::EngineStats stats = align::ShardedEngine::align_batch_chunked(
-        batch, chunk_size, sink, best_hit_only);
+    align::EngineStats stats =
+        align::ShardedEngine::align_batch_chunked(batch, sink, options);
     fleet_->charge_generation(batch, 0, bounds);
     return stats;
   }

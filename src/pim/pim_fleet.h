@@ -14,8 +14,8 @@
 // finish, so a StreamingPipeline over the fleet emits SAM records while
 // later chips are still aligning. Passing ShardedOptions{.rebalance = true}
 // at construction reweights the per-chip boundaries between batches from
-// the measured wall-time skew (see accel::rebalanced_shard_weights for the
-// externally driven form).
+// the measured wall-time skew (align::rebalanced_weights; feed it to
+// set_shard_weights for the externally driven form).
 //
 // The fleet pays for its data (S43): reads no longer teleport into the
 // sub-arrays. Every generation (one align_batch / align_batch_chunked call),

@@ -215,9 +215,8 @@ void DynamicBatcher::dispatch(std::vector<PendingRequest> pending,
   }
 
   try {
-    const align::EngineStats stats = align::align_batch_parallel_chunked(
-        *engine_, batch, demux.sink(), policy_.parallel,
-        policy_.best_hit_only);
+    const align::EngineStats stats =
+        engine_->align_batch_chunked(batch, demux.sink(), policy_.parallel);
     std::lock_guard<std::mutex> lk(stats_mu_);
     engine_stats_.merge(stats);
   } catch (...) {

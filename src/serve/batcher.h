@@ -12,9 +12,9 @@
 //        engine cycles)
 //     -> pack survivors into ONE ReadBatch (arena recycled across batches
 //        via ReadBatchBuilder::reset, so steady state allocates nothing)
-//     -> align through the S39 chunk seam (align_batch_parallel_chunked:
-//        thread-safe engines fan out across the scheduler, PimEngine /
-//        ShardedEngine route through their serial/virtual chunked paths)
+//     -> align through the S39 chunk seam (engine.align_batch_chunked:
+//        thread-safe engines fan out across the scheduler's workers,
+//        PimEngine runs inline, ShardedEngine one task per shard)
 //     -> ChunkDemux maps in-order chunks back onto request extents: each
 //        request's future resolves the moment ITS last read is delivered,
 //        never waiting for later strangers in the same batch.
@@ -46,13 +46,10 @@ struct BatchPolicy {
   /// this long, full batch or not — the latency half of the batching
   /// trade-off.
   std::chrono::microseconds max_linger{2000};
-  /// Scheduler knobs for thread-safe engines (threads, chunk size); the
-  /// chunk size also feeds serial engines' align_batch_chunked. The chunk
-  /// size bounds demux granularity: smaller chunks resolve early requests
-  /// in a batch sooner.
+  /// Scheduler knobs handed to the engine's align_batch_chunked (threads
+  /// for thread-safe engines, chunk size). The chunk size bounds demux
+  /// granularity: smaller chunks resolve early requests in a batch sooner.
   align::ParallelOptions parallel;
-  /// Keep only the best hit per read (see AlignerOptions::best_hit_only).
-  bool best_hit_only = false;
 };
 
 class DynamicBatcher {

@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "src/accel/measured_load.h"
 #include "src/align/parallel_aligner.h"
@@ -555,42 +558,20 @@ TEST(Sharded, BitIdenticalToUnshardedAcrossShardCounts) {
     EXPECT_EQ(got.stats().inexact_searches, want.stats().inexact_searches);
 
     // Per-chip breakdown: every read and hit is attributed to exactly one
-    // shard, sizes are balanced to within one read.
+    // shard, each shard holding exactly its partition() range.
     const auto& per_shard = engine->shard_stats();
     ASSERT_EQ(per_shard.size(), shards);
+    const auto bounds = engine->partition(f.batch.size());
     std::uint64_t reads = 0, hits = 0;
     for (std::size_t s = 0; s < shards; ++s) {
       EXPECT_EQ(per_shard[s].shard, s);
       EXPECT_GE(per_shard[s].wall_ms, 0.0);
       reads += per_shard[s].reads;
       hits += per_shard[s].hits;
-      const auto [lo, hi] =
-          ShardedEngine::shard_range(f.batch.size(), shards, s);
-      EXPECT_EQ(per_shard[s].reads, hi - lo);
+      EXPECT_EQ(per_shard[s].reads, bounds[s + 1] - bounds[s]);
     }
     EXPECT_EQ(reads, want.stats().reads_total);
     EXPECT_EQ(hits, want.stats().hits_total);
-  }
-}
-
-TEST(Sharded, SerialOptionMatchesParallel) {
-  Fixture f(60);
-  const SoftwareEngine unsharded(f.fm, f.options);
-  BatchResult want;
-  unsharded.align_batch(f.batch, want);
-
-  std::vector<std::unique_ptr<AlignmentEngine>> engines;
-  for (int s = 0; s < 3; ++s) {
-    engines.push_back(std::make_unique<SoftwareEngine>(f.fm, f.options));
-  }
-  const ShardedEngine engine(std::move(engines),
-                             ShardedOptions{.parallel = false});
-  BatchResult got;
-  engine.align_batch(f.batch, got);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    expect_identical(want.result(i), got.stage(i), got.hits(i), i,
-                     "sharded-serial");
   }
 }
 
@@ -675,11 +656,19 @@ TEST(Sharded, MoreShardsThanReadsAndEmptyBatchAreHarmless) {
 }
 
 TEST(Sharded, ShardRangePartitionIsBalancedAndComplete) {
-  for (const std::size_t reads : {0u, 1u, 7u, 64u, 1001u}) {
-    for (const std::size_t shards : {1u, 2u, 3u, 8u}) {
+  Fixture f(1);
+  const SoftwareEngine software(f.fm, f.options);
+  for (const std::size_t shards : {1u, 2u, 3u, 8u}) {
+    // Uniform weights (the default) split reads as evenly as possible.
+    const ShardedEngine engine(
+        std::vector<const AlignmentEngine*>(shards, &software));
+    for (const std::size_t reads : {0u, 1u, 7u, 64u, 1001u}) {
+      const auto bounds = engine.partition(reads);
+      ASSERT_EQ(bounds.size(), shards + 1);
       std::size_t expected_begin = 0;
       for (std::size_t s = 0; s < shards; ++s) {
-        const auto [lo, hi] = ShardedEngine::shard_range(reads, shards, s);
+        const std::size_t lo = bounds[s];
+        const std::size_t hi = bounds[s + 1];
         EXPECT_EQ(lo, expected_begin);  // contiguous, in order
         EXPECT_LE(hi - lo, reads / shards + 1);
         EXPECT_GE(hi - lo, reads / shards);
@@ -780,13 +769,15 @@ TEST(Engine, AlignBatchChunkedDeliversInOrderAndMatchesAlignBatch) {
   BatchResult stitched;
   std::size_t next_begin = 0;
   const auto stats = engine.align_batch_chunked(
-      f.batch, 13, [&](const BatchResultChunk& chunk) {
+      f.batch,
+      [&](const BatchResultChunk& chunk) {
         EXPECT_EQ(chunk.begin, next_begin);
         EXPECT_EQ(chunk.base_index, chunk.begin);
         EXPECT_EQ(chunk.result->size(), chunk.size());
         stitched.append(*chunk.result);
         next_begin = chunk.end;
-      });
+      },
+      ParallelOptions{.num_threads = 1, .chunk_size = 13});
   EXPECT_EQ(next_begin, f.batch.size());
   ASSERT_EQ(stitched.size(), whole.size());
   for (std::size_t i = 0; i < whole.size(); ++i) {
@@ -860,7 +851,6 @@ TEST(Sharded, RebalanceKeepsResultsIdenticalAcrossBatches) {
   }
   ShardedOptions options;
   options.rebalance = true;
-  options.rebalance_smoothing = 1.0;  // jump straight to measured throughput
   const ShardedEngine sharded(std::move(shards), options);
 
   // Boundaries move between batches; results must not.
@@ -882,30 +872,41 @@ TEST(Sharded, RebalanceKeepsResultsIdenticalAcrossBatches) {
 }
 
 TEST(Sharded, RebalancedShardWeightsMath) {
-  using accel::MeasuredChipLoad;
-  // Twice the throughput -> twice the weight.
-  std::vector<MeasuredChipLoad> loads(2);
-  loads[0].reads = 200;
-  loads[0].wall_ms = 10.0;  // 20 reads/ms
-  loads[1].reads = 100;
-  loads[1].wall_ms = 10.0;  // 10 reads/ms
-  auto weights = accel::rebalanced_shard_weights(loads);
+  // Twice the throughput -> target twice the weight; the move is blended
+  // halfway from the current weights: 1/2 + (2/3 - 1/2) / 2 = 7/12.
+  std::vector<ShardStats> stats(2);
+  const auto measure = [&](std::size_t shard, std::uint64_t reads,
+                           double wall_ms) {
+    stats[shard].shard = shard;
+    stats[shard].reads = reads;
+    stats[shard].wall_ms = wall_ms;
+  };
+  measure(0, 200, 10.0);
+  measure(1, 100, 10.0);
+  auto weights = rebalanced_weights({0.5, 0.5}, stats);
   ASSERT_EQ(weights.size(), 2u);
-  EXPECT_NEAR(weights[0], 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(weights[1], 1.0 / 3.0, 1e-12);
+  EXPECT_NEAR(weights[0], 7.0 / 12.0, 1e-12);
+  EXPECT_NEAR(weights[1], 5.0 / 12.0, 1e-12);
 
-  // An unmeasured chip gets the mean measured throughput.
-  loads[1].reads = 0;
-  weights = accel::rebalanced_shard_weights(loads);
+  // An unmeasured shard is targeted at the mean measured throughput.
+  stats[1].reads = 0;
+  weights = rebalanced_weights({0.5, 0.5}, stats);
   EXPECT_NEAR(weights[0], 0.5, 1e-12);
   EXPECT_NEAR(weights[1], 0.5, 1e-12);
 
-  // Nothing measured -> uniform.
-  loads[0].reads = 0;
-  weights = accel::rebalanced_shard_weights(loads);
-  EXPECT_NEAR(weights[0], 0.5, 1e-12);
-  EXPECT_NEAR(weights[1], 0.5, 1e-12);
-  EXPECT_TRUE(accel::rebalanced_shard_weights({}).empty());
+  // Nothing measured -> the current weights, unchanged.
+  stats[0].reads = 0;
+  weights = rebalanced_weights({0.75, 0.25}, stats);
+  EXPECT_NEAR(weights[0], 0.75, 1e-12);
+  EXPECT_NEAR(weights[1], 0.25, 1e-12);
+  EXPECT_TRUE(rebalanced_weights({}, {}).empty());
+
+  // A collapsing shard keeps a floor of 10% of a uniform share.
+  measure(0, 1000000, 1.0);
+  measure(1, 1, 1000.0);
+  weights = rebalanced_weights({0.999, 0.001}, stats);
+  EXPECT_NEAR(weights[1], 0.05 / (0.9995 + 0.05), 1e-6);
+  EXPECT_NEAR(weights[0] + weights[1], 1.0, 1e-12);
 }
 
 TEST(Engine, MergeCoversEveryStatsField) {
@@ -965,18 +966,19 @@ TEST(Engine, ChunkSeamCountsChunksAndStall) {
   Fixture f(80);
   const SoftwareEngine engine(f.fm, f.options);
 
-  // Default virtual chunked path: one chunk per chunk_size slice.
+  // Inline (one thread): one chunk per chunk_size slice.
   std::size_t delivered = 0;
   const EngineStats serial = engine.align_batch_chunked(
-      f.batch, 16, [&](const BatchResultChunk&) { ++delivered; });
+      f.batch, [&](const BatchResultChunk&) { ++delivered; },
+      ParallelOptions{.num_threads = 1, .chunk_size = 16});
   EXPECT_EQ(serial.chunks, delivered);
   EXPECT_EQ(serial.chunks, (f.batch.size() + 15) / 16);
 
-  // Parallel scheduler: same chunk count through the in-order drain, and
-  // the materializing front-end must not drop the seam counters.
+  // Worker pool: same chunk count through the in-order drain, and the
+  // materializing front-end must not drop the seam counters.
   delivered = 0;
-  const EngineStats parallel = align_batch_parallel_chunked(
-      engine, f.batch, [&](const BatchResultChunk&) { ++delivered; },
+  const EngineStats parallel = engine.align_batch_chunked(
+      f.batch, [&](const BatchResultChunk&) { ++delivered; },
       ParallelOptions{.num_threads = 4, .chunk_size = 16});
   EXPECT_EQ(parallel.chunks, delivered);
   EXPECT_GE(parallel.stall_ms, 0.0);
@@ -1011,13 +1013,112 @@ TEST(Sharded, ShardStatsDescribeOnlyTheLastCall) {
   EXPECT_EQ(reads, small.size());
 
   // Same contract through the streaming chunk seam.
-  const EngineStats chunked = engine->align_batch_chunked(
-      f.batch, 0, [](const BatchResultChunk&) {});
+  const EngineStats chunked =
+      engine->align_batch_chunked(f.batch, [](const BatchResultChunk&) {});
   reads = 0;
   for (const auto& s : engine->shard_stats()) reads += s.reads;
   EXPECT_EQ(reads, f.batch.size());
   EXPECT_EQ(chunked.reads_total, f.batch.size());
   EXPECT_GT(chunked.chunks, 0u);
+}
+
+/// Software engine that throws when asked to align one chosen read.
+class FailingEngine final : public AlignmentEngine {
+ public:
+  FailingEngine(const Fixture& f, std::size_t fail_read)
+      : inner_(f.fm, f.options), fail_read_(fail_read) {}
+
+  std::string_view name() const override { return "failing"; }
+  bool thread_safe() const override { return true; }
+  void align_range(const ReadBatch& batch, std::size_t begin, std::size_t end,
+                   BatchResult& out) const override {
+    if (begin <= fail_read_ && fail_read_ < end) {
+      throw std::runtime_error("injected engine fault");
+    }
+    inner_.align_range(batch, begin, end, out);
+  }
+
+ private:
+  SoftwareEngine inner_;
+  std::size_t fail_read_;
+};
+
+TEST(Scheduler, EngineAndSinkErrorsPropagateInOrder) {
+  Fixture f(60);
+  constexpr std::size_t kFailRead = 27;  // chunk [24, 32) at chunk size 8
+  const FailingEngine failing(f, kFailRead);
+
+  // Every delivered chunk lies wholly before the failing read: nothing at
+  // or after the failing chunk reaches the sink, and the call returns.
+  const auto run = [&](const AlignmentEngine& engine,
+                       const ParallelOptions& options) {
+    std::vector<std::size_t> ends;
+    EXPECT_THROW(engine.align_batch_chunked(
+                     f.batch,
+                     [&](const BatchResultChunk& chunk) {
+                       ends.push_back(chunk.end);
+                     },
+                     options),
+                 std::runtime_error);
+    for (const std::size_t end : ends) EXPECT_LE(end, kFailRead);
+    return ends;
+  };
+
+  // Inline: exactly the three chunks before the failing one arrive.
+  EXPECT_EQ(run(failing, {.num_threads = 1, .chunk_size = 8}),
+            (std::vector<std::size_t>{8, 16, 24}));
+  // Worker pool: a prefix of those, in order.
+  const auto pooled = run(failing, {.num_threads = 4, .chunk_size = 8});
+  EXPECT_TRUE(std::is_sorted(pooled.begin(), pooled.end()));
+
+  // Shard 1 of 3 ([20, 40) of 60 reads) throws: shard 2 is never delivered.
+  const SoftwareEngine software(f.fm, f.options);
+  const ShardedEngine sharded(
+      std::vector<const AlignmentEngine*>{&software, &failing, &software});
+  ASSERT_EQ(sharded.partition(f.batch.size()),
+            (std::vector<std::size_t>{0, 20, 40, 60}));
+  const auto sharded_ends = run(sharded, {});
+  EXPECT_LE(sharded_ends.size(), 1u);
+
+  // A throwing sink on the sharded path: shard 0 is delivered, shard 1's
+  // delivery throws, shard 2 never reaches the sink.
+  const ShardedEngine healthy(
+      std::vector<const AlignmentEngine*>{&software, &software, &software});
+  std::size_t calls = 0;
+  EXPECT_THROW(healthy.align_batch_chunked(
+                   f.batch,
+                   [&](const BatchResultChunk& chunk) {
+                     ++calls;
+                     if (chunk.begin == 20) {
+                       throw std::runtime_error("injected sink fault");
+                     }
+                   }),
+               std::runtime_error);
+  EXPECT_EQ(calls, 2u);
+
+  // The same through the worker pool: chunk [24, 32) is the last one seen.
+  calls = 0;
+  std::size_t last_begin = 0;
+  EXPECT_THROW(software.align_batch_chunked(
+                   f.batch,
+                   [&](const BatchResultChunk& chunk) {
+                     ++calls;
+                     last_begin = chunk.begin;
+                     if (chunk.begin == 24) {
+                       throw std::runtime_error("injected sink fault");
+                     }
+                   },
+                   ParallelOptions{.num_threads = 4, .chunk_size = 8}),
+               std::runtime_error);
+  EXPECT_EQ(calls, 4u);
+  EXPECT_EQ(last_begin, 24u);
+
+  // The engines stay usable after a failed run.
+  std::size_t reads = 0;
+  healthy.align_batch_chunked(f.batch, [&](const BatchResultChunk& chunk) {
+    reads += chunk.size();
+  });
+  EXPECT_EQ(reads, f.batch.size());
 }
 
 }  // namespace

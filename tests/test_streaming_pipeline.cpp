@@ -118,7 +118,7 @@ TEST(StreamingPipeline, ChunkAndBatchSizesDoNotChangeOutput) {
 TEST(StreamingPipeline, SerialEngineRouteMatches) {
   const auto& f = fixture();
   StreamingOptions options;
-  options.parallel.num_threads = 1;  // forces the serial scheduler route
+  options.parallel.num_threads = 1;  // the scheduler runs inline
   options.batch_reads = 64;
   EXPECT_EQ(f.stream_sam(*f.engine, options), f.batch_sam);
 }
@@ -153,10 +153,11 @@ TEST(StreamingPipeline, ShardedEngineStreamsIdentically) {
 
 TEST(StreamingPipeline, BestHitOnlyEmitsOnlyPrimaryRecords) {
   const auto& f = fixture();
-  StreamingOptions options;
-  options.best_hit_only = true;
+  AlignerOptions best_options = f.engine->options();
+  best_options.best_hit_only = true;
+  const SoftwareEngine best_engine(f.fm, best_options);
   StreamingStats stats;
-  const std::string sam = f.stream_sam(*f.engine, options, &stats);
+  const std::string sam = f.stream_sam(best_engine, {}, &stats);
 
   // Exactly the primary/unmapped lines of the full run, same placement and
   // CIGAR (best-hit truncation must keep the same primary hit) — only MAPQ
@@ -316,7 +317,7 @@ TEST(SamWriterChunk, BaseIndexKeepsGlobalReadNumbering) {
   const ChunkSink sink = [&](const BatchResultChunk& chunk) {
     chunk_writer.write_chunk(chunk);
   };
-  f.engine->align_batch_chunked(batch, 4, sink);
+  f.engine->align_batch_chunked(batch, sink, {.chunk_size = 4});
   EXPECT_EQ(chunked.str(), whole.str());
   EXPECT_NE(whole.str().find("read9\t"), std::string::npos);
 }
