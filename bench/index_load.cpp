@@ -180,8 +180,7 @@ int main(int argc, char** argv) {
     const auto reference = genome::generate_reference(spec);
     genome::write_fasta_file(fasta_path, {{"bench", reference, 0}});
     const auto fm = index::FmIndex::build(reference, {.bucket_width = 128});
-    index::save_index_file(artifact, fm, reference,
-                           {{"bench", 0, reference.size()}});
+    index::save_index_file(artifact, fm, {{"bench", 0, reference.size()}});
     return std::uint64_t{1};
   });
   if (!setup.ok) {
@@ -202,7 +201,7 @@ int main(int argc, char** argv) {
   });
   const ModeResult stream = run_mode([&] {
     const auto loaded = index::load_index_file(artifact);
-    return probe(loaded.index, loaded.reference);
+    return probe(loaded.index, loaded.reference());
   });
   const ModeResult mmap_cold = run_mode([&] {
     index::MappedIndexOptions options;

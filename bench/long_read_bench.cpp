@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
         opt.max_diffs = 2;
         opt.max_states = 500000;  // cap pathological blowups
         if (pim::align::inexact_search(fm, read, opt).found()) ++bt_hits;
-        const auto se = pim::align::seed_extend_align(fm, reference, read);
+        const auto se = pim::align::seed_extend_align(fm, read);
         if (se.found() && se.hits[0].ref_begin + 64 >= start &&
             se.hits[0].ref_begin <= start + 64) {
           ++se_hits;
@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
           mutate(read, divergence, rng);
           const auto t0 = std::chrono::steady_clock::now();
           const auto se =
-              pim::align::seed_extend_align(fm, reference, read, options);
+              pim::align::seed_extend_align(fm, read, options);
           cell.ms += ms_since(t0);
           ++cell.reads;
           cell.cells += se.extension_cells;

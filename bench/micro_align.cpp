@@ -1,9 +1,9 @@
 // Micro-benchmarks of the alignment algorithms (google-benchmark):
 // O(m) FM-index backward search versus O(nm) Smith-Waterman — the
-// complexity contrast of Section II — plus the per-call cost of the Occ/LFM
-// kernel, inexact-search cost versus mismatch budget, the effect of
-// lower-bound pruning, and stage two's two host kernels: the D-array and
-// the SAM CIGAR DP.
+// complexity contrast of Section II — plus stage one's early-finishing
+// exact locate, the per-call cost of the Occ/LFM kernel, inexact-search
+// cost versus mismatch budget, the effect of lower-bound pruning, and stage
+// two's two host kernels: the D-array and the SAM CIGAR DP.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -136,6 +136,23 @@ void BM_FmExactSearch(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_FmExactSearch)->Arg(25)->Arg(50)->Arg(100)->Complexity();
+
+// Stage one's search plus locate on the same reads: backward search stops
+// once the interval is one row and the rest of the read is compared with
+// the packed reference, so the cost flattens in m where exact_search's
+// grows linearly.
+void BM_FmExactLocate(benchmark::State& state) {
+  auto& w = workload();
+  const auto read_len = static_cast<std::size_t>(state.range(0));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto read = w.reads[i++ % w.reads.size()];
+    read.resize(read_len);
+    benchmark::DoNotOptimize(pim::align::exact_locate(w.fm, read));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_FmExactLocate)->Arg(25)->Arg(50)->Arg(100)->Complexity();
 
 void BM_SmithWatermanFull(benchmark::State& state) {
   auto& w = workload();

@@ -121,8 +121,7 @@ int run_multi_reference_phase(pim::obs::MetricsRegistry& registry,
     const auto fm =
         index::FmIndex::build(references[r], {.bucket_width = 128});
     const std::string path = "/tmp/pim_serve_" + ids[r] + ".index";
-    index::save_index_file(path, fm, references[r],
-                           {{ids[r], 0, references[r].size()}});
+    index::save_index_file(path, fm, {{ids[r], 0, references[r].size()}});
     cache.add_reference(ids[r], path);
   }
 

@@ -18,9 +18,9 @@
 //
 // --metrics=PATH  installs the S40 observability registry end to end and
 //                 writes the stage-resolved snapshot (stream.*, sched.*,
-//                 shard.*, sam.junction_dropped, plus chip.*/fleet.* with
-//                 --pim-chips) and the fill/align trace as JSON lines to
-//                 PATH after the run.
+//                 shard.*, sam.junction_dropped, search.exact.*, plus
+//                 chip.*/fleet.* with --pim-chips) and the fill/align trace
+//                 as JSON lines to PATH after the run.
 // --pim-chips=N   aligns on a simulated N-chip SOT-MRAM fleet (PimChipFleet)
 //                 instead of software shards. Cycle/energy-accurate and
 //                 correspondingly slow — use small read counts.
@@ -107,7 +107,7 @@ int run(const std::string& ref_path, const std::string& fastq_path,
     std::printf("index built (%zu B resident)\n",
                 fm->memory_footprint().total());
     if (!save_index_path.empty()) {
-      index::save_index_file(save_index_path, built, *reference, chromosomes);
+      index::save_index_file(save_index_path, built, chromosomes);
       std::printf("index saved -> %s\n", save_index_path.c_str());
     }
   }
@@ -194,6 +194,8 @@ int run(const std::string& ref_path, const std::string& fastq_path,
   if (observed) {
     registry.counter("sam.junction_dropped")
         .add(writer.junction_artifacts_dropped());
+    registry.counter("search.exact.searches").add(stats.engine.exact_searches);
+    registry.counter("search.exact.verified").add(stats.engine.exact_verified);
     std::ofstream metrics_out(metrics_path);
     if (!metrics_out) {
       std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());

@@ -54,8 +54,7 @@ int cmd_build(const std::string& fasta_path, const std::string& index_path) {
   const auto fm =
       index::FmIndex::build(multi.concatenated(), {.bucket_width = 128});
   std::printf("  built in %.2f s\n", seconds_since(t0));
-  index::save_index_file(index_path, fm, multi.concatenated(),
-                         multi.chromosomes());
+  index::save_index_file(index_path, fm, multi.chromosomes());
   std::ifstream probe(index_path, std::ios::binary | std::ios::ate);
   std::printf("  saved %s (%lld bytes, format v%u)\n", index_path.c_str(),
               static_cast<long long>(probe.tellg()), index::kIndexVersion);
@@ -97,7 +96,7 @@ int cmd_verify(const std::string& index_path) {
     const auto mapped = index::MappedIndex::open(index_path);
     const double map_s = seconds_since(t1);
     if (mapped.index().num_rows() != loaded.index.num_rows() ||
-        !(mapped.reference() == loaded.reference) ||
+        !(mapped.reference() == loaded.reference()) ||
         mapped.chromosomes().size() != loaded.chromosomes.size()) {
       std::fprintf(stderr, "FAIL: stream and mapped loads disagree\n");
       return 1;

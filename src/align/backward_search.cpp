@@ -11,8 +11,9 @@ ExactResult exact_search(const index::FmIndex& index,
 
 std::vector<std::uint64_t> exact_locate(const index::FmIndex& index,
                                         const std::vector<genome::Base>& read) {
-  const ExactResult result = exact_search(index, read);
-  return index.locate_all(result.interval);
+  std::vector<std::uint64_t> positions;
+  exact_locate_core(index, read, positions);
+  return positions;
 }
 
 std::vector<index::SaInterval> exact_search_trace(

@@ -25,7 +25,9 @@ namespace pim::align {
 ExactResult exact_search(const index::FmIndex& index,
                          const std::vector<genome::Base>& read);
 
-/// All start positions of exact occurrences, sorted.
+/// All start positions of exact occurrences, sorted: stage one's search
+/// (exact_locate_core), which stops walking once the interval is one row
+/// and verifies the rest of the read against index.reference().
 std::vector<std::uint64_t> exact_locate(const index::FmIndex& index,
                                         const std::vector<genome::Base>& read);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <stdexcept>
 
 #include "src/align/search_core.h"
 
@@ -16,6 +15,7 @@ void EngineStats::merge(const EngineStats& other) {
   hits_total += other.hits_total;
   exact_searches += other.exact_searches;
   inexact_searches += other.inexact_searches;
+  exact_verified += other.exact_verified;
   batches += other.batches;
   wall_ms += other.wall_ms;
   result_bytes += other.result_bytes;
@@ -134,15 +134,6 @@ void SoftwareEngine::align_range(const ReadBatch& batch, std::size_t begin,
   }
 }
 
-SeedExtendEngine::SeedExtendEngine(const index::FmIndex& index,
-                                   const genome::PackedSequence& reference,
-                                   SeedExtendOptions options)
-    : index_(&index), reference_(&reference), options_(options) {
-  if (index.reference_size() != reference.size()) {
-    throw std::invalid_argument("SeedExtendEngine: index/reference mismatch");
-  }
-}
-
 void SeedExtendEngine::align_range(const ReadBatch& batch, std::size_t begin,
                                    std::size_t end, BatchResult& out) const {
   detail::TwoStageScratch scratch;
@@ -156,7 +147,7 @@ void SeedExtendEngine::align_range(const ReadBatch& batch, std::size_t begin,
     // best() ranking are honest — and a spurious forward seed chain cannot
     // mask a better reverse-strand placement.
     const SeedExtendResult fwd =
-        seed_extend_align(*index_, *reference_, scratch.read, options_);
+        seed_extend_align(*index_, scratch.read, options_);
     ++out.stats().inexact_searches;
     for (const auto& hit : fwd.hits) {
       scratch.hits.push_back(
@@ -165,7 +156,7 @@ void SeedExtendEngine::align_range(const ReadBatch& batch, std::size_t begin,
     if (options_.both_strands || !fwd.found()) {
       genome::reverse_complement_into(scratch.read, scratch.rc);
       const SeedExtendResult rev =
-          seed_extend_align(*index_, *reference_, scratch.rc, options_);
+          seed_extend_align(*index_, scratch.rc, options_);
       ++out.stats().inexact_searches;
       for (const auto& hit : rev.hits) {
         scratch.hits.push_back(AlignmentHit{hit.ref_begin, hit.edits,
@@ -194,13 +185,13 @@ void SeedExtendEngine::align_range(const ReadBatch& batch, std::size_t begin,
 }
 
 std::vector<std::unique_ptr<AlignmentEngine>> make_seed_extend_shards(
-    const index::FmIndex& index, const genome::PackedSequence& reference,
-    std::size_t count, const SeedExtendOptions& options) {
+    const index::FmIndex& index, std::size_t count,
+    const SeedExtendOptions& options) {
   std::vector<std::unique_ptr<AlignmentEngine>> shards;
   shards.reserve(count);
   for (std::size_t s = 0; s < count; ++s) {
     shards.push_back(
-        std::make_unique<SeedExtendEngine>(index, reference, options));
+        std::make_unique<SeedExtendEngine>(index, options));
   }
   return shards;
 }

@@ -30,7 +30,6 @@
 #include "src/align/read_batch.h"
 #include "src/align/seed_extend.h"
 #include "src/align/types.h"
-#include "src/genome/packed_sequence.h"
 #include "src/index/fm_index.h"
 
 namespace pim::obs {
@@ -199,10 +198,9 @@ class SoftwareEngine final : public AlignmentEngine {
 /// two, mirroring the short-read pipeline's exact/inexact split.
 class SeedExtendEngine final : public AlignmentEngine {
  public:
-  /// `reference` must be the sequence `index` was built over.
-  SeedExtendEngine(const index::FmIndex& index,
-                   const genome::PackedSequence& reference,
-                   SeedExtendOptions options = {});
+  explicit SeedExtendEngine(const index::FmIndex& index,
+                            SeedExtendOptions options = {})
+      : index_(&index), options_(options) {}
 
   std::string_view name() const override { return "seed-extend"; }
   bool thread_safe() const override { return true; }
@@ -213,15 +211,14 @@ class SeedExtendEngine final : public AlignmentEngine {
 
  private:
   const index::FmIndex* index_;
-  const genome::PackedSequence* reference_;
   SeedExtendOptions options_;
 };
 
-/// `count` independent SeedExtendEngine instances over one index/reference
-/// — the shard set ShardedEngine consumes (engines are stateless, so shards
+/// `count` independent SeedExtendEngine instances over one index — the
+/// shard set ShardedEngine consumes (engines are stateless, so shards
 /// differ only in identity).
 std::vector<std::unique_ptr<AlignmentEngine>> make_seed_extend_shards(
-    const index::FmIndex& index, const genome::PackedSequence& reference,
-    std::size_t count, const SeedExtendOptions& options = {});
+    const index::FmIndex& index, std::size_t count,
+    const SeedExtendOptions& options = {});
 
 }  // namespace pim::align

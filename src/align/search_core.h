@@ -20,12 +20,20 @@
 //       extend4(const index::SaInterval&) const;  // [b] == extend(iv, b)
 //   void locate_all_into(const index::SaInterval&,
 //                        std::vector<std::uint64_t>& out) const;  // SA locate
+//   void finish_one_row(const index::SaInterval& row,
+//                       std::span<const genome::Base> prefix,
+//                       std::vector<std::uint64_t>& out) const;
+//       // out = the positions of prefix + (the one row's pattern): what
+//       // extending `row` through `prefix` and locating would give.
+//       // FmIndex verifies against its packed reference; the PIM backend
+//       // runs Algorithm 1's tail (detail::exact_tail).
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -63,7 +71,55 @@ std::vector<index::SaInterval> exact_search_trace_core(
   return trace;
 }
 
+/// Stage one: Algorithm 1 plus SA locate, finished early. Backward search
+/// runs until the interval holds one row while rest = m - k bases are still
+/// unmatched; the backend then finishes that row (finish_one_row), which
+/// gives the same positions as walking on: every occurrence of the read at
+/// p puts its matched k-base suffix at p + rest, the one row. The sentinel's
+/// row never starts with a base, so the row is a real suffix for k >= 1.
+/// `positions` receives the sorted start positions. Returns true when the
+/// search was finished on a one-row interval.
+template <typename Backend>
+bool exact_locate_core(const Backend& backend,
+                       const std::vector<genome::Base>& read,
+                       std::vector<std::uint64_t>& positions) {
+  index::SaInterval interval = backend.whole_interval();
+  for (std::size_t rest = read.size(); rest-- > 0;) {
+    interval = backend.extend(interval, read[rest]);
+    if (!interval.valid()) {
+      positions.clear();
+      return false;
+    }
+    if (rest > 0 && interval.count() == 1) {
+      backend.finish_one_row(
+          interval, std::span<const genome::Base>(read.data(), rest),
+          positions);
+      return true;
+    }
+  }
+  backend.locate_all_into(interval, positions);
+  return false;
+}
+
 namespace detail {
+
+/// Algorithm 1's tail from an interval with `prefix` still unmatched: the
+/// remaining backward extensions, then SA locate into `out` (empty when the
+/// interval collapses). A backend without the reference finishes a one-row
+/// interval with this.
+template <typename Backend>
+void exact_tail(const Backend& backend, index::SaInterval interval,
+                std::span<const genome::Base> prefix,
+                std::vector<std::uint64_t>& out) {
+  for (std::size_t k = prefix.size(); k-- > 0;) {
+    interval = backend.extend(interval, prefix[k]);
+    if (!interval.valid()) {
+      out.clear();
+      return;
+    }
+  }
+  backend.locate_all_into(interval, out);
+}
 
 /// Does pattern[begin..end] (inclusive) occur exactly?
 template <typename Backend>
@@ -282,12 +338,14 @@ struct TwoStageScratch {
 /// The two-stage pipeline (Section III), the one place that decides stage
 /// order, strand order, the max_hits cut, hit ordering and search counting.
 /// Stage one searches the read, then (unless the forward strand already
-/// filled max_hits) its reverse complement, exactly; reads without an exact
-/// hit go through stage two's inexact search in the same strand order. On
-/// return scratch.hits holds the read's hits sorted by position; `stats`
-/// (may be null) counts the strand searches actually issued. An empty read
-/// is unaligned without any search: the empty pattern "matches" every BWT
-/// row, sentinel included, which is no placement.
+/// filled max_hits) its reverse complement, exactly, with
+/// exact_locate_core; reads without an exact hit go through stage two's
+/// inexact search in the same strand order. On return scratch.hits holds
+/// the read's hits sorted by position; `stats` (may be null) counts the
+/// strand searches actually issued, and the stage-one searches finished on
+/// a one-row interval (exact_verified). An empty read is unaligned without
+/// any search: the empty pattern "matches" every BWT row, sentinel
+/// included, which is no placement.
 template <typename Backend>
 AlignmentStage align_two_stage(const Backend& backend,
                                const AlignerOptions& options,
@@ -301,10 +359,12 @@ AlignmentStage align_two_stage(const Backend& backend,
   };
   const auto exact = [&](const std::vector<genome::Base>& oriented,
                          Strand strand) {
-    if (stats != nullptr) ++stats->exact_searches;
-    const ExactResult result = exact_search_core(backend, oriented);
-    if (!result.found()) return;
-    backend.locate_all_into(result.interval, scratch.positions);
+    const bool verified =
+        exact_locate_core(backend, oriented, scratch.positions);
+    if (stats != nullptr) {
+      ++stats->exact_searches;
+      if (verified) ++stats->exact_verified;
+    }
     for (const auto pos : scratch.positions) {
       hits.push_back(AlignmentHit{pos, 0, strand});
       if (full()) return;

@@ -1,7 +1,5 @@
 #include "src/align/seed_extend.h"
 
-#include <stdexcept>
-
 #include "src/align/backward_search.h"
 
 namespace pim::align {
@@ -31,13 +29,10 @@ const char* to_string(ExtensionKernel kernel) {
 }
 
 SeedExtendResult seed_extend_align(const index::FmIndex& index,
-                                   const genome::PackedSequence& reference,
                                    const std::vector<genome::Base>& read,
                                    const SeedExtendOptions& options) {
-  if (index.reference_size() != reference.size()) {
-    throw std::invalid_argument("seed_extend: index/reference mismatch");
-  }
-  return seed_extend_core(FmSearcher{&index}, reference, read, options);
+  return seed_extend_core(FmSearcher{&index}, index.reference(), read,
+                          options);
 }
 
 }  // namespace pim::align

@@ -83,10 +83,9 @@ struct SeedExtendResult {
   bool found() const { return !hits.empty(); }
 };
 
-/// Align a (long) read by seeding + banded extension. `reference` must be
-/// the sequence the index was built over (needed for SW verification).
+/// Align a (long) read by seeding + banded extension; candidates are
+/// verified against index.reference().
 SeedExtendResult seed_extend_align(const index::FmIndex& index,
-                                   const genome::PackedSequence& reference,
                                    const std::vector<genome::Base>& read,
                                    const SeedExtendOptions& options = {});
 

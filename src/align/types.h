@@ -102,6 +102,10 @@ struct EngineStats {
   /// only runs for stage-one misses.
   std::uint64_t exact_searches = 0;
   std::uint64_t inexact_searches = 0;
+  /// Stage-one strand searches finished on a one-row interval (the rest of
+  /// the read verified against the reference, or walked to the end on the
+  /// PIM backend) rather than by backward search alone. Backend-independent.
+  std::uint64_t exact_verified = 0;
   std::uint64_t batches = 0;
   double wall_ms = 0.0;            ///< align_batch / scheduler wall time.
   std::uint64_t result_bytes = 0;  ///< BatchResult arena footprint.

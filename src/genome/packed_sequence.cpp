@@ -1,5 +1,6 @@
 #include "src/genome/packed_sequence.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace pim::genome {
@@ -55,6 +56,31 @@ void PackedSequence::set(std::size_t i, Base b) {
   auto& words = words_.vec();
   words[i >> 5] &= ~(std::uint64_t{0b11} << shift);
   words[i >> 5] |= static_cast<std::uint64_t>(b) << shift;
+}
+
+bool PackedSequence::matches_at(std::size_t pos,
+                                std::span<const Base> bases) const {
+  if (pos > size_ || bases.size() > size_ - pos) return false;
+  const std::uint64_t* words = words_.data();
+  for (std::size_t done = 0; done < bases.size(); done += 32) {
+    const std::size_t lanes = std::min<std::size_t>(32, bases.size() - done);
+    std::uint64_t query = 0;
+    for (std::size_t j = 0; j < lanes; ++j) {
+      query |= static_cast<std::uint64_t>(bases[done + j]) << (2 * j);
+    }
+    // The sequence's 32 lanes from `at`, spliced from two words when `at`
+    // is not word-aligned (the second word exists whenever a lane needs it).
+    const std::size_t at = pos + done;
+    const std::size_t w = at >> 5;
+    const std::size_t shift = (at & 31) * 2;
+    std::uint64_t text = words[w] >> shift;
+    if (shift != 0 && w + 1 < words_.size()) {
+      text |= words[w + 1] << (64 - shift);
+    }
+    const std::uint64_t mask = lanes == 32 ? ~0ULL : (1ULL << (2 * lanes)) - 1;
+    if (((text ^ query) & mask) != 0) return false;
+  }
+  return true;
 }
 
 std::vector<Base> PackedSequence::slice(std::size_t begin, std::size_t end) const {

@@ -53,6 +53,12 @@ class PackedSequence {
   void push_back(Base b);
   void set(std::size_t i, Base b);
 
+  /// True iff bases [pos, pos + bases.size()) equal `bases` (false when the
+  /// range runs past the end). Word-parallel: each group of 32 query bases
+  /// is packed into one word and XOR-compared with the 32 lanes of the
+  /// sequence starting at its offset.
+  bool matches_at(std::size_t pos, std::span<const Base> bases) const;
+
   /// Copy of the half-open range [begin, end) as unpacked bases.
   std::vector<Base> slice(std::size_t begin, std::size_t end) const;
   std::vector<Base> unpack() const { return slice(0, size_); }

@@ -15,6 +15,11 @@ FmIndex FmIndex::build_from_sa(const genome::PackedSequence& reference,
                                const FmIndexConfig& config) {
   FmIndex index;
   index.config_ = config;
+  // Always an owned copy: a borrowed (mapped) input must not leave the
+  // index pointing into a mapping it does not own.
+  const auto words = reference.words();
+  index.reference_ = genome::PackedSequence::from_words(
+      std::vector<std::uint64_t>(words.begin(), words.end()), reference.size());
   index.bwt_ = build_bwt(reference, sa);
   index.counts_ = CountTable(index.bwt_);
   index.markers_ = MarkerTable(index.bwt_, index.counts_, config.bucket_width);
@@ -23,11 +28,16 @@ FmIndex FmIndex::build_from_sa(const genome::PackedSequence& reference,
   return index;
 }
 
-FmIndex FmIndex::from_parts(const FmIndexConfig& config, Bwt bwt,
+FmIndex FmIndex::from_parts(const FmIndexConfig& config,
+                            genome::PackedSequence reference, Bwt bwt,
                             CountTable counts, MarkerTable markers,
                             SampledSuffixArray sampled_sa) {
   if (bwt.size() == 0) {
     throw std::invalid_argument("FmIndex::from_parts: empty BWT");
+  }
+  if (reference.size() != bwt.size() - 1) {
+    throw std::invalid_argument(
+        "FmIndex::from_parts: reference length != BWT rows - 1");
   }
   if (bwt.primary >= bwt.size()) {
     throw std::invalid_argument(
@@ -47,6 +57,7 @@ FmIndex FmIndex::from_parts(const FmIndexConfig& config, Bwt bwt,
   }
   FmIndex index;
   index.config_ = config;
+  index.reference_ = std::move(reference);
   index.bwt_ = std::move(bwt);
   index.counts_ = std::move(counts);
   index.markers_ = std::move(markers);
@@ -76,6 +87,18 @@ void FmIndex::locate_all_into(const SaInterval& interval,
     out.push_back(locate(static_cast<std::size_t>(row)));
   }
   std::sort(out.begin(), out.end());
+}
+
+void FmIndex::finish_one_row(const SaInterval& row,
+                             std::span<const genome::Base> prefix,
+                             std::vector<std::uint64_t>& out) const {
+  out.clear();
+  const std::uint64_t q = locate(static_cast<std::size_t>(row.low));
+  if (q < prefix.size()) return;
+  const std::uint64_t p = q - prefix.size();
+  if (reference_.matches_at(static_cast<std::size_t>(p), prefix)) {
+    out.push_back(p);
+  }
 }
 
 FmIndex::MemoryFootprint FmIndex::memory_footprint() const {

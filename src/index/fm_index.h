@@ -5,10 +5,17 @@
 // ("only BWT, Marker Table (MT), and SA will be stored in the memory").
 // The full Occ table is never kept; occ() is always computed as
 // marker + count_match, the decomposition the hardware executes.
+//
+// The index also carries the 2-bit-packed reference it was built over
+// (owned after a build, borrowed from a mapped artifact after a load).
+// The host uses it to finish an exact search whose interval is down to one
+// row (finish_one_row); the paper's memory image, and memory_footprint(),
+// stay BWT + MT + SA.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/genome/packed_sequence.h"
@@ -54,18 +61,23 @@ class FmIndex {
                                const FmIndexConfig& config = {});
 
   /// Reassemble from persisted structures without rebuilding anything —
-  /// the zero-copy load path (S42): every part may borrow its buffers from
-  /// a mapped index artifact. Performs structural consistency checks
-  /// (marker row count, sampled-row count, primary in range) and throws
+  /// the zero-copy load path (S42): every part, the reference text
+  /// included, may borrow its buffers from a mapped index artifact.
+  /// Performs structural consistency checks (text length, marker row
+  /// count, sampled-row count, primary in range) and throws
   /// std::invalid_argument on mismatch; it does NOT re-derive the parts, so
   /// a checksummed artifact is the integrity story.
-  static FmIndex from_parts(const FmIndexConfig& config, Bwt bwt,
+  static FmIndex from_parts(const FmIndexConfig& config,
+                            genome::PackedSequence reference, Bwt bwt,
                             CountTable counts, MarkerTable markers,
                             SampledSuffixArray sampled_sa);
 
   /// Number of bases in the reference (n); BWT rows are n+1.
   std::uint64_t reference_size() const { return bwt_.size() - 1; }
   std::uint64_t num_rows() const { return bwt_.size(); }
+
+  /// The packed reference the index was built over (n bases).
+  const genome::PackedSequence& reference() const { return reference_; }
 
   const Bwt& bwt() const { return bwt_; }
   const CountTable& counts() const { return counts_; }
@@ -118,6 +130,16 @@ class FmIndex {
   void locate_all_into(const SaInterval& interval,
                        std::vector<std::uint64_t>& out) const;
 
+  /// Finish a backward search whose interval `row` holds exactly one row
+  /// while the read's first `prefix.size()` bases are still unmatched:
+  /// locate the row's text position q and compare `prefix` with
+  /// T[q - |prefix|, q) over the packed reference. `out` becomes
+  /// {q - |prefix|} on a match and empty otherwise — the same answer as
+  /// extending through `prefix` and locating the result.
+  void finish_one_row(const SaInterval& row,
+                      std::span<const genome::Base> prefix,
+                      std::vector<std::uint64_t>& out) const;
+
   /// Memory footprint of the persisted structures, for Fig. 10a-style
   /// accounting (scaled analytically to Hg19 in the chip model).
   struct MemoryFootprint {
@@ -130,6 +152,7 @@ class FmIndex {
 
  private:
   FmIndexConfig config_;
+  genome::PackedSequence reference_;
   Bwt bwt_;
   CountTable counts_;
   MarkerTable markers_;

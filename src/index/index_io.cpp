@@ -158,8 +158,7 @@ LoadedIndex load_index_v1(std::istream& in, std::uint64_t hash,
 
   const auto rebuild_start = std::chrono::steady_clock::now();
   LoadedIndex loaded;
-  loaded.reference = std::move(reference);
-  loaded.index = FmIndex::build_from_sa(loaded.reference, sa, config);
+  loaded.index = FmIndex::build_from_sa(reference, sa, config);
   if (metrics != nullptr) {
     metrics->histogram("index.load.read_ms").observe(read_ms);
     metrics->histogram("index.load.rebuild_ms").observe(ms_since(rebuild_start));
@@ -204,12 +203,8 @@ struct SectionPayload {
   std::uint64_t bytes;
 };
 
-void check_save_args(const FmIndex& index,
-                     const genome::PackedSequence& reference,
+void check_save_args(const genome::PackedSequence& reference,
                      const std::vector<genome::Chromosome>& chromosomes) {
-  if (index.reference_size() != reference.size()) {
-    throw std::invalid_argument("save_index: index/reference size mismatch");
-  }
   if (reference.empty()) {
     throw std::invalid_argument("save_index: empty reference");
   }
@@ -390,7 +385,7 @@ LoadedIndex assemble_v2(const FileHeaderV2& header,
   }
   try {
     LoadedIndex loaded;
-    loaded.reference = genome::PackedSequence::from_words(
+    auto reference = genome::PackedSequence::from_words(
         std::move(reference_words), static_cast<std::size_t>(n));
     Bwt bwt;
     bwt.symbols = genome::PackedSequence::from_words(
@@ -411,7 +406,8 @@ LoadedIndex assemble_v2(const FileHeaderV2& header,
     config.bucket_width = header.bucket_width;
     config.sa_sample_rate = header.sa_sample_rate;
     loaded.index = FmIndex::from_parts(
-        config, std::move(bwt), CountTable(counts, occurrences),
+        config, std::move(reference), std::move(bwt),
+        CountTable(counts, occurrences),
         MarkerTable::from_parts(header.bucket_width, std::move(markers)),
         std::move(sampled_sa));
     loaded.chromosomes = std::move(chromosomes);
@@ -429,9 +425,9 @@ LoadedIndex assemble_v2(const FileHeaderV2& header,
 // v2 writer.
 
 void save_index(std::ostream& out, const FmIndex& index,
-                const genome::PackedSequence& reference,
                 const std::vector<genome::Chromosome>& chromosomes) {
-  check_save_args(index, reference, chromosomes);
+  const genome::PackedSequence& reference = index.reference();
+  check_save_args(reference, chromosomes);
 
   FileHeaderV2 header;
   header.magic = kIndexMagic;
@@ -496,7 +492,6 @@ void save_index(std::ostream& out, const FmIndex& index,
 }
 
 void save_index_file(const std::string& path, const FmIndex& index,
-                     const genome::PackedSequence& reference,
                      const std::vector<genome::Chromosome>& chromosomes) {
   // Write a sibling temporary, then rename it over `path`. The rename is
   // atomic within a directory, so a process that still has the old artifact
@@ -506,7 +501,7 @@ void save_index_file(const std::string& path, const FmIndex& index,
     {
       std::ofstream out(tmp, std::ios::binary);
       if (!out) fail("cannot open " + tmp);
-      save_index(out, index, reference, chromosomes);
+      save_index(out, index, chromosomes);
       out.close();
       if (!out) fail("write failed");
     }
@@ -519,11 +514,8 @@ void save_index_file(const std::string& path, const FmIndex& index,
   }
 }
 
-void save_index_v1(std::ostream& out, const FmIndex& index,
-                   const genome::PackedSequence& reference) {
-  if (index.reference_size() != reference.size()) {
-    throw std::invalid_argument("save_index: index/reference size mismatch");
-  }
+void save_index_v1(std::ostream& out, const FmIndex& index) {
+  const genome::PackedSequence& reference = index.reference();
   std::uint64_t hash = kFnvOffset;
   write_pod_v1(out, kIndexMagic, hash);
   write_pod_v1(out, kIndexVersionV1, hash);

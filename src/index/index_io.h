@@ -41,34 +41,33 @@ inline constexpr std::uint32_t kIndexMagic = 0x50494D41;  // "PIMA"
 inline constexpr std::uint32_t kIndexVersionV1 = 1;
 inline constexpr std::uint32_t kIndexVersion = 2;
 
-/// Serialize to a binary stream in format v2. `chromosomes` (optional) is
-/// the per-chromosome coordinate table of a MultiReference built over
-/// `reference`; pass multi.chromosomes() to make the artifact round-trip a
-/// multi-reference. Throws std::runtime_error on I/O failure,
-/// std::invalid_argument on an index/reference mismatch, an empty
-/// reference, or a chromosome table that does not tile the reference
+/// Serialize to a binary stream in format v2; the reference section is
+/// index.reference(). `chromosomes` (optional) is the per-chromosome
+/// coordinate table of a MultiReference the index was built over; pass
+/// multi.chromosomes() to make the artifact round-trip a multi-reference.
+/// Throws std::runtime_error on I/O failure, std::invalid_argument on an
+/// empty reference or a chromosome table that does not tile the reference
 /// (genome::validate_chromosomes).
 void save_index(std::ostream& out, const FmIndex& index,
-                const genome::PackedSequence& reference,
                 const std::vector<genome::Chromosome>& chromosomes = {});
 /// File form of save_index. Writes `path`.tmp and renames it over `path`,
 /// so a reader that has the old artifact mapped keeps a valid mapping.
 void save_index_file(const std::string& path, const FmIndex& index,
-                     const genome::PackedSequence& reference,
                      const std::vector<genome::Chromosome>& chromosomes = {});
 
 /// The legacy v1 writer (BWT + full SA dump; marker/count tables rebuilt at
 /// load). Kept so the v1 load path stays testable; new artifacts should be
 /// v2.
-void save_index_v1(std::ostream& out, const FmIndex& index,
-                   const genome::PackedSequence& reference);
+void save_index_v1(std::ostream& out, const FmIndex& index);
 
 struct LoadedIndex {
   FmIndex index;
-  genome::PackedSequence reference;
   /// Per-chromosome table when the artifact stored one (v2), else empty.
-  /// A stored table always tiles `reference` (both loaders validate it).
+  /// A stored table always tiles reference() (both loaders validate it).
   std::vector<genome::Chromosome> chromosomes;
+
+  /// The reference the index carries; the loader keeps no second copy.
+  const genome::PackedSequence& reference() const { return index.reference(); }
 };
 
 /// Deserialize either format version into owned structures. Throws

@@ -104,7 +104,7 @@ void MappedIndex::unmap() noexcept {
 
 std::uint64_t MappedIndex::resident_bytes() const {
   if (mapped()) return map_bytes_;
-  return loaded_.reference.memory_bytes() +
+  return loaded_.reference().memory_bytes() +
          loaded_.index.memory_footprint().total();
 }
 

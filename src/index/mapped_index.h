@@ -58,7 +58,9 @@ class MappedIndex {
                           obs::MetricsRegistry* metrics = nullptr);
 
   const FmIndex& index() const { return loaded_.index; }
-  const genome::PackedSequence& reference() const { return loaded_.reference; }
+  const genome::PackedSequence& reference() const {
+    return loaded_.reference();
+  }
   const std::vector<genome::Chromosome>& chromosomes() const {
     return loaded_.chromosomes;
   }

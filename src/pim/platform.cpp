@@ -135,14 +135,16 @@ struct HwSearcher {
 }  // namespace
 
 align::SeedExtendResult seed_extend_hw(
-    PimAlignerPlatform& platform, const genome::PackedSequence& reference,
-    const std::vector<genome::Base>& read,
+    PimAlignerPlatform& platform, const std::vector<genome::Base>& read,
     const align::SeedExtendOptions& options) {
-  if (platform.fm().reference_size() != reference.size()) {
-    throw std::invalid_argument("seed_extend_hw: platform/reference mismatch");
-  }
-  return align::seed_extend_core(HwSearcher{&platform}, reference, read,
-                                 options);
+  return align::seed_extend_core(HwSearcher{&platform},
+                                 platform.fm().reference(), read, options);
+}
+
+void PimSearchBackend::finish_one_row(const index::SaInterval& row,
+                                      std::span<const genome::Base> prefix,
+                                      std::vector<std::uint64_t>& out) const {
+  align::detail::exact_tail(*this, row, prefix, out);
 }
 
 PimAlignerPlatform::AggregateStats PimAlignerPlatform::aggregate_stats() const {

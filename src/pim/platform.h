@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/align/seed_extend.h"
@@ -133,11 +134,10 @@ class PimAlignerPlatform {
 /// Seed-and-extend long-read alignment driven by the platform's in-memory
 /// primitives: each 20-bp seed is an exact backward search on the
 /// sub-arrays, SA lookups go through the (charged) SA region, and only the
-/// final banded verification runs on the host/DPU. `reference` must be the
-/// sequence the platform's index was built over.
+/// final banded verification runs on the host/DPU, against
+/// platform.fm().reference().
 align::SeedExtendResult seed_extend_hw(
-    PimAlignerPlatform& platform, const genome::PackedSequence& reference,
-    const std::vector<genome::Base>& read,
+    PimAlignerPlatform& platform, const std::vector<genome::Base>& read,
     const align::SeedExtendOptions& options = {});
 
 /// Thin const adapter satisfying the search-core Backend concept while
@@ -169,6 +169,13 @@ class PimSearchBackend {
                        std::vector<std::uint64_t>& out) const {
     out = platform_->locate_all(interval);
   }
+  /// Finishes a one-row interval as Algorithm 1 does: the remaining
+  /// extend_hw steps, then the charged locate. The paper's memory holds
+  /// only BWT, MT and SA, so the platform has no reference to verify
+  /// against, and it issues and charges exactly Algorithm 1's operations.
+  void finish_one_row(const index::SaInterval& row,
+                      std::span<const genome::Base> prefix,
+                      std::vector<std::uint64_t>& out) const;
 
  private:
   PimAlignerPlatform* platform_;

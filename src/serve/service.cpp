@@ -18,7 +18,7 @@ std::unique_ptr<align::AlignmentEngine> make_lane_engine(
   switch (options.engine_kind) {
     case LaneEngineKind::kSeedExtend:
       return std::make_unique<align::SeedExtendEngine>(
-          pinned.index(), pinned.reference(), options.seed_extend);
+          pinned.index(), options.seed_extend);
     case LaneEngineKind::kTwoStage:
       break;
   }

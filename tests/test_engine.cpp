@@ -181,6 +181,10 @@ TEST(Engine, PimEngineBitIdenticalToSoftwareEngine) {
     EXPECT_EQ(report.stats.hits_total, want.hits_total);
     EXPECT_EQ(report.stats.exact_searches, want.exact_searches);
     EXPECT_EQ(report.stats.inexact_searches, want.inexact_searches);
+    // The software backend verifies a one-row interval against the
+    // reference; the PIM backend walks it to the end. Same count either way.
+    EXPECT_EQ(report.stats.exact_verified, want.exact_verified);
+    EXPECT_GT(want.exact_verified, 0u);
     if (max_hits == 1) {
       EXPECT_LT(want.exact_searches, 2 * want.reads_total);
     }
@@ -251,6 +255,8 @@ TEST(Engine, ChunkedParallelDeterministicAcrossThreadAndChunkCounts) {
                 serial.stats().exact_searches);
       EXPECT_EQ(parallel.stats().inexact_searches,
                 serial.stats().inexact_searches);
+      EXPECT_EQ(parallel.stats().exact_verified,
+                serial.stats().exact_verified);
     }
   }
 }
@@ -339,7 +345,7 @@ TEST(Engine, SeedExtendEngineAlignsLongReads) {
   }
   const auto batch = builder.build();
 
-  const SeedExtendEngine engine(fm, reference);
+  const SeedExtendEngine engine(fm);
   BatchResult result;
   engine.align_batch(batch, result);
 
@@ -380,7 +386,7 @@ TEST(Engine, SeedExtendEngineReportsHonestDiffs) {
        {ExtensionKernel::kBandedSw, ExtensionKernel::kWfa}) {
     SeedExtendOptions opt;
     opt.kernel = kernel;
-    const SeedExtendEngine engine(fm, reference, opt);
+    const SeedExtendEngine engine(fm, opt);
     BatchResult result;
     engine.align_batch(batch, result);
     ASSERT_EQ(result.size(), 2U);
@@ -438,7 +444,7 @@ TEST(Engine, SeedExtendBothStrandsSurvivesForwardDecoy) {
   builder.add(read);
   const auto batch = builder.build();
 
-  const SeedExtendEngine both(fm, reference);  // both_strands defaults on
+  const SeedExtendEngine both(fm);  // both_strands defaults on
   BatchResult result;
   both.align_batch(batch, result);
   ASSERT_TRUE(result.aligned(0));
@@ -463,7 +469,7 @@ TEST(Engine, SeedExtendBothStrandsSurvivesForwardDecoy) {
   // pins down.
   SeedExtendOptions forward_first;
   forward_first.both_strands = false;
-  const SeedExtendEngine legacy(fm, reference, forward_first);
+  const SeedExtendEngine legacy(fm, forward_first);
   BatchResult legacy_result;
   legacy.align_batch(batch, legacy_result);
   ASSERT_TRUE(legacy_result.aligned(0));
@@ -501,13 +507,13 @@ TEST(Sharded, SeedExtendShardsBitIdenticalToUnsharded) {
        {ExtensionKernel::kBandedSw, ExtensionKernel::kWfa}) {
     SeedExtendOptions opt;
     opt.kernel = kernel;
-    const SeedExtendEngine unsharded(fm, reference, opt);
+    const SeedExtendEngine unsharded(fm, opt);
     BatchResult want;
     unsharded.align_batch(batch, want);
 
     for (const std::size_t shards : {1u, 3u}) {
       const ShardedEngine engine(
-          make_seed_extend_shards(fm, reference, shards, opt));
+          make_seed_extend_shards(fm, shards, opt));
       BatchResult got;
       engine.align_batch(batch, got);
       ASSERT_EQ(got.size(), want.size()) << to_string(kernel);
@@ -556,6 +562,7 @@ TEST(Sharded, BitIdenticalToUnshardedAcrossShardCounts) {
     EXPECT_EQ(got.stats().reads_unaligned, want.stats().reads_unaligned);
     EXPECT_EQ(got.stats().exact_searches, want.stats().exact_searches);
     EXPECT_EQ(got.stats().inexact_searches, want.stats().inexact_searches);
+    EXPECT_EQ(got.stats().exact_verified, want.stats().exact_verified);
 
     // Per-chip breakdown: every read and hit is attributed to exactly one
     // shard, each shard holding exactly its partition() range.
@@ -910,12 +917,12 @@ TEST(Sharded, RebalancedShardWeightsMath) {
 }
 
 TEST(Engine, MergeCoversEveryStatsField) {
-  // Size gate (S40 satellite): EngineStats is 12 8-byte fields. Adding a
+  // Size gate (S40 satellite): EngineStats is 13 8-byte fields. Adding a
   // field without teaching merge() — the historical failure mode: counters
   // added after S37 were silently dropped on every merge path — changes the
   // size and fails this assert, forcing merge(), this test, and the
   // accounting paths to move together.
-  static_assert(sizeof(EngineStats) == 12 * sizeof(std::uint64_t),
+  static_assert(sizeof(EngineStats) == 13 * sizeof(std::uint64_t),
                 "EngineStats changed shape: update EngineStats::merge() and "
                 "the per-field checks below in the same change");
 
@@ -927,6 +934,7 @@ TEST(Engine, MergeCoversEveryStatsField) {
   a.hits_total = 5;
   a.exact_searches = 6;
   a.inexact_searches = 7;
+  a.exact_verified = 13;
   a.batches = 8;
   a.wall_ms = 9.5;
   a.result_bytes = 10;
@@ -941,6 +949,7 @@ TEST(Engine, MergeCoversEveryStatsField) {
   b.hits_total = 500;
   b.exact_searches = 600;
   b.inexact_searches = 700;
+  b.exact_verified = 1300;
   b.batches = 800;
   b.wall_ms = 900.25;
   b.result_bytes = 1000;
@@ -955,6 +964,7 @@ TEST(Engine, MergeCoversEveryStatsField) {
   EXPECT_EQ(a.hits_total, 505u);
   EXPECT_EQ(a.exact_searches, 606u);
   EXPECT_EQ(a.inexact_searches, 707u);
+  EXPECT_EQ(a.exact_verified, 1313u);
   EXPECT_EQ(a.batches, 808u);
   EXPECT_DOUBLE_EQ(a.wall_ms, 909.75);
   EXPECT_EQ(a.result_bytes, 1010u);

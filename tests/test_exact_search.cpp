@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
 #include <string>
 
+#include "src/align/engine.h"
 #include "src/align/naive_search.h"
 #include "src/genome/synthetic_genome.h"
+#include "src/index/index_io.h"
+#include "src/index/mapped_index.h"
 #include "src/util/rng.h"
+#include "tests/temp_dir.h"
 
 namespace pim::align {
 namespace {
@@ -125,6 +131,175 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ExactSearchProperty,
     ::testing::Values(ExactParam{1, 1}, ExactParam{16, 2}, ExactParam{64, 3},
                       ExactParam{128, 4}, ExactParam{128, 5}));
+
+// Stage one stops walking once the interval is one row and verifies the
+// rest of the read against the reference. These cases hold the engine at
+// max_diffs = 0, max_hits = 0 to Algorithm 1 + locate_all on both strands.
+
+/// Algorithm 1 (walked to the end) plus SA locate: the stage-one oracle.
+std::vector<std::uint64_t> algorithm_one(const index::FmIndex& fm,
+                                         const std::vector<Base>& read) {
+  const ExactResult result = exact_search(fm, read);
+  if (!result.found()) return {};
+  return fm.locate_all(result.interval);
+}
+
+/// Runs the engine over `reads` and checks every read's hits, strand by
+/// strand, against the oracle. Returns the engine's stats.
+EngineStats expect_engine_matches_algorithm_one(
+    const index::FmIndex& fm, const std::vector<std::vector<Base>>& reads) {
+  AlignerOptions options;
+  options.inexact.max_diffs = 0;
+  options.max_hits = 0;
+  BatchResult result;
+  SoftwareEngine(fm, options).align_batch(ReadBatch::from_reads(reads), result);
+  EXPECT_EQ(result.size(), reads.size());
+  for (std::size_t i = 0; i < reads.size() && i < result.size(); ++i) {
+    const auto want_fwd = algorithm_one(fm, reads[i]);
+    const auto want_rc =
+        algorithm_one(fm, genome::reverse_complement(reads[i]));
+    std::vector<std::uint64_t> got_fwd, got_rc;
+    for (const auto& hit : result.hits(i)) {
+      EXPECT_EQ(hit.diffs, 0U);
+      (hit.strand == Strand::kForward ? got_fwd : got_rc)
+          .push_back(hit.position);
+    }
+    std::sort(got_fwd.begin(), got_fwd.end());
+    std::sort(got_rc.begin(), got_rc.end());
+    EXPECT_EQ(got_fwd, want_fwd) << "read " << i << " forward";
+    EXPECT_EQ(got_rc, want_rc) << "read " << i << " reverse complement";
+    EXPECT_EQ(exact_locate(fm, reads[i]), want_fwd) << "read " << i;
+    const bool any = !want_fwd.empty() || !want_rc.empty();
+    EXPECT_EQ(result.stage(i),
+              any ? AlignmentStage::kExact : AlignmentStage::kUnaligned)
+        << "read " << i;
+  }
+  EXPECT_EQ(result.stats().exact_searches, 2 * reads.size());
+  return result.stats();
+}
+
+/// Random reference with exact tandem duplicates appended: three copies of
+/// one 400-bp block, so intervals over it stay three rows past mid-read.
+PackedSequence with_tandem_duplicates(PackedSequence text,
+                                      std::uint64_t seed) {
+  const auto block = genome::generate_uniform(400, seed).unpack();
+  for (int copy = 0; copy < 3; ++copy) {
+    for (const auto b : block) text.push_back(b);
+  }
+  return text;
+}
+
+/// Planted reads (30 and 100 bp), the text ends, a mismatch at read[0],
+/// m = 1, and random reads.
+std::vector<std::vector<Base>> stage_one_reads(const PackedSequence& text,
+                                               std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  const std::size_t n = text.size();
+  std::vector<std::vector<Base>> reads;
+  for (int i = 0; i < 150; ++i) {
+    const std::size_t m = i % 2 == 0 ? 100 : 30;
+    const std::size_t start = rng.bounded(n - m + 1);
+    reads.push_back(text.slice(start, start + m));
+  }
+  for (const std::size_t m : {1u, 30u, 100u}) {
+    reads.push_back(text.slice(0, m));      // p = 0
+    reads.push_back(text.slice(n - m, n));  // p = n - m
+  }
+  for (int i = 0; i < 20; ++i) {
+    // Only read[0] differs from the text: the last compared base decides.
+    const std::size_t start = rng.bounded(n - 100 + 1);
+    auto read = text.slice(start, start + 100);
+    read[0] = static_cast<Base>((static_cast<int>(read[0]) + 1 + i % 3) % 4);
+    reads.push_back(std::move(read));
+  }
+  for (int i = 0; i < 20; ++i) {
+    std::vector<Base> read(30 + rng.bounded(70));
+    for (auto& b : read) b = static_cast<Base>(rng.bounded(4));
+    reads.push_back(std::move(read));
+  }
+  return reads;
+}
+
+TEST(StageOneEquivalence, RandomAndRepeatRichReferences) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    genome::SyntheticGenomeSpec spec;
+    spec.length = 60000;
+    spec.seed = seed;
+    spec.repeat_fraction = 0.6;
+    spec.repeat_divergence = 0.002;
+    const PackedSequence repeats =
+        with_tandem_duplicates(genome::generate_reference(spec), seed + 10);
+    const PackedSequence random = genome::generate_uniform(20000, seed);
+    for (const PackedSequence* text : {&random, &repeats}) {
+      const auto fm = index::FmIndex::build(*text, {.bucket_width = 128});
+      const EngineStats stats =
+          expect_engine_matches_algorithm_one(fm, stage_one_reads(*text, seed));
+      // The one-row path ran, and not for every search.
+      EXPECT_GT(stats.exact_verified, 0U);
+      EXPECT_LT(stats.exact_verified, stats.exact_searches);
+    }
+  }
+}
+
+TEST(StageOneEquivalence, SuffixBeforeRestAndReadsLongerThanText) {
+  const PackedSequence text = genome::generate_uniform(3000, 7);
+  const auto fm = index::FmIndex::build(text, {.bucket_width = 64});
+  std::vector<std::vector<Base>> reads;
+  // The read's suffix is T[0, 40), unique, so its row sits at q < rest: no
+  // placement fits before the text start.
+  auto prefix = genome::generate_uniform(20, 8).unpack();
+  auto suffix = text.slice(0, 40);
+  prefix.insert(prefix.end(), suffix.begin(), suffix.end());
+  reads.push_back(prefix);
+  // m > n: the whole text with bases on either side.
+  auto longer = text.unpack();
+  longer.push_back(Base::A);
+  reads.push_back(longer);
+  longer.insert(longer.begin(), Base::C);
+  reads.push_back(longer);
+  reads.push_back(text.unpack());  // m = n, p = 0
+  EXPECT_GT(expect_engine_matches_algorithm_one(fm, reads).exact_verified, 0U);
+
+  // An 8-base text: a read of length n + 5, a repeated 4-mer, m = 1.
+  const PackedSequence tiny("ACGTTGCA");
+  const auto tiny_fm = index::FmIndex::build(tiny, {.bucket_width = 4});
+  expect_engine_matches_algorithm_one(
+      tiny_fm, {genome::encode("ACGTTGCAACGTT"), genome::encode("TGCA"),
+                genome::encode("G")});
+}
+
+TEST(StageOneEquivalence, LoadedAndMappedIndexes) {
+  genome::SyntheticGenomeSpec spec;
+  spec.length = 40000;
+  spec.seed = 4;
+  spec.repeat_fraction = 0.6;
+  spec.repeat_divergence = 0.002;
+  const PackedSequence text =
+      with_tandem_duplicates(genome::generate_reference(spec), 14);
+  const auto built = index::FmIndex::build(text, {.bucket_width = 128});
+  const auto reads = stage_one_reads(text, 4);
+  const EngineStats want = expect_engine_matches_algorithm_one(built, reads);
+
+  std::stringstream buffer;
+  index::save_index(buffer, built);
+  const index::LoadedIndex streamed = index::load_index(buffer);
+  EXPECT_TRUE(streamed.index.reference() == text);
+  EXPECT_EQ(expect_engine_matches_algorithm_one(streamed.index, reads)
+                .exact_verified,
+            want.exact_verified);
+
+  tests::TempDir dir;
+  const std::string path = dir.file("stage_one.index");
+  index::save_index_file(path, built);
+  const auto mapped = index::MappedIndex::open(path);
+  ASSERT_TRUE(mapped.mapped());
+  EXPECT_FALSE(mapped.index().reference().owns_storage());  // borrowed text
+  EXPECT_EQ(&mapped.reference(), &mapped.index().reference());
+  EXPECT_EQ(expect_engine_matches_algorithm_one(mapped.index(), reads)
+                .exact_verified,
+            want.exact_verified);
+}
 
 }  // namespace
 }  // namespace pim::align

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "src/genome/synthetic_genome.h"
 #include "src/util/rng.h"
@@ -135,6 +136,43 @@ TEST(FmIndex, MemoryFootprintAccounts) {
   EXPECT_GT(fp_full.total(), 0U);
   // BWT at 2 bits/base: 4097 symbols -> ~1 KiB.
   EXPECT_NEAR(static_cast<double>(fp_full.bwt_bytes), 4097.0 / 4.0, 8.0);
+}
+
+TEST(FmIndex, FromPartsRejectsTextOfWrongLength) {
+  const PackedSequence text = genome::generate_uniform(1000, 3);
+  const FmIndex built = FmIndex::build(text, {.bucket_width = 64});
+  const auto assemble = [&](PackedSequence reference) {
+    return FmIndex::from_parts(built.config(), std::move(reference),
+                               built.bwt(), built.counts(), built.markers(),
+                               built.sampled_sa());
+  };
+  EXPECT_TRUE(assemble(text).reference() == text);
+  EXPECT_THROW(assemble(PackedSequence(text.slice(0, 999))),
+               std::invalid_argument);
+  PackedSequence longer = text;
+  longer.push_back(Base::A);
+  EXPECT_THROW(assemble(longer), std::invalid_argument);
+}
+
+TEST(FmIndex, FinishOneRowVerifiesThePrefix) {
+  const PackedSequence text = genome::generate_uniform(2000, 5);
+  const FmIndex fm = FmIndex::build(text, {.bucket_width = 128});
+  // Walk T[1500, 1540) backwards until its interval is one row.
+  SaInterval row = fm.whole_interval();
+  std::size_t rest = 1540;
+  while (row.count() != 1) row = fm.extend(row, text.at(--rest));
+  ASSERT_GT(rest, 1500U);
+  ASSERT_EQ(fm.locate(row.low), rest);
+  std::vector<std::uint64_t> out;
+  auto prefix = text.slice(1500, rest);
+  fm.finish_one_row(row, prefix, out);
+  EXPECT_EQ(out, std::vector<std::uint64_t>{1500});
+  prefix[0] = static_cast<Base>((static_cast<int>(prefix[0]) + 1) % 4);
+  fm.finish_one_row(row, prefix, out);
+  EXPECT_TRUE(out.empty());
+  // A prefix longer than the row's text position fits nowhere.
+  fm.finish_one_row(row, std::vector<Base>(rest + 1, Base::A), out);
+  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace

@@ -45,8 +45,7 @@ std::vector<Artifact> make_artifacts(const tests::TempDir& dir,
     spec.seed = 900 + i;
     a.reference = genome::generate_reference(spec);
     a.fm = index::FmIndex::build(a.reference, {.bucket_width = 128});
-    index::save_index_file(a.path, a.fm, a.reference,
-                           {{a.id, 0, a.reference.size()}});
+    index::save_index_file(a.path, a.fm, {{a.id, 0, a.reference.size()}});
     artifacts.push_back(std::move(a));
   }
   return artifacts;

@@ -82,7 +82,7 @@ TEST(KmerIndex, SearcherAdapterDrivesSeedExtend) {
     read[100] = static_cast<Base>((static_cast<int>(read[100]) + 1) % 4);
     read[450] = static_cast<Base>((static_cast<int>(read[450]) + 2) % 4);
     const auto via_kmer = seed_extend_core(kmer, reference, read, opt);
-    const auto via_fm = seed_extend_align(fm, reference, read, opt);
+    const auto via_fm = seed_extend_align(fm, read, opt);
     ASSERT_EQ(via_kmer.hits.size(), via_fm.hits.size()) << trial;
     for (std::size_t h = 0; h < via_fm.hits.size(); ++h) {
       EXPECT_EQ(via_kmer.hits[h].ref_begin, via_fm.hits[h].ref_begin);

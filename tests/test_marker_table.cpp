@@ -184,7 +184,7 @@ TEST(LfmKernel, BorrowedWordsFromMappedArtifact) {
   const FmIndex built = FmIndex::build(text, {.bucket_width = 128});
   const tests::TempDir dir;
   const std::string path = dir.file("oracle.index");
-  save_index_file(path, built, text);
+  save_index_file(path, built);
   const MappedIndex mapped = MappedIndex::open(path);
   ASSERT_TRUE(mapped.mapped());
   ASSERT_FALSE(mapped.index().bwt().symbols.owns_storage());

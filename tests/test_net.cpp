@@ -534,7 +534,7 @@ TEST(AlignServer, RoutesMultiReferenceRequestsOverTheWire) {
       r.chromosomes = {{r.id + "_a", 0, 12000}, {r.id + "_b", 12000, 8000}};
     }
     r.fm = index::FmIndex::build(r.reference, {.bucket_width = 128});
-    index::save_index_file(r.path, r.fm, r.reference, r.chromosomes);
+    index::save_index_file(r.path, r.fm, r.chromosomes);
     r.reads = make_read_mix(r.reference, 24, 80 + i);
     refs.push_back(std::move(r));
   }

@@ -75,6 +75,28 @@ TEST(PackedSequence, Equality) {
   EXPECT_FALSE(a == c);
 }
 
+TEST(PackedSequence, MatchesAtEveryOffsetAndLength) {
+  util::Xoshiro256 rng(11);
+  std::vector<Base> bases(300);
+  for (auto& b : bases) b = static_cast<Base>(rng.bounded(4));
+  const PackedSequence s(bases);
+  for (std::size_t pos = 0; pos <= 100; pos += 3) {
+    for (std::size_t len = 0; len <= 70 && pos + len <= 300; ++len) {
+      auto query = s.slice(pos, pos + len);
+      ASSERT_TRUE(s.matches_at(pos, query)) << pos << "+" << len;
+      if (len == 0) continue;
+      auto& flipped = query[rng.bounded(len)];
+      flipped = static_cast<Base>((static_cast<int>(flipped) + 1) % 4);
+      ASSERT_FALSE(s.matches_at(pos, query)) << pos << "+" << len;
+    }
+  }
+  // The last bases, and ranges past the end.
+  EXPECT_TRUE(s.matches_at(260, s.slice(260, 300)));
+  EXPECT_FALSE(s.matches_at(261, s.slice(260, 300)));
+  EXPECT_TRUE(s.matches_at(300, {}));
+  EXPECT_FALSE(s.matches_at(301, {}));
+}
+
 TEST(PackedSequence, MemoryIsTwoBitsPerBase) {
   PackedSequence s;
   for (int i = 0; i < 3200; ++i) s.push_back(Base::A);

@@ -1236,8 +1236,7 @@ struct MultiRefFixture {
       spec.seed = 500 + i;
       r.reference = genome::generate_reference(spec);
       r.fm = index::FmIndex::build(r.reference, {.bucket_width = 128});
-      index::save_index_file(r.path, r.fm, r.reference,
-                             {{r.id, 0, r.reference.size()}});
+      index::save_index_file(r.path, r.fm, {{r.id, 0, r.reference.size()}});
       r.reads = make_read_mix(r.reference, 40, 70 + i);
       refs.push_back(std::move(r));
     }
@@ -1349,8 +1348,7 @@ TEST(MultiReferenceService, SeedExtendLanesBitIdenticalToDirectEngine) {
       reads.push_back(std::move(read));
     }
 
-    const align::SeedExtendEngine engine(r.fm, r.reference,
-                                         options.seed_extend);
+    const align::SeedExtendEngine engine(r.fm, options.seed_extend);
     align::BatchResult direct;
     engine.align_batch(align::ReadBatch::from_reads(reads), direct);
     const auto want = direct.to_results();
