@@ -6,6 +6,7 @@
 // costs the chip model consumes.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/genome/synthetic_genome.h"
@@ -38,6 +39,24 @@ struct TileFixture {
 
 TileFixture& tile_fixture() {
   static TileFixture f;
+  return f;
+}
+
+struct PlatformFixture {
+  pim::index::FmIndex fm;
+  std::unique_ptr<pim::hw::PimAlignerPlatform> platform;
+  PlatformFixture() {
+    pim::genome::SyntheticGenomeSpec spec;
+    spec.length = 100000;  // 4 tiles of 32768 BWT rows
+    spec.seed = 17;
+    fm = pim::index::FmIndex::build(pim::genome::generate_reference(spec),
+                                    {.bucket_width = 128});
+    platform = std::make_unique<pim::hw::PimAlignerPlatform>(fm, timing());
+  }
+};
+
+PlatformFixture& platform_fixture() {
+  static PlatformFixture f;
   return f;
 }
 
@@ -75,6 +94,17 @@ void BM_SubArrayImAdd32(benchmark::State& state) {
 }
 BENCHMARK(BM_SubArrayImAdd32);
 
+void BM_SubArrayVerticalWord32(benchmark::State& state) {
+  pim::hw::SubArray array(timing());
+  std::uint32_t value = 123456u;
+  for (auto _ : state) {
+    array.write_word_vertical(7, 0, 32, value);
+    benchmark::DoNotOptimize(value = static_cast<std::uint32_t>(
+                                 array.read_word_vertical(7, 0, 32) + 1));
+  }
+}
+BENCHMARK(BM_SubArrayVerticalWord32);
+
 void BM_TileCountMatch(benchmark::State& state) {
   auto& f = tile_fixture();
   std::uint64_t cursor = 5000;
@@ -104,6 +134,21 @@ void BM_SoftwareLfm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SoftwareLfm);
+
+// One backward-extension step (two LFMs) on whichever tiles own its bounds.
+void BM_PlatformExtendHw(benchmark::State& state) {
+  auto& f = platform_fixture();
+  const std::uint64_t rows = f.fm.num_rows();
+  pim::util::Xoshiro256 rng(5);
+  for (auto _ : state) {
+    const std::uint64_t low = rng.bounded(rows);
+    const std::uint64_t high = low + 1 + rng.bounded(std::min<std::uint64_t>(
+                                             64, rows - low));
+    benchmark::DoNotOptimize(f.platform->extend_hw(
+        {low, high}, static_cast<pim::genome::Base>(rng.bounded(4))));
+  }
+}
+BENCHMARK(BM_PlatformExtendHw);
 
 void print_modeled_costs() {
   using pim::util::TextTable;

@@ -19,11 +19,16 @@
 //
 // Host representation: the grid is one contiguous row-major array of 64-bit
 // words (four per row at 256 columns; unused tail bits kept zero), and every
-// op works on those words in place. IM_ADD computes each bit's Sum and Carry
-// word by word through one full-adder helper, with no temporary rows. Each
-// op still charges the model once per modelled command, in command order,
-// so the op tallies, energy/busy sums, command traces and write counts do
-// not depend on how the host computes the result.
+// op works on those words in place. Bit-lines are independent in IM_ADD, so
+// it runs column word by column word (two at a time as one 128-bit GCC
+// vector, then a scalar tail for an odd words-per-row), each through all of
+// its bits with the carry in a register, and stores the carry row once at
+// the end. Ops made of many commands (IM_ADD, the vertical word reads and
+// writes) sum their charges in registers, still once per modelled command
+// and in command order, and commit them once; they trace and count row
+// writes per command only when a trace is attached or tracking is on. So
+// the op tallies, energy/busy sums, command traces and write counts do not
+// depend on how the host computes the result.
 #pragma once
 
 #include <array>
@@ -100,9 +105,12 @@ class SubArray {
   /// IM_ADD: bit-serial add of the vertical words at rows [row_a, row_a+bits)
   /// and [row_b, ...) into [row_sum, ...), using `row_carry` as the carry
   /// row. Operates on ALL bit-lines in parallel (that is the point of the
-  /// design); cost: per bit one triple sense + sum/carry write-backs, plus
-  /// one carry-row clear. The sum rows may alias the operand rows
-  /// (row_sum == row_a computes A += B).
+  /// design); cost: per bit `add_senses_per_bit()` triple senses + sum/carry
+  /// write-backs, plus one carry-row clear. The sum rows may alias the
+  /// operand rows (row_sum == row_a computes A += B). `bits` must be >= 1
+  /// (std::invalid_argument), every range must lie inside the array
+  /// (std::out_of_range), and the carry row must lie outside the operand
+  /// and sum ranges (std::invalid_argument).
   void im_add(std::uint32_t row_a, std::uint32_t row_b, std::uint32_t row_sum,
               std::uint32_t row_carry, std::uint32_t bits);
 
@@ -141,8 +149,12 @@ class SubArray {
   void note_write(std::uint32_t row);
   void trace(SubArrayOp op, std::initializer_list<std::uint32_t> rows);
   void check_row(std::uint32_t row) const;
+  void check_rows(std::uint32_t row_begin, std::uint32_t count) const;
   void check_vertical(std::uint32_t col, std::uint32_t row_begin,
                       std::uint32_t bits) const;
+  const OpCost& cost(SubArrayOp op) const {
+    return costs_[static_cast<std::size_t>(op)];
+  }
   std::uint64_t* row_words(std::uint32_t row) {
     return grid_.data() + static_cast<std::size_t>(row) * words_per_row_;
   }
