@@ -2,18 +2,23 @@
 // O(m) FM-index backward search versus O(nm) Smith-Waterman — the
 // complexity contrast of Section II — plus stage one's early-finishing
 // exact locate, the per-call cost of the Occ/LFM kernel, inexact-search
-// cost versus mismatch budget, the effect of lower-bound pruning, and stage
-// two's two host kernels: the D-array and the SAM CIGAR DP.
+// cost versus mismatch budget, the effect of lower-bound pruning, stage
+// two's two host kernels (the D-array and the SAM CIGAR DP), and SAM
+// rendering of exact hits.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <ostream>
+#include <streambuf>
+#include <string>
 #include <vector>
 
 #include "src/align/backward_search.h"
 #include "src/align/engine.h"
 #include "src/align/global_align.h"
 #include "src/align/inexact_search.h"
+#include "src/align/sam_writer.h"
 #include "src/align/smith_waterman.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/util/rng.h"
@@ -223,6 +228,45 @@ void BM_AlignBatchEngine(benchmark::State& state) {
                           static_cast<std::int64_t>(batch.size()));
 }
 BENCHMARK(BM_AlignBatchEngine);
+
+/// A stream that drops what it is given, so a benchmark times the writer.
+class DiscardBuffer : public std::streambuf {
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
+  int overflow(int c) override { return traits_type::not_eof(c); }
+};
+
+// SAM rendering of one 1024-read chunk of exact hits with names and
+// qualities, half of them on the reverse strand: the per-record cost of the
+// writer on an exact-only stream (no CIGAR DP).
+void BM_SamWriteChunk(benchmark::State& state) {
+  auto& w = workload();
+  pim::align::ReadBatchBuilder builder;
+  pim::util::Xoshiro256 rng(29);
+  for (int i = 0; i < 1024; ++i) {
+    const std::size_t start = rng.bounded(w.reference.size() - 100);
+    auto read = w.reference.slice(start, start + 100);
+    if (i % 2 == 1) read = pim::genome::reverse_complement(read);
+    std::string qual(100, 'I');
+    for (auto& q : qual) q = static_cast<char>('!' + rng.bounded(41));
+    builder.add(read, "read_" + std::to_string(i) + " sim", qual);
+  }
+  const auto batch = builder.build();
+  pim::align::AlignerOptions opt;
+  opt.inexact.max_diffs = 0;
+  pim::align::BatchResult results;
+  pim::align::SoftwareEngine(w.fm, opt).align_batch(batch, results);
+  DiscardBuffer discard;
+  std::ostream out(&discard);
+  pim::align::SamWriter writer(out, "ref", w.reference);
+  for (auto _ : state) {
+    writer.write_batch(batch, results);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch.size()));
+}
+BENCHMARK(BM_SamWriteChunk);
 
 void BM_IndexBuild(benchmark::State& state) {
   pim::genome::SyntheticGenomeSpec spec;

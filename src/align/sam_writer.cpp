@@ -1,8 +1,8 @@
 #include "src/align/sam_writer.h"
 
 #include <algorithm>
+#include <charconv>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "src/align/global_align.h"
@@ -10,21 +10,94 @@
 
 namespace pim::align {
 
-std::string SamRecord::to_line() const {
-  std::ostringstream out;
-  out << qname << '\t' << flag << '\t' << rname << '\t' << pos << '\t'
-      << static_cast<int>(mapq) << '\t' << cigar << '\t' << rnext << '\t'
-      << pnext << '\t' << tlen << '\t' << (seq.empty() ? "*" : seq) << '\t'
-      << qual;
-  if ((flag & kFlagUnmapped) == 0) {
-    out << "\tNM:i:" << edit_distance;
-  }
-  return out.str();
+struct SamFields {
+  std::string_view qname;
+  std::uint16_t flag = 0;
+  std::string_view rname = "*";
+  std::uint64_t pos = 0;
+  std::uint8_t mapq = 0;
+  std::string_view cigar = "*";
+  std::string_view rnext = "*";
+  std::uint64_t pnext = 0;
+  std::int64_t tlen = 0;
+  std::string_view seq;
+  std::string_view qual = "*";
+  std::uint32_t edit_distance = 0;
+};
+
+namespace {
+
+template <typename Int>
+void append_int(std::string& out, Int value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
-std::string sanitize_qname(std::string_view name) {
-  const auto cut = name.find_first_of(" \t");
-  return std::string(name.substr(0, cut));
+/// The field appender: one tab-separated record, without its newline. An
+/// empty SEQ is written "*"; a mapped record ends with its NM tag.
+void append_fields(std::string& out, const SamFields& r) {
+  out.append(r.qname);
+  out.push_back('\t');
+  append_int(out, r.flag);
+  out.push_back('\t');
+  out.append(r.rname);
+  out.push_back('\t');
+  append_int(out, r.pos);
+  out.push_back('\t');
+  append_int(out, static_cast<unsigned>(r.mapq));
+  out.push_back('\t');
+  out.append(r.cigar);
+  out.push_back('\t');
+  out.append(r.rnext);
+  out.push_back('\t');
+  append_int(out, r.pnext);
+  out.push_back('\t');
+  append_int(out, r.tlen);
+  out.push_back('\t');
+  out.append(r.seq.empty() ? std::string_view("*") : r.seq);
+  out.push_back('\t');
+  out.append(r.qual);
+  if ((r.flag & SamRecord::kFlagUnmapped) == 0) {
+    out.append("\tNM:i:");
+    append_int(out, r.edit_distance);
+  }
+}
+
+SamFields fields_of(const SamRecord& rec) {
+  return {rec.qname, rec.flag,  rec.rname, rec.pos,  rec.mapq, rec.cigar,
+          rec.rnext, rec.pnext, rec.tlen,  rec.seq,  rec.qual,
+          rec.edit_distance};
+}
+
+std::optional<std::string_view> as_view(
+    const std::optional<std::string>& text) {
+  if (!text) return std::nullopt;
+  return std::string_view(*text);
+}
+
+/// SEQ text of `read`, or of its reverse complement, into `out`.
+void decode_into(const std::vector<genome::Base>& read, bool reverse,
+                 std::string& out) {
+  static constexpr char kChars[] = "ACGT";
+  static constexpr char kComplementChars[] = "TGCA";
+  const std::size_t m = read.size();
+  out.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    out[i] = reverse ? kComplementChars[static_cast<int>(read[m - 1 - i])]
+                     : kChars[static_cast<int>(read[i])];
+  }
+}
+
+}  // namespace
+
+std::string SamRecord::to_line() const {
+  std::string line;
+  append_fields(line, fields_of(*this));
+  return line;
+}
+
+std::string_view sanitize_qname(std::string_view name) {
+  return name.substr(0, name.find_first_of(" \t"));
 }
 
 std::uint8_t estimate_mapq(std::size_t num_hits, std::uint32_t diffs) {
@@ -55,32 +128,49 @@ SamWriter::SamWriter(std::ostream& out, std::string reference_name,
 
 void SamWriter::write_header(const std::string& program_name,
                              const std::string& version) {
-  (*out_) << "@HD\tVN:1.6\tSO:unknown\n";
+  buf_.append("@HD\tVN:1.6\tSO:unknown\n");
   for (const auto& chrom : chromosomes_) {
-    (*out_) << "@SQ\tSN:" << chrom.name << "\tLN:" << chrom.length << "\n";
+    buf_.append("@SQ\tSN:").append(chrom.name).append("\tLN:");
+    append_int(buf_, chrom.length);
+    buf_.push_back('\n');
   }
-  (*out_) << "@PG\tID:" << program_name << "\tPN:" << program_name
-          << "\tVN:" << version << "\n";
+  buf_.append("@PG\tID:").append(program_name).append("\tPN:");
+  buf_.append(program_name).append("\tVN:").append(version).push_back('\n');
+  flush();
+}
+
+void SamWriter::flush() {
+  out_->write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+  buf_.clear();
+}
+
+const std::vector<genome::Base>& SamWriter::oriented(
+    const std::vector<genome::Base>& read, Strand strand) {
+  if (strand != Strand::kReverseComplement) return read;
+  if (!rc_ready_) {
+    genome::reverse_complement_into(read, rc_);
+    rc_ready_ = true;
+  }
+  return rc_;
 }
 
 std::optional<SamWriter::Placement> SamWriter::place(
-    const std::vector<genome::Base>& oriented_read, const AlignmentHit& hit) {
+    const std::vector<genome::Base>& read, const AlignmentHit& hit) {
   const auto loc = genome::locate(chromosomes_, hit.position);
-  const std::size_t m = oriented_read.size();
-  std::string cigar;
-  std::uint64_t ref_span = m;  // exact: one match run
-  if (loc && hit.diffs == 0) {
-    cigar = std::to_string(m) + "M";
-  } else if (loc) {
+  const std::size_t m = read.size();
+  std::string cigar;  // exact: one match run of m, rendered by the caller
+  std::uint64_t ref_span = m;
+  if (loc && hit.diffs != 0) {
     // Re-align the full read semi-globally against a window around the hit:
     // every read base is consumed (no soft clips), so the CIGAR and NM are
-    // the true edit script. The window pads by the difference budget so
-    // indel alignments fit; it may reach into the next chromosome, and the
-    // check below drops the hit if the alignment does.
+    // the true edit script. Reverse-strand hits align in reference
+    // orientation. The window pads by the difference budget so indel
+    // alignments fit; it may reach into the next chromosome, and the check
+    // below drops the hit if the alignment does.
     const std::uint64_t end = std::min<std::uint64_t>(
         reference_->size(), hit.position + m + hit.diffs + 2);
-    const GlocalResult glocal =
-        glocal_align(reference_->slice(hit.position, end), oriented_read);
+    const GlocalResult glocal = glocal_align(
+        reference_->slice(hit.position, end), oriented(read, hit.strand));
     cigar = glocal_cigar_string(glocal);
     ref_span = glocal.ref_end;
   }
@@ -91,129 +181,142 @@ std::optional<SamWriter::Placement> SamWriter::place(
   return Placement{hit, loc->chromosome, std::move(cigar)};
 }
 
+template <typename Emit>
+void SamWriter::render(std::string_view qname,
+                       const std::vector<genome::Base>& read, bool aligned,
+                       std::span<const AlignmentHit> hits,
+                       std::optional<std::string_view> qualities, Emit&& emit) {
+  if (qualities && qualities->size() != read.size()) {
+    throw std::invalid_argument("SamWriter: quality/read length mismatch");
+  }
+  rc_ready_ = false;
+  placed_.clear();
+  if (aligned) {
+    // Junction artefacts are dropped before the primary and MAPQ are
+    // chosen: they are not placements of the read.
+    for (const auto& hit : hits) {
+      if (auto p = place(read, hit)) placed_.push_back(std::move(*p));
+    }
+    // Order: the best hit first (primary), the rest secondary.
+    std::stable_sort(placed_.begin(), placed_.end(),
+                     [](const Placement& a, const Placement& b) {
+                       if (a.hit.diffs != b.hit.diffs) {
+                         return a.hit.diffs < b.hit.diffs;
+                       }
+                       return a.hit.position < b.hit.position;
+                     });
+  }
+  decode_into(read, false, seq_);
+  SamFields rec;
+  rec.qname = qname;
+  if (placed_.empty()) {
+    rec.flag = SamRecord::kFlagUnmapped;
+    rec.seq = seq_;
+    rec.qual = qualities.value_or("*");
+    emit(rec);
+    return;
+  }
+
+  // An exact hit's CIGAR is one match run of the read's length.
+  char exact_cigar[24];
+  char* const cigar_end =
+      std::to_chars(exact_cigar, exact_cigar + sizeof(exact_cigar) - 1,
+                    read.size())
+          .ptr;
+  *cigar_end = 'M';
+  const std::string_view exact(
+      exact_cigar, static_cast<std::size_t>(cigar_end + 1 - exact_cigar));
+  bool rc_decoded = false;
+  const std::uint8_t mapq =
+      estimate_mapq(placed_.size(), placed_[0].hit.diffs);
+  for (std::size_t i = 0; i < placed_.size(); ++i) {
+    const Placement& p = placed_[i];
+    const genome::Chromosome& chrom = chromosomes_[p.chromosome];
+    rec.flag = i > 0 ? SamRecord::kFlagSecondary : 0;
+    rec.rname = chrom.name;
+    rec.pos = p.hit.position - chrom.offset + 1;  // SAM is 1-based
+    rec.mapq = i == 0 ? mapq : 0;
+    rec.cigar = p.hit.diffs == 0 ? exact : std::string_view(p.cigar);
+    rec.edit_distance = p.hit.diffs;
+    // Reverse-strand hits store SEQ (and QUAL) in reference orientation.
+    if (p.hit.strand == Strand::kReverseComplement) {
+      rec.flag |= SamRecord::kFlagReverse;
+      if (!rc_decoded) {
+        decode_into(read, true, rc_seq_);
+        if (qualities) rc_qual_.assign(qualities->rbegin(), qualities->rend());
+        rc_decoded = true;
+      }
+      rec.seq = rc_seq_;
+      rec.qual = qualities ? std::string_view(rc_qual_) : "*";
+    } else {
+      rec.seq = seq_;
+      rec.qual = qualities.value_or("*");
+    }
+    emit(rec);
+  }
+}
+
 std::vector<SamRecord> SamWriter::make_records(
     const std::string& qname, const std::vector<genome::Base>& read,
     const AlignmentResult& result,
     const std::optional<std::string>& qualities) {
-  if (qualities && qualities->size() != read.size()) {
-    throw std::invalid_argument("SamWriter: quality/read length mismatch");
-  }
-  const std::string name = sanitize_qname(qname);
   std::vector<SamRecord> records;
-
-  // Reverse-strand hits align (and store SEQ) in reference orientation.
-  // Every oriented variant is built at most once for the whole hit set — a
-  // repeat-heavy read with many secondary hits must not redo the copy per
-  // hit.
-  std::vector<genome::Base> rc;
-  bool rc_ready = false;
-  const auto oriented =
-      [&](Strand strand) -> const std::vector<genome::Base>& {
-    if (strand != Strand::kReverseComplement) return read;
-    if (!rc_ready) {
-      rc = genome::reverse_complement(read);
-      rc_ready = true;
-    }
-    return rc;
-  };
-
-  // Junction artefacts are dropped before the primary and MAPQ are chosen:
-  // they are not placements of the read.
-  std::vector<Placement> placed;
-  if (result.aligned()) {
-    placed.reserve(result.hits.size());
-    for (const auto& hit : result.hits) {
-      if (auto p = place(oriented(hit.strand), hit)) {
-        placed.push_back(std::move(*p));
-      }
-    }
-  }
-
-  if (placed.empty()) {
-    SamRecord rec;
-    rec.qname = name;
-    rec.flag = SamRecord::kFlagUnmapped;
-    rec.seq = genome::decode(read);
-    rec.qual = qualities.value_or("*");
-    records.push_back(std::move(rec));
-    return records;
-  }
-
-  // Order: the best hit first (primary), the rest secondary.
-  std::stable_sort(placed.begin(), placed.end(),
-                   [](const Placement& a, const Placement& b) {
-                     if (a.hit.diffs != b.hit.diffs) {
-                       return a.hit.diffs < b.hit.diffs;
-                     }
-                     return a.hit.position < b.hit.position;
-                   });
-
-  const std::string fwd_seq = genome::decode(read);
-  const std::string fwd_qual = qualities.value_or("*");
-  std::string rc_seq, rc_qual;
-
-  const std::uint8_t mapq =
-      estimate_mapq(placed.size(), placed[0].hit.diffs);
-  records.reserve(placed.size());
-  for (std::size_t i = 0; i < placed.size(); ++i) {
-    auto& p = placed[i];
-    const genome::Chromosome& chrom = chromosomes_[p.chromosome];
-    SamRecord rec;
-    rec.qname = name;
-    rec.rname = chrom.name;
-    rec.pos = p.hit.position - chrom.offset + 1;  // SAM is 1-based
-    rec.mapq = (i == 0) ? mapq : 0;
-    rec.edit_distance = p.hit.diffs;
-    if (i > 0) rec.flag |= SamRecord::kFlagSecondary;
-
-    if (p.hit.strand == Strand::kReverseComplement) {
-      rec.flag |= SamRecord::kFlagReverse;
-      if (rc_seq.empty()) {
-        rc_seq = genome::decode(rc);
-        rc_qual = fwd_qual;
-        if (qualities) std::reverse(rc_qual.begin(), rc_qual.end());
-      }
-      rec.seq = rc_seq;
-      rec.qual = rc_qual;
-    } else {
-      rec.seq = fwd_seq;
-      rec.qual = fwd_qual;
-    }
-    rec.cigar = std::move(p.cigar);
-    records.push_back(std::move(rec));
-  }
+  render(sanitize_qname(qname), read, result.aligned(), result.hits,
+         as_view(qualities), [&](const SamFields& f) {
+           records.push_back(
+               {std::string(f.qname), f.flag, std::string(f.rname), f.pos,
+                f.mapq, std::string(f.cigar), std::string(f.rnext), f.pnext,
+                f.tlen, std::string(f.seq), std::string(f.qual),
+                f.edit_distance});
+         });
   return records;
+}
+
+void SamWriter::append_record(const SamFields& fields) {
+  append_fields(buf_, fields);
+  buf_.push_back('\n');
+  ++records_;
 }
 
 void SamWriter::write_alignment(const std::string& qname,
                                 const std::vector<genome::Base>& read,
                                 const AlignmentResult& result,
                                 const std::optional<std::string>& qualities) {
-  for (const auto& rec : make_records(qname, read, result, qualities)) {
-    (*out_) << rec.to_line() << '\n';
-    ++records_;
-  }
+  buf_.clear();
+  render(sanitize_qname(qname), read, result.aligned(), result.hits,
+         as_view(qualities), [this](const SamFields& f) { append_record(f); });
+  flush();
 }
 
 void SamWriter::write_chunk(const BatchResultChunk& chunk) {
   const ReadBatch& batch = *chunk.batch;
-  std::vector<genome::Base> scratch;
-  for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-    // make_records sanitizes names (comments and ground-truth suffixes stay
-    // out of QNAME); here only nameless reads need the "read<i>" backfill,
-    // numbered by global stream position.
-    std::string qname(batch.name(i));
-    if (qname.empty()) {
-      qname = "read" + std::to_string(chunk.base_index + (i - chunk.begin));
+  const BatchResult& results = *chunk.result;
+  buf_.clear();
+  try {
+    for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
+      const std::size_t r = i - chunk.begin;
+      // Comments and ground-truth suffixes stay out of QNAME; nameless
+      // reads get "read<i>", numbered by global stream position.
+      std::string_view qname = sanitize_qname(batch.name(i));
+      if (batch.name(i).empty()) {
+        numbered_.assign("read");
+        append_int(numbered_, chunk.base_index + r);
+        qname = numbered_;
+      }
+      batch.read(i).unpack_into(read_);
+      std::optional<std::string_view> qual;
+      if (!batch.qualities(i).empty()) qual = batch.qualities(i);
+      render(qname, read_, results.aligned(r), results.hits(r), qual,
+             [this](const SamFields& f) { append_record(f); });
     }
-    batch.read(i).unpack_into(scratch);
-    std::optional<std::string> qual;
-    if (batch.has_qualities() && !batch.qualities(i).empty()) {
-      qual = std::string(batch.qualities(i));
-    }
-    write_alignment(qname, scratch, chunk.result->result(i - chunk.begin),
-                    qual);
+  } catch (...) {
+    // render throws before it emits a record of the failing read, so the
+    // buffer holds the reads before it: they are written, as when every
+    // record went to the stream on its own.
+    flush();
+    throw;
   }
+  flush();
 }
 
 void SamWriter::write_batch(const ReadBatch& batch,
@@ -303,7 +406,11 @@ void SamWriter::write_pair(const std::string& qname,
       r2.tlen = tlen;
     }
   }
-  (*out_) << r1.to_line() << '\n' << r2.to_line() << '\n';
+  append_fields(buf_, fields_of(r1));
+  buf_.push_back('\n');
+  append_fields(buf_, fields_of(r2));
+  buf_.push_back('\n');
+  flush();
   records_ += 2;
 }
 

@@ -9,6 +9,12 @@
 // and NM edit-distance tags. An unaligned read, the empty read included, is
 // one unmapped record.
 //
+// Every record, from every public call, goes through one field appender
+// into a buffer the writer owns and reuses, and each call hands that buffer
+// to the stream once. The single-end path renders straight from the placed
+// hits; SamRecord (make_records) is the value form for tests, custom sinks
+// and the paired path.
+//
 // The engines align against one concatenated reference and never see
 // chromosomes. The writer is the one place that maps their hit positions
 // back through the chromosome table, and it drops (and counts) every hit
@@ -20,6 +26,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,15 +66,18 @@ struct SamRecord {
   std::string to_line() const;
 };
 
+/// One record's fields as views (the writer's rendering form).
+struct SamFields;
+
 /// MAPQ heuristic: unique hits score high (decaying with differences),
 /// multi-mapped reads score near zero, unmapped reads zero.
 std::uint8_t estimate_mapq(std::size_t num_hits, std::uint32_t diffs);
 
-/// QNAME as the SAM grammar allows it: everything from the first whitespace
-/// on (FASTQ comments, ground-truth suffixes) is dropped. Every record
-/// emission path routes through this, so the two mates of a pair and the
-/// batch/single-read paths agree on the name.
-std::string sanitize_qname(std::string_view name);
+/// QNAME as the SAM grammar allows it, as a view into `name`: everything
+/// from the first whitespace on (FASTQ comments, ground-truth suffixes) is
+/// dropped. Every record emission path routes through this, so the two
+/// mates of a pair and the batch/single-read paths agree on the name.
+std::string_view sanitize_qname(std::string_view name);
 
 class SamWriter {
  public:
@@ -96,15 +106,18 @@ class SamWriter {
                        const AlignmentResult& result,
                        const std::optional<std::string>& qualities = {});
 
-  /// Engine-layer batch output: one write_alignment per read, pulling
-  /// QNAMEs and qualities from the batch's slabs (reads without names get
-  /// "read<i>"). Reads unpack through one reusable scratch buffer.
+  /// Engine-layer batch output: the records write_alignment would give for
+  /// each read, pulling QNAMEs and qualities from the batch's slabs (reads
+  /// without names get "read<i>"). Reads unpack through one reusable
+  /// scratch buffer.
   void write_batch(const ReadBatch& batch, const BatchResult& results);
 
   /// Streaming emission (S39): write the reads of one completed chunk. The
   /// "read<i>" backfill for nameless reads uses chunk.base_index, so a
   /// streamed run over many chunks/batches emits the same QNAMEs as one
-  /// write_batch over the whole set.
+  /// write_batch over the whole set. When a read throws (a quality/read
+  /// length mismatch), the records of the reads before it reach the stream
+  /// and the exception propagates.
   void write_chunk(const BatchResultChunk& chunk);
 
   /// Emit the two primary records of a paired alignment with full pair
@@ -132,24 +145,54 @@ class SamWriter {
       const std::optional<std::string>& qualities = {});
 
  private:
-  /// A hit that fits inside its chromosome, with its CIGAR.
+  /// A hit that fits inside its chromosome, with its CIGAR (empty for an
+  /// exact hit, whose CIGAR is one match run of the read's length).
   struct Placement {
     AlignmentHit hit;
     std::size_t chromosome = 0;
     std::string cigar;
   };
 
-  /// Place `hit` of the read in its orientation, or nullopt (counted) when
+  /// Place `hit` of `read` (forward orientation), or nullopt (counted) when
   /// its record would run past its chromosome's end.
-  std::optional<Placement> place(
-      const std::vector<genome::Base>& oriented_read,
-      const AlignmentHit& hit);
+  std::optional<Placement> place(const std::vector<genome::Base>& read,
+                                 const AlignmentHit& hit);
+
+  /// The read in `strand`'s orientation; the reverse complement is built
+  /// at most once per read.
+  const std::vector<genome::Base>& oriented(
+      const std::vector<genome::Base>& read, Strand strand);
+
+  /// The one record renderer: check the qualities' length, place every hit
+  /// of an aligned read, and call `emit` with each record's fields, the
+  /// primary first. The views stay valid until the next render.
+  template <typename Emit>
+  void render(std::string_view qname, const std::vector<genome::Base>& read,
+              bool aligned, std::span<const AlignmentHit> hits,
+              std::optional<std::string_view> qualities, Emit&& emit);
+
+  /// Append one record line to buf_ and count it.
+  void append_record(const SamFields& fields);
+
+  /// One stream write of buf_, which is then cleared.
+  void flush();
 
   std::ostream* out_;
   const genome::PackedSequence* reference_;
   std::vector<genome::Chromosome> chromosomes_;
   std::size_t records_ = 0;
   std::size_t junction_dropped_ = 0;
+
+  // Reused across reads and calls.
+  std::string buf_;
+  std::vector<Placement> placed_;
+  std::vector<genome::Base> read_;
+  std::string numbered_;
+  std::vector<genome::Base> rc_;
+  bool rc_ready_ = false;
+  std::string seq_;
+  std::string rc_seq_;
+  std::string rc_qual_;
 };
 
 }  // namespace pim::align

@@ -27,6 +27,12 @@
 //       // extending `row` through `prefix` and locating would give.
 //       // FmIndex verifies against its packed reference; the PIM backend
 //       // runs Algorithm 1's tail (detail::exact_tail).
+//   index::SearchStart exact_start(std::span<const genome::Base> read) const;
+//       // where stage one starts: the interval after the read's last
+//       // `consumed` bases (consumed < m), and for an empty one whether the
+//       // walk to it passed a one-row interval. FmIndex reads its k-mer
+//       // table (m > k); the PIM backend returns the whole interval with
+//       // nothing consumed, so the platform issues all of Algorithm 1.
 #pragma once
 
 #include <algorithm>
@@ -72,19 +78,36 @@ std::vector<index::SaInterval> exact_search_trace_core(
 }
 
 /// Stage one: Algorithm 1 plus SA locate, finished early. Backward search
-/// runs until the interval holds one row while rest = m - k bases are still
-/// unmatched; the backend then finishes that row (finish_one_row), which
-/// gives the same positions as walking on: every occurrence of the read at
-/// p puts its matched k-base suffix at p + rest, the one row. The sentinel's
-/// row never starts with a base, so the row is a real suffix for k >= 1.
-/// `positions` receives the sorted start positions. Returns true when the
-/// search was finished on a one-row interval.
+/// starts where the backend says (exact_start: the k-mer table's interval,
+/// k bases in, or the whole interval) and runs until the interval holds one
+/// row while rest = m - j bases are still unmatched; the backend then
+/// finishes that row (finish_one_row), which gives the same positions as
+/// walking on: every occurrence of the read at p puts its matched j-base
+/// suffix at p + rest, the one row. The sentinel's row never starts with a
+/// base, so the row is a real suffix for j >= 1. `positions` receives the
+/// sorted start positions. Returns true when the search was finished on a
+/// one-row interval, or when a table start is empty but its walk passed a
+/// one-row interval: the step-by-step walk would have finished there.
 template <typename Backend>
 bool exact_locate_core(const Backend& backend,
                        const std::vector<genome::Base>& read,
                        std::vector<std::uint64_t>& positions) {
-  index::SaInterval interval = backend.whole_interval();
-  for (std::size_t rest = read.size(); rest-- > 0;) {
+  const index::SearchStart start = backend.exact_start(read);
+  index::SaInterval interval = start.interval;
+  std::size_t rest = read.size() - start.consumed;
+  if (start.consumed > 0) {
+    if (!interval.valid()) {
+      positions.clear();
+      return start.passed_one_row;
+    }
+    if (interval.count() == 1) {
+      backend.finish_one_row(
+          interval, std::span<const genome::Base>(read.data(), rest),
+          positions);
+      return true;
+    }
+  }
+  while (rest-- > 0) {
     interval = backend.extend(interval, read[rest]);
     if (!interval.valid()) {
       positions.clear();

@@ -1,6 +1,7 @@
 #include "src/index/fm_index.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace pim::index {
@@ -25,6 +26,7 @@ FmIndex FmIndex::build_from_sa(const genome::PackedSequence& reference,
   index.markers_ = MarkerTable(index.bwt_, index.counts_, config.bucket_width);
   index.sampled_sa_ =
       SampledSuffixArray(sa, index.bwt_, index.counts_, config.sa_sample_rate);
+  index.build_kmer_table();
   return index;
 }
 
@@ -62,6 +64,7 @@ FmIndex FmIndex::from_parts(const FmIndexConfig& config,
   index.counts_ = std::move(counts);
   index.markers_ = std::move(markers);
   index.sampled_sa_ = std::move(sampled_sa);
+  index.build_kmer_table();
   return index;
 }
 
@@ -99,6 +102,60 @@ void FmIndex::finish_one_row(const SaInterval& row,
   if (reference_.matches_at(static_cast<std::size_t>(p), prefix)) {
     out.push_back(p);
   }
+}
+
+std::uint32_t FmIndex::kmer_length_for(std::uint64_t n) {
+  if (n >= std::numeric_limits<std::uint32_t>::max()) return 0;
+  std::uint32_t k = 0;
+  while (k < 12 && (std::uint64_t{16} << (2 * (k + 1))) <= n) ++k;
+  return k;
+}
+
+void FmIndex::build_kmer_table() {
+  kmer_length_ = kmer_length_for(reference_size());
+  kmer_table_.clear();
+  if (kmer_length_ == 0) return;
+  // In place: a level-l entry sits at its suffix code s < 4^l, and prepending
+  // base b gives code b * 4^l + s, so the children of s land at s itself
+  // (read first) and past the level, never on an entry still to be read.
+  kmer_table_.resize(std::size_t{1} << (2 * kmer_length_));
+  kmer_table_[0] = {0, static_cast<std::uint32_t>(num_rows())};
+  for (std::uint32_t level = 0; level < kmer_length_; ++level) {
+    const std::size_t width = std::size_t{1} << (2 * level);
+    for (std::size_t s = 0; s < width; ++s) {
+      const KmerEntry parent = kmer_table_[s];
+      if (parent.high == 0) {
+        for (std::size_t b = 1; b < genome::kNumBases; ++b) {
+          kmer_table_[b * width + s] = parent;
+        }
+        continue;
+      }
+      // Stage one checks for one row only after it has matched a base.
+      const bool one_row = level > 0 && parent.high - parent.low == 1;
+      const auto next = extend4({parent.low, parent.high});
+      for (std::size_t b = 0; b < genome::kNumBases; ++b) {
+        kmer_table_[b * width + s] =
+            next[b].valid()
+                ? KmerEntry{static_cast<std::uint32_t>(next[b].low),
+                            static_cast<std::uint32_t>(next[b].high)}
+                : KmerEntry{one_row ? 1U : 0U, 0};
+      }
+    }
+  }
+}
+
+SearchStart FmIndex::exact_start(std::span<const genome::Base> read) const {
+  const std::size_t m = read.size();
+  if (kmer_length_ == 0 || m <= kmer_length_) {
+    return {whole_interval(), 0, false};
+  }
+  std::size_t code = 0;
+  for (std::size_t i = m - kmer_length_; i < m; ++i) {
+    code = code << 2 | static_cast<std::size_t>(read[i]);
+  }
+  const KmerEntry entry = kmer_table_[code];
+  if (entry.high == 0) return {SaInterval{}, kmer_length_, entry.low != 0};
+  return {{entry.low, entry.high}, kmer_length_, false};
 }
 
 FmIndex::MemoryFootprint FmIndex::memory_footprint() const {

@@ -11,6 +11,11 @@
 // The host uses it to finish an exact search whose interval is down to one
 // row (finish_one_row); the paper's memory image, and memory_footprint(),
 // stay BWT + MT + SA.
+//
+// Host-side, the index also keeps a k-mer interval table: for every k-mer,
+// the SA interval backward search reaches after those k bases, so stage one
+// starts k steps in (exact_start). It is derived from the other parts on
+// every build and load, so the artifact format does not carry it.
 #pragma once
 
 #include <array>
@@ -36,6 +41,16 @@ struct SaInterval {
   bool valid() const { return low < high; }
   std::uint64_t count() const { return valid() ? high - low : 0; }
   bool operator==(const SaInterval&) const = default;
+};
+
+/// Where stage one's backward search starts (FmIndex::exact_start): the
+/// interval after the read's last `consumed` bases. When that interval is
+/// empty, `passed_one_row` says whether the walk to it went through an
+/// interval of exactly one row.
+struct SearchStart {
+  SaInterval interval;
+  std::size_t consumed = 0;
+  bool passed_one_row = false;
 };
 
 struct FmIndexConfig {
@@ -140,6 +155,22 @@ class FmIndex {
                       std::span<const genome::Base> prefix,
                       std::vector<std::uint64_t>& out) const;
 
+  /// k of the k-mer interval table for a reference of n bases: the largest
+  /// k <= 12 with 16 * 4^k <= n, so the 8-byte entries take at most n/2
+  /// bytes; 0 (no table) below 64 bases and when the BWT rows do not fit
+  /// the entries' 32-bit bounds.
+  static std::uint32_t kmer_length_for(std::uint64_t n);
+
+  /// This index's table k (kmer_length_for(reference_size())).
+  std::uint32_t kmer_length() const { return kmer_length_; }
+
+  /// Stage one's start for `read`. With m > k it is the table's entry for
+  /// the read's last k bases: the interval Algorithm 1 reaches after k
+  /// steps, with consumed = k, and for an empty one whether some shorter
+  /// suffix had exactly one row. Otherwise it is the whole interval with
+  /// nothing consumed.
+  SearchStart exact_start(std::span<const genome::Base> read) const;
+
   /// Memory footprint of the persisted structures, for Fig. 10a-style
   /// accounting (scaled analytically to Hg19 in the chip model).
   struct MemoryFootprint {
@@ -151,12 +182,25 @@ class FmIndex {
   MemoryFootprint memory_footprint() const;
 
  private:
+  /// One k-mer's interval in 32-bit bounds. high == 0 marks an empty one,
+  /// whose `low` is the passed_one_row bit.
+  struct KmerEntry {
+    std::uint32_t low = 0;
+    std::uint32_t high = 0;
+  };
+
+  /// Fill the table level by level: every level-l interval's extend4 gives
+  /// its four level-(l+1) children.
+  void build_kmer_table();
+
   FmIndexConfig config_;
   genome::PackedSequence reference_;
   Bwt bwt_;
   CountTable counts_;
   MarkerTable markers_;
   SampledSuffixArray sampled_sa_;
+  std::uint32_t kmer_length_ = 0;
+  std::vector<KmerEntry> kmer_table_;  ///< 4^k entries, k-mer code order.
 };
 
 }  // namespace pim::index

@@ -169,6 +169,12 @@ class PimSearchBackend {
                        std::vector<std::uint64_t>& out) const {
     out = platform_->locate_all(interval);
   }
+  /// Stage one starts from the whole interval with nothing consumed: the
+  /// paper's memory has no k-mer table, so the platform issues and charges
+  /// every LFM of Algorithm 1.
+  index::SearchStart exact_start(std::span<const genome::Base>) const {
+    return {whole_interval(), 0, false};
+  }
   /// Finishes a one-row interval as Algorithm 1 does: the remaining
   /// extend_hw steps, then the charged locate. The paper's memory holds
   /// only BWT, MT and SA, so the platform has no reference to verify

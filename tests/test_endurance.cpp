@@ -81,7 +81,9 @@ TEST(Endurance, ZoneTotalsSumToTotal) {
   EXPECT_EQ(sum, report.total_writes);
   // Steady-state LFM traffic never writes the BWT or CRef zones.
   for (const auto& z : report.by_zone) {
-    if (z.zone == "BWT" || z.zone == "CRef") EXPECT_EQ(z.writes, 0U);
+    if (z.zone == "BWT" || z.zone == "CRef") {
+      EXPECT_EQ(z.writes, 0U);
+    }
   }
 }
 

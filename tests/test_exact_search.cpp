@@ -11,6 +11,8 @@
 #include "src/genome/synthetic_genome.h"
 #include "src/index/index_io.h"
 #include "src/index/mapped_index.h"
+#include "src/pim/pim_engine.h"
+#include "src/pim/platform.h"
 #include "src/util/rng.h"
 #include "tests/temp_dir.h"
 
@@ -178,6 +180,38 @@ EngineStats expect_engine_matches_algorithm_one(
   return result.stats();
 }
 
+/// The same reads on the simulated platform, whose stage one starts from
+/// the whole interval and walks Algorithm 1: the hits and both search
+/// counters must equal the software engine's `want` (from
+/// expect_engine_matches_algorithm_one).
+void expect_platform_matches(const index::FmIndex& fm,
+                             const std::vector<std::vector<Base>>& reads,
+                             const EngineStats& want) {
+  AlignerOptions options;
+  options.inexact.max_diffs = 0;
+  options.max_hits = 0;
+  const ReadBatch batch = ReadBatch::from_reads(reads);
+  BatchResult software, on_platform;
+  SoftwareEngine(fm, options).align_batch(batch, software);
+  hw::TimingEnergyModel timing;
+  hw::PimAlignerPlatform platform(fm, timing);
+  const auto report = hw::PimEngine(platform, options).run(batch, on_platform);
+  ASSERT_EQ(on_platform.size(), software.size());
+  const auto placements = [](const BatchResult& result, std::size_t i) {
+    std::vector<std::pair<std::uint64_t, Strand>> out;
+    for (const auto& hit : result.hits(i)) {
+      out.emplace_back(hit.position, hit.strand);
+    }
+    return out;
+  };
+  for (std::size_t i = 0; i < software.size(); ++i) {
+    EXPECT_EQ(placements(on_platform, i), placements(software, i))
+        << "read " << i;
+  }
+  EXPECT_EQ(report.stats.exact_searches, want.exact_searches);
+  EXPECT_EQ(report.stats.exact_verified, want.exact_verified);
+}
+
 /// Random reference with exact tandem duplicates appended: three copies of
 /// one 400-bp block, so intervals over it stay three rows past mid-read.
 PackedSequence with_tandem_duplicates(PackedSequence text,
@@ -189,8 +223,9 @@ PackedSequence with_tandem_duplicates(PackedSequence text,
   return text;
 }
 
-/// Planted reads (30 and 100 bp), the text ends, a mismatch at read[0],
-/// m = 1, and random reads.
+/// Planted reads (30 and 100 bp, and k - 1, k and k + 1 around the index's
+/// k-mer table length), the text ends, a mismatch at read[0], m = 1, and
+/// random reads.
 std::vector<std::vector<Base>> stage_one_reads(const PackedSequence& text,
                                                std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
@@ -200,6 +235,16 @@ std::vector<std::vector<Base>> stage_one_reads(const PackedSequence& text,
     const std::size_t m = i % 2 == 0 ? 100 : 30;
     const std::size_t start = rng.bounded(n - m + 1);
     reads.push_back(text.slice(start, start + m));
+  }
+  const std::size_t k = index::FmIndex::kmer_length_for(n);
+  for (std::size_t m = std::max<std::size_t>(k, 2) - 1; m <= k + 1; ++m) {
+    for (int i = 0; i < 10; ++i) {
+      const std::size_t start = rng.bounded(n - m + 1);
+      reads.push_back(text.slice(start, start + m));
+      std::vector<Base> random(m);
+      for (auto& b : random) b = static_cast<Base>(rng.bounded(4));
+      reads.push_back(std::move(random));
+    }
   }
   for (const std::size_t m : {1u, 30u, 100u}) {
     reads.push_back(text.slice(0, m));      // p = 0
@@ -233,11 +278,13 @@ TEST(StageOneEquivalence, RandomAndRepeatRichReferences) {
     const PackedSequence random = genome::generate_uniform(20000, seed);
     for (const PackedSequence* text : {&random, &repeats}) {
       const auto fm = index::FmIndex::build(*text, {.bucket_width = 128});
-      const EngineStats stats =
-          expect_engine_matches_algorithm_one(fm, stage_one_reads(*text, seed));
+      const auto reads = stage_one_reads(*text, seed);
+      const EngineStats stats = expect_engine_matches_algorithm_one(fm, reads);
       // The one-row path ran, and not for every search.
       EXPECT_GT(stats.exact_verified, 0U);
       EXPECT_LT(stats.exact_verified, stats.exact_searches);
+      EXPECT_GT(fm.kmer_length(), 0U);
+      expect_platform_matches(fm, reads, stats);
     }
   }
 }
@@ -261,12 +308,98 @@ TEST(StageOneEquivalence, SuffixBeforeRestAndReadsLongerThanText) {
   reads.push_back(text.unpack());  // m = n, p = 0
   EXPECT_GT(expect_engine_matches_algorithm_one(fm, reads).exact_verified, 0U);
 
-  // An 8-base text: a read of length n + 5, a repeated 4-mer, m = 1.
+  // An 8-base text: a read of length n + 5, a repeated 4-mer, m = 1. Too
+  // short for a k-mer table (k = 0): stage one starts from the whole
+  // interval.
   const PackedSequence tiny("ACGTTGCA");
   const auto tiny_fm = index::FmIndex::build(tiny, {.bucket_width = 4});
+  ASSERT_EQ(tiny_fm.kmer_length(), 0U);
   expect_engine_matches_algorithm_one(
       tiny_fm, {genome::encode("ACGTTGCAACGTT"), genome::encode("TGCA"),
                 genome::encode("G")});
+  // k = 0 on the platform's 128-bp rows too.
+  const PackedSequence short_text = genome::generate_uniform(50, 9);
+  const auto short_fm =
+      index::FmIndex::build(short_text, {.bucket_width = 128});
+  ASSERT_EQ(short_fm.kmer_length(), 0U);
+  std::vector<std::vector<Base>> short_reads = {genome::encode("ACGTACGT")};
+  for (const std::size_t m : {1u, 4u, 12u, 50u}) {
+    for (std::size_t start = 0; start + m <= 50; start += 7) {
+      short_reads.push_back(short_text.slice(start, start + m));
+    }
+  }
+  expect_platform_matches(
+      short_fm, short_reads,
+      expect_engine_matches_algorithm_one(short_fm, short_reads));
+}
+
+/// Reads whose table start decides the outcome on `fm`: for every k-mer
+/// whose entry is empty after a one-row suffix, and for every one-row
+/// k-mer, the 30 text bases before one of the k-mer's rows (or before
+/// `anchor`) followed by the k-mer.
+std::vector<std::vector<Base>> table_edge_reads(const index::FmIndex& fm,
+                                                std::size_t anchor,
+                                                std::size_t& absent) {
+  const std::size_t k = fm.kmer_length();
+  const PackedSequence& text = fm.reference();
+  std::vector<std::vector<Base>> reads;
+  absent = 0;
+  for (std::size_t code = 0; code < (std::size_t{1} << (2 * k)); ++code) {
+    std::vector<Base> kmer(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      kmer[i] = static_cast<Base>((code >> (2 * (k - 1 - i))) & 3);
+    }
+    std::vector<Base> probe = {Base::A};
+    probe.insert(probe.end(), kmer.begin(), kmer.end());
+    const index::SearchStart start = fm.exact_start(probe);
+    std::size_t at = anchor;
+    if (start.interval.count() == 1) {
+      at = fm.locate(start.interval.low);
+      if (at < 30) continue;
+    } else if (start.interval.valid() || !start.passed_one_row) {
+      continue;
+    } else {
+      ++absent;
+    }
+    auto read = text.slice(at - 30, at);
+    read.insert(read.end(), kmer.begin(), kmer.end());
+    reads.push_back(std::move(read));
+  }
+  return reads;
+}
+
+// On a 4%-GC text many GC-rich k-mers are absent right after a one-row
+// suffix: the software engine starts such a read from an empty table entry
+// and must still count it as verified, as the platform, which walks
+// Algorithm 1 from the whole interval, does. Built, stream-loaded and
+// mapped indexes each carry the table.
+TEST(StageOneEquivalence, EmptyTableEntriesAfterOneRowCountAsVerified) {
+  const PackedSequence text = genome::generate_uniform(20000, 11, 0.04);
+  const auto built = index::FmIndex::build(text, {.bucket_width = 128});
+  ASSERT_EQ(built.kmer_length(), 5U);
+  std::size_t absent = 0;
+  auto reads = table_edge_reads(built, 10000, absent);
+  ASSERT_GT(absent, 0U);
+  const std::size_t edge_reads = reads.size();
+  ASSERT_GT(edge_reads, absent);  // one-row k-mers too
+  const auto more = stage_one_reads(text, 11);
+  reads.insert(reads.end(), more.begin(), more.end());
+
+  std::stringstream buffer;
+  index::save_index(buffer, built);
+  const index::LoadedIndex streamed = index::load_index(buffer);
+  tests::TempDir dir;
+  const std::string path = dir.file("skewed.index");
+  index::save_index_file(path, built);
+  const auto mapped = index::MappedIndex::open(path);
+  ASSERT_TRUE(mapped.mapped());
+
+  for (const index::FmIndex* fm : {&built, &streamed.index, &mapped.index()}) {
+    const EngineStats stats = expect_engine_matches_algorithm_one(*fm, reads);
+    // Each absent edge read is verified on its forward strand.
+    EXPECT_GE(stats.exact_verified, absent);
+    expect_platform_matches(*fm, reads, stats);
+  }
 }
 
 TEST(StageOneEquivalence, LoadedAndMappedIndexes) {
@@ -299,6 +432,7 @@ TEST(StageOneEquivalence, LoadedAndMappedIndexes) {
   EXPECT_EQ(expect_engine_matches_algorithm_one(mapped.index(), reads)
                 .exact_verified,
             want.exact_verified);
+  expect_platform_matches(mapped.index(), reads, want);
 }
 
 }  // namespace

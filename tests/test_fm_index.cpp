@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 
+#include "src/align/backward_search.h"
 #include "src/genome/synthetic_genome.h"
+#include "src/index/index_io.h"
+#include "src/index/mapped_index.h"
 #include "src/util/rng.h"
+#include "tests/temp_dir.h"
 
 namespace pim::index {
 namespace {
@@ -173,6 +179,97 @@ TEST(FmIndex, FinishOneRowVerifiesThePrefix) {
   // A prefix longer than the row's text position fits nowhere.
   fm.finish_one_row(row, std::vector<Base>(rest + 1, Base::A), out);
   EXPECT_TRUE(out.empty());
+}
+
+TEST(FmIndex, KmerLengthIsTheLargestWithSixteenRowsPerEntry) {
+  const auto k_for = FmIndex::kmer_length_for;
+  EXPECT_EQ(k_for(0), 0U);
+  EXPECT_EQ(k_for(63), 0U);
+  EXPECT_EQ(k_for(64), 1U);
+  EXPECT_EQ(k_for(16 * 1024 - 1), 4U);
+  EXPECT_EQ(k_for(16 * 1024), 5U);
+  EXPECT_EQ(k_for(std::uint64_t{1} << 20), 8U);   // 512 KB on 1 Mbp
+  EXPECT_EQ(k_for(std::uint64_t{16} << 20), 10U);  // 8 MB on 16 Mbp
+  EXPECT_EQ(k_for(std::uint64_t{1} << 31), 12U);  // capped
+  // Past 32-bit row bounds there is no table.
+  EXPECT_EQ(k_for(std::numeric_limits<std::uint32_t>::max() - 1), 12U);
+  EXPECT_EQ(k_for(std::numeric_limits<std::uint32_t>::max()), 0U);
+  for (const std::size_t n : {40u, 5000u, 20000u}) {
+    const FmIndex fm = FmIndex::build(genome::generate_uniform(n, 3));
+    EXPECT_EQ(fm.kmer_length(), k_for(n)) << n;
+  }
+}
+
+TEST(FmIndex, ShortReadsAndTinyReferencesStartFromTheWholeInterval) {
+  const FmIndex tiny = FmIndex::build(PackedSequence("ACGTTGCAAC"));
+  EXPECT_EQ(tiny.kmer_length(), 0U);
+  const auto read = genome::encode("TTGCA");
+  EXPECT_EQ(tiny.exact_start(read).interval, tiny.whole_interval());
+  EXPECT_EQ(tiny.exact_start(read).consumed, 0U);
+
+  const FmIndex fm = FmIndex::build(genome::generate_uniform(20000, 4));
+  ASSERT_EQ(fm.kmer_length(), 5U);
+  for (const std::size_t m : {0u, 1u, 5u}) {
+    const SearchStart start = fm.exact_start(std::vector<Base>(m, Base::C));
+    EXPECT_EQ(start.interval, fm.whole_interval()) << m;
+    EXPECT_EQ(start.consumed, 0U) << m;
+    EXPECT_FALSE(start.passed_one_row) << m;
+  }
+  EXPECT_EQ(fm.exact_start(std::vector<Base>(6, Base::C)).consumed, 5U);
+}
+
+// Every k-mer's entry is where Algorithm 1 stands after the k-mer's k bases,
+// and an empty entry says whether some suffix of the k-mer had exactly one
+// row. A 4%-GC text leaves many GC-rich k-mers rare or absent, so all three
+// kinds of entry occur. Built, stream-loaded and mapped indexes each derive
+// the table.
+TEST(FmIndex, KmerTableEntriesEqualBackwardSearch) {
+  const PackedSequence text = genome::generate_uniform(20000, 9, 0.04);
+  const FmIndex built = FmIndex::build(text, {.bucket_width = 128});
+  std::stringstream buffer;
+  save_index(buffer, built);
+  const LoadedIndex streamed = load_index(buffer);
+  tests::TempDir dir;
+  const std::string path = dir.file("kmer.index");
+  save_index_file(path, built);
+  const auto mapped = MappedIndex::open(path);
+  ASSERT_TRUE(mapped.mapped());
+
+  const std::size_t k = built.kmer_length();
+  ASSERT_EQ(k, 5U);
+  for (const FmIndex* fm : {&built, &streamed.index, &mapped.index()}) {
+    ASSERT_EQ(fm->kmer_length(), k);
+    std::size_t rows = 0, one_row_then_empty = 0, empty = 0;
+    for (std::size_t code = 0; code < (std::size_t{1} << (2 * k)); ++code) {
+      std::vector<Base> kmer(k);
+      for (std::size_t i = 0; i < k; ++i) {
+        kmer[i] = static_cast<Base>((code >> (2 * (k - 1 - i))) & 3);
+      }
+      const auto trace = align::exact_search_trace(*fm, kmer);
+      const SaInterval want = trace.back();
+      const bool passed_one_row =
+          std::any_of(trace.begin(), trace.end(),
+                      [](const SaInterval& iv) { return iv.count() == 1; });
+      // One base in front, so the read is longer than k.
+      std::vector<Base> read = {Base::G};
+      read.insert(read.end(), kmer.begin(), kmer.end());
+      const SearchStart start = fm->exact_start(read);
+      SCOPED_TRACE("k-mer " + genome::decode(kmer));
+      EXPECT_EQ(start.consumed, k);
+      if (want.valid()) {
+        EXPECT_EQ(start.interval, want);
+        EXPECT_FALSE(start.passed_one_row);
+        ++rows;
+      } else {
+        EXPECT_FALSE(start.interval.valid());
+        EXPECT_EQ(start.passed_one_row, passed_one_row);
+        ++(passed_one_row ? one_row_then_empty : empty);
+      }
+    }
+    EXPECT_GT(rows, 0U);
+    EXPECT_GT(one_row_then_empty, 0U);
+    EXPECT_GT(empty, 0U);
+  }
 }
 
 }  // namespace

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "src/genome/fasta.h"
 #include "src/genome/fastq.h"
 #include "src/genome/multi_reference.h"
 #include "src/genome/synthetic_genome.h"
+#include "src/util/rng.h"
 #include "tests/temp_dir.h"
 
 namespace pim::align {
@@ -630,6 +633,182 @@ TEST(SamWriter, MultiChromosomeGoldenFile) {
   EXPECT_TRUE(saw_reverse);
   EXPECT_TRUE(saw_inexact);
   tests::expect_golden(out.str(), "multi_chrom.sam");
+}
+
+/// Three chromosomes; chr2 carries a copy of a 150-bp block of chr1, so
+/// reads from the block map twice (a primary and a secondary).
+genome::MultiReference chromosomes_with_a_repeat() {
+  const PackedSequence chr1 = genome::generate_uniform(3000, 21);
+  PackedSequence chr2 = genome::generate_uniform(700, 22);
+  for (const auto b : chr1.slice(1000, 1150)) chr2.push_back(b);
+  for (const auto b : genome::generate_uniform(650, 23).unpack()) {
+    chr2.push_back(b);
+  }
+  std::vector<std::pair<std::string, PackedSequence>> parts;
+  parts.emplace_back("chr1", chr1);
+  parts.emplace_back("chr2", std::move(chr2));
+  parts.emplace_back("chr3", genome::generate_uniform(2000, 24));
+  return genome::MultiReference::from_parts(std::move(parts));
+}
+
+/// The records make_records gives for each read of `batch`, one line each:
+/// what write_chunk must write byte for byte.
+std::string record_path(SamWriter& writer, const ReadBatch& batch,
+                        const BatchResult& results, std::size_t base_index) {
+  std::string text;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    std::string qname(batch.name(i));
+    if (qname.empty()) qname = "read" + std::to_string(base_index + i);
+    std::optional<std::string> qual;
+    if (!batch.qualities(i).empty()) qual = std::string(batch.qualities(i));
+    for (const auto& rec : writer.make_records(qname, batch.read(i).unpack(),
+                                               results.result(i), qual)) {
+      text += rec.to_line() + "\n";
+    }
+  }
+  return text;
+}
+
+// write_chunk takes names, qualities and "read<i>" numbers from the batch
+// and renders into one buffer; its bytes must equal the make_records /
+// to_line lines of the same reads. Seeded reads cover forward and reverse
+// exact hits, substituted reads (recomputed CIGARs), a repeat (secondary
+// records), random reads (unmapped), reads across a junction (dropped),
+// an empty read, names with comments, nameless reads numbered from a
+// nonzero base index, and a batch without qualities.
+TEST(SamWriter, WriteBatchMatchesRecordPath) {
+  const auto ref = chromosomes_with_a_repeat();
+  const PackedSequence& text = ref.concatenated();
+  const auto fm = index::FmIndex::build(text, {.bucket_width = 64});
+  AlignerOptions options;
+  options.inexact.max_diffs = 2;
+  util::Xoshiro256 rng(5);
+
+  std::vector<std::vector<Base>> reads;
+  const auto planted = [&](std::size_t begin, std::size_t m) {
+    return text.slice(begin, begin + m);
+  };
+  for (int i = 0; i < 40; ++i) {
+    const std::size_t m = 40 + rng.bounded(61);
+    auto read = planted(rng.bounded(text.size() - m), m);
+    switch (i % 4) {
+      case 1:
+        read = genome::reverse_complement(read);
+        break;
+      case 2:
+        for (int d = 0; d < 1 + i % 3; ++d) {
+          auto& b = read[rng.bounded(m)];
+          b = static_cast<Base>((static_cast<int>(b) + 1) % 4);
+        }
+        break;
+      case 3:
+        for (auto& b : read) b = static_cast<Base>(rng.bounded(4));
+        break;
+    }
+    reads.push_back(std::move(read));
+  }
+  reads.push_back(planted(1020, 80));                             // repeat
+  reads.push_back(genome::reverse_complement(planted(1010, 90)));  // repeat
+  reads.push_back(planted(2970, 60));  // across the chr1/chr2 junction
+  reads.push_back(planted(4470, 60));  // across the chr2/chr3 junction
+  reads.push_back({});
+
+  for (const bool annotated : {true, false}) {
+    SCOPED_TRACE(annotated ? "names and qualities" : "bare reads");
+    ReadBatchBuilder builder;
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      std::string name, qual;
+      if (annotated) {
+        if (i % 3 == 1) name = "r" + std::to_string(i) + " comment=" +
+                               std::to_string(i);
+        if (i % 3 == 2) name = "r" + std::to_string(i) + "\tx";
+        for (std::size_t j = 0; j < reads[i].size(); ++j) {
+          qual.push_back(static_cast<char>('!' + rng.bounded(41)));
+        }
+      }
+      builder.add(reads[i], name, qual);
+    }
+    const ReadBatch batch = builder.build();
+    BatchResult results;
+    SoftwareEngine(fm, options).align_batch(batch, results);
+
+    const std::size_t base_index = annotated ? 1000 : 0;
+    std::ostringstream rendered;
+    SamWriter writer(rendered, text, ref.chromosomes());
+    if (annotated) {
+      writer.write_chunk(
+          BatchResultChunk{&batch, 0, batch.size(), &results, base_index});
+    } else {
+      writer.write_batch(batch, results);
+    }
+    std::ostringstream unused;
+    SamWriter oracle(unused, text, ref.chromosomes());
+    const std::string want = record_path(oracle, batch, results, base_index);
+    EXPECT_EQ(rendered.str(), want);
+    EXPECT_EQ(writer.records_written(),
+              static_cast<std::size_t>(
+                  std::count(want.begin(), want.end(), '\n')));
+    EXPECT_EQ(writer.junction_artifacts_dropped(),
+              oracle.junction_artifacts_dropped());
+
+    // The cases above all occurred.
+    EXPECT_GE(writer.junction_artifacts_dropped(), 2U);
+    std::set<std::uint16_t> flags;
+    std::istringstream lines(want);
+    for (std::string line; std::getline(lines, line);) {
+      flags.insert(static_cast<std::uint16_t>(std::stoi(split(line)[1])));
+    }
+    EXPECT_TRUE(flags.count(0) && flags.count(SamRecord::kFlagReverse) &&
+                flags.count(SamRecord::kFlagUnmapped));
+    EXPECT_TRUE(flags.count(SamRecord::kFlagSecondary) ||
+                flags.count(SamRecord::kFlagSecondary |
+                            SamRecord::kFlagReverse));
+    EXPECT_NE(want.find("\tNM:i:1\n"), std::string::npos);  // inexact
+    EXPECT_NE(want.find(annotated ? "read1000\t" : "read0\t"),
+              std::string::npos);
+    if (annotated) {
+      EXPECT_NE(want.find("\nr1\t"), std::string::npos);  // comment cut
+      EXPECT_NE(want.find("\nr2\t"), std::string::npos);
+    } else {
+      EXPECT_NE(want.find("\t*\tNM:i:0\n"), std::string::npos);  // no QUAL
+    }
+  }
+}
+
+// A read with a quality string of the wrong length throws; the records of
+// the reads before it still reach the stream, one whole record each.
+TEST(SamWriter, QualityMismatchInAChunkWritesTheReadsBefore) {
+  const Fixture f;
+  ReadBatchBuilder builder;
+  for (std::size_t i = 0; i < 5; ++i) {
+    const auto read = f.reference.slice(100 * i, 100 * i + 50);
+    builder.add(read, "q" + std::to_string(i),
+                std::string(i == 3 ? 49 : 50, 'I'));
+  }
+  const ReadBatch batch = builder.build();
+  BatchResult results;
+  SoftwareEngine(f.fm, AlignerOptions{}).align_batch(batch, results);
+
+  std::ostringstream out;
+  SamWriter writer(out, "chrTest", f.reference);
+  EXPECT_THROW(writer.write_batch(batch, results), std::invalid_argument);
+
+  std::ostringstream unused;
+  SamWriter oracle(unused, "chrTest", f.reference);
+  std::string want;
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (const auto& rec :
+         oracle.make_records(std::string(batch.name(i)),
+                             batch.read(i).unpack(), results.result(i),
+                             std::string(batch.qualities(i)))) {
+      want += rec.to_line() + "\n";
+    }
+  }
+  EXPECT_EQ(out.str(), want);
+  EXPECT_NE(want.find("\nq2\t"), std::string::npos);
+  EXPECT_EQ(writer.records_written(),
+            static_cast<std::size_t>(std::count(want.begin(), want.end(),
+                                                '\n')));
 }
 
 TEST(EstimateMapq, Heuristic) {
