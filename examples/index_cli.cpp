@@ -17,6 +17,7 @@
 // chromosome table (one @SQ per FASTA record).
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -88,31 +89,25 @@ int cmd_verify(const std::string& index_path) {
   // reading sections into owned buffers, the mapped loader over the mmap
   // region. Agreement of the two proves the artifact and the zero-copy
   // assembly path.
-  try {
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto loaded = index::load_index_file(index_path);
-    const double stream_s = seconds_since(t0);
-    const auto t1 = std::chrono::steady_clock::now();
-    const auto mapped = index::MappedIndex::open(index_path);
-    const double map_s = seconds_since(t1);
-    if (mapped.index().num_rows() != loaded.index.num_rows() ||
-        !(mapped.reference() == loaded.reference()) ||
-        mapped.chromosomes().size() != loaded.chromosomes.size()) {
-      std::fprintf(stderr, "FAIL: stream and mapped loads disagree\n");
-      return 1;
-    }
-    std::printf("OK: %s (%llu bp, %zu chromosome(s); stream %.3f s, "
-                "%s %.3f s)\n",
-                index_path.c_str(),
-                static_cast<unsigned long long>(
-                    loaded.index.reference_size()),
-                loaded.chromosomes.size(), stream_s,
-                mapped.mapped() ? "mmap" : "stream-fallback", map_s);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "FAIL: %s\n", e.what());
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto loaded = index::load_index_file(index_path);
+  const double stream_s = seconds_since(t0);
+  const auto t1 = std::chrono::steady_clock::now();
+  const auto mapped = index::MappedIndex::open(index_path);
+  const double map_s = seconds_since(t1);
+  if (mapped.index().num_rows() != loaded.index.num_rows() ||
+      !(mapped.reference() == loaded.reference()) ||
+      mapped.chromosomes().size() != loaded.chromosomes.size()) {
+    std::fprintf(stderr, "FAIL: stream and mapped loads disagree\n");
     return 1;
   }
+  std::printf("OK: %s (%llu bp, %zu chromosome(s); stream %.3f s, "
+              "%s %.3f s)\n",
+              index_path.c_str(),
+              static_cast<unsigned long long>(loaded.index.reference_size()),
+              loaded.chromosomes.size(), stream_s,
+              mapped.mapped() ? "mmap" : "stream-fallback", map_s);
+  return 0;
 }
 
 int cmd_align(const std::string& index_path, const std::string& fastq_path,
@@ -180,9 +175,7 @@ int demo() {
                    "/tmp/pim_cli.sam");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc == 1) return demo();
   const std::string cmd = argv[1];
   if (cmd == "build" && argc == 4) return cmd_build(argv[2], argv[3]);
@@ -197,4 +190,17 @@ int main(int argc, char** argv) {
                "  %s align <index> <reads.fastq> <out.sam>\n",
                argv[0], argv[0], argv[0], argv[0]);
   return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad input (unreadable FASTA/FASTQ, corrupt or truncated artifact) is
+  // a reported failure with exit 1, in every command.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "FAIL: %s\n", e.what());
+    return 1;
+  }
 }

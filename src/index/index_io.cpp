@@ -1,5 +1,16 @@
+// The artifact writer and its one reader. Every consumer — the stream
+// loader, MappedIndex and inspect_index_file — validates the header and
+// section table through detail::parse_layout, and the stream and mapped
+// loaders fetch the payloads through one SectionSource and one section list
+// (fetch_sections) before one assemble step builds the FmIndex.
 #include "src/index/index_io.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -13,6 +24,8 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "src/index/mapped_index.h"
 
 namespace pim::index {
 
@@ -51,6 +64,7 @@ const char* section_name(SectionId id) {
 
 namespace {
 
+using detail::ArtifactLayout;
 using detail::FileHeaderV2;
 using detail::fnv1a;
 using detail::kFnvOffset;
@@ -70,6 +84,12 @@ constexpr std::uint64_t kMaxChromosomes = 1ULL << 20;
 constexpr std::uint64_t kMaxChromosomeName = 1ULL << 16;
 
 constexpr std::uint64_t pad8(std::uint64_t bytes) { return (bytes + 7) & ~7ULL; }
+
+/// Bytes before the first section: header, entries, table checksum.
+constexpr std::uint64_t table_end(std::uint64_t num_sections) {
+  return sizeof(FileHeaderV2) + num_sections * sizeof(SectionEntry) +
+         sizeof(std::uint64_t);
+}
 
 [[noreturn]] void fail(const std::string& message) {
   throw std::runtime_error("index_io: " + message);
@@ -92,82 +112,7 @@ void write_raw(std::ostream& out, const void* data, std::size_t bytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy v1 helpers (sequential, whole-stream FNV trailer).
-
-void write_bytes_v1(std::ostream& out, const void* data, std::size_t bytes,
-                    std::uint64_t& hash) {
-  write_raw(out, data, bytes);
-  hash = fnv1a(hash, data, bytes);
-}
-
-void read_bytes_v1(std::istream& in, void* data, std::size_t bytes,
-                   std::uint64_t& hash) {
-  in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::size_t>(in.gcount()) != bytes) fail("truncated file");
-  hash = fnv1a(hash, data, bytes);
-}
-
-template <typename T>
-void write_pod_v1(std::ostream& out, const T& value, std::uint64_t& hash) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  write_bytes_v1(out, &value, sizeof(T), hash);
-}
-
-template <typename T>
-T read_pod_v1(std::istream& in, std::uint64_t& hash) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T value{};
-  read_bytes_v1(in, &value, sizeof(T), hash);
-  return value;
-}
-
-// Loads the v1 body (everything after magic + version, which the dispatcher
-// already consumed and folded into `hash`). v1 stores only reference + SA;
-// the marker/count tables are REBUILT here — that rebuild dominates v1 load
-// time and is why v2 exists. The split is published as
-// index.load.read_ms / index.load.rebuild_ms.
-LoadedIndex load_index_v1(std::istream& in, std::uint64_t hash,
-                          obs::MetricsRegistry* metrics) {
-  const auto read_start = std::chrono::steady_clock::now();
-  FmIndexConfig config;
-  config.bucket_width = read_pod_v1<std::uint32_t>(in, hash);
-  config.sa_sample_rate = read_pod_v1<std::uint32_t>(in, hash);
-
-  const auto n = read_pod_v1<std::uint64_t>(in, hash);
-  if (n == 0) fail_section(SectionId::kReference, "zero-length reference");
-  genome::PackedSequence reference;
-  for (std::uint64_t i = 0; i < n; i += 32) {
-    const auto word = read_pod_v1<std::uint64_t>(in, hash);
-    for (std::uint64_t j = 0; j < 32 && i + j < n; ++j) {
-      reference.push_back(static_cast<genome::Base>((word >> (2 * j)) & 0b11));
-    }
-  }
-
-  const auto rows = read_pod_v1<std::uint64_t>(in, hash);
-  if (rows != n + 1) fail("SA size inconsistent with reference");
-  SuffixArray sa(rows);
-  for (std::uint64_t row = 0; row < rows; ++row) {
-    sa[row] = read_pod_v1<std::uint32_t>(in, hash);
-  }
-
-  const std::uint64_t expected = hash;
-  std::uint64_t ignored = kFnvOffset;
-  const auto stored = read_pod_v1<std::uint64_t>(in, ignored);
-  if (stored != expected) fail("checksum mismatch (corrupt index)");
-  const double read_ms = ms_since(read_start);
-
-  const auto rebuild_start = std::chrono::steady_clock::now();
-  LoadedIndex loaded;
-  loaded.index = FmIndex::build_from_sa(reference, sa, config);
-  if (metrics != nullptr) {
-    metrics->histogram("index.load.read_ms").observe(read_ms);
-    metrics->histogram("index.load.rebuild_ms").observe(ms_since(rebuild_start));
-  }
-  return loaded;
-}
-
-// ---------------------------------------------------------------------------
-// v2 chromosome section codec.
+// Chromosome section codec.
 //
 // Payload: u64 count, then per chromosome { u64 offset, u64 length,
 // u64 name_len, name bytes zero-padded to 8 }.
@@ -194,8 +139,41 @@ std::vector<unsigned char> encode_chromosomes(
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// v2 writer.
+std::vector<genome::Chromosome> parse_chromosomes(
+    const util::Storage<unsigned char>& payload) {
+  const unsigned char* data = payload.data();
+  const std::size_t bytes = payload.size();
+  std::size_t pos = 0;
+  const auto take_u64 = [&](std::uint64_t& out) {
+    if (bytes - pos < 8) {
+      fail_section(SectionId::kChromosomes, "malformed payload");
+    }
+    std::memcpy(&out, data + pos, 8);
+    pos += 8;
+  };
+  std::uint64_t count = 0;
+  take_u64(count);
+  if (count > kMaxChromosomes) {
+    fail_section(SectionId::kChromosomes, "implausible chromosome count");
+  }
+  std::vector<genome::Chromosome> chromosomes;
+  chromosomes.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    genome::Chromosome chrom;
+    std::uint64_t name_len = 0;
+    take_u64(chrom.offset);
+    take_u64(chrom.length);
+    take_u64(name_len);
+    if (name_len > kMaxChromosomeName || bytes - pos < pad8(name_len)) {
+      fail_section(SectionId::kChromosomes, "malformed payload");
+    }
+    chrom.name.assign(reinterpret_cast<const char*>(data + pos),
+                      static_cast<std::size_t>(name_len));
+    pos += static_cast<std::size_t>(pad8(name_len));
+    chromosomes.push_back(std::move(chrom));
+  }
+  return chromosomes;
+}
 
 struct SectionPayload {
   SectionId id;
@@ -214,7 +192,8 @@ void check_save_args(const genome::PackedSequence& reference,
 }
 
 // ---------------------------------------------------------------------------
-// v2 expected geometry, shared by writer sanity and loader validation.
+// Layout validation: the part of parse_layout that runs once the header and
+// table are known to be intact.
 
 constexpr std::uint64_t words_for_bases(std::uint64_t bases) {
   return (bases + 31) / 32;
@@ -223,32 +202,11 @@ constexpr std::uint64_t words_for_bits(std::uint64_t bits) {
   return (bits + 63) / 64;
 }
 
-}  // namespace
-
-namespace detail {
-
-std::vector<SectionEntry> validate_v2_layout(const FileHeaderV2& header,
-                                             const SectionEntry* table,
-                                             std::uint64_t actual_file_bytes) {
-  if (header.magic != kIndexMagic) {
-    fail("bad magic (not a PIM-Aligner index)");
-  }
-  if (header.version != kIndexVersion) fail("unsupported index version");
-  if (header.header_bytes != sizeof(FileHeaderV2)) {
-    fail("header size mismatch");
-  }
-  {
-    FileHeaderV2 copy = header;
-    copy.header_checksum = 0;
-    const auto sum =
-        fnv1a(kFnvOffset, &copy, sizeof(copy) - sizeof(std::uint64_t));
-    if (sum != header.header_checksum) fail("header checksum mismatch");
-  }
+void check_layout(const FileHeaderV2& header,
+                  const std::vector<SectionEntry>& entries,
+                  std::uint64_t actual_file_bytes) {
   if (header.reference_bases == 0) {
     fail_section(SectionId::kReference, "zero-length reference");
-  }
-  if (header.num_sections == 0 || header.num_sections > kMaxSections) {
-    fail("implausible section count");
   }
   if (header.file_bytes > actual_file_bytes) fail("truncated file");
 
@@ -259,14 +217,8 @@ std::vector<SectionEntry> validate_v2_layout(const FileHeaderV2& header,
   if (header.sa_sample_rate == 0) fail("zero SA sample rate");
   if (header.primary >= rows) fail("primary row out of range");
 
-  const std::uint64_t table_end =
-      sizeof(FileHeaderV2) +
-      std::uint64_t{header.num_sections} * sizeof(SectionEntry) +
-      sizeof(std::uint64_t);
-
-  std::vector<SectionEntry> entries(table, table + header.num_sections);
   std::array<bool, 8> seen{};
-  std::uint64_t cursor = table_end;
+  std::uint64_t cursor = table_end(entries.size());
   for (const auto& entry : entries) {
     if (entry.id == 0 || entry.id > static_cast<std::uint32_t>(
                                         SectionId::kChromosomes)) {
@@ -329,100 +281,55 @@ std::vector<SectionEntry> validate_v2_layout(const FileHeaderV2& header,
       fail_section(static_cast<SectionId>(id), "missing section");
     }
   }
-  return entries;
 }
 
-std::vector<genome::Chromosome> parse_chromosomes(const unsigned char* data,
-                                                  std::size_t bytes) {
-  std::size_t pos = 0;
-  const auto take_u64 = [&](std::uint64_t& out) {
-    if (bytes - pos < 8) {
-      fail_section(SectionId::kChromosomes, "malformed payload");
-    }
-    std::memcpy(&out, data + pos, 8);
-    pos += 8;
-  };
-  std::uint64_t count = 0;
-  take_u64(count);
-  if (count > kMaxChromosomes) {
-    fail_section(SectionId::kChromosomes, "implausible chromosome count");
-  }
-  std::vector<genome::Chromosome> chromosomes;
-  chromosomes.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    genome::Chromosome chrom;
-    std::uint64_t name_len = 0;
-    take_u64(chrom.offset);
-    take_u64(chrom.length);
-    take_u64(name_len);
-    if (name_len > kMaxChromosomeName || bytes - pos < pad8(name_len)) {
-      fail_section(SectionId::kChromosomes, "malformed payload");
-    }
-    chrom.name.assign(reinterpret_cast<const char*>(data + pos),
-                      static_cast<std::size_t>(name_len));
-    pos += static_cast<std::size_t>(pad8(name_len));
-    chromosomes.push_back(std::move(chrom));
-  }
-  return chromosomes;
-}
+}  // namespace
 
-LoadedIndex assemble_v2(const FileHeaderV2& header,
-                        util::Storage<std::uint64_t> reference_words,
-                        util::Storage<std::uint64_t> bwt_words,
-                        util::Storage<OccCheckpoint> markers,
-                        util::Storage<std::uint32_t> sa_samples,
-                        util::Storage<std::uint64_t> sa_row_words,
-                        util::Storage<std::uint32_t> sa_ranks,
-                        std::vector<genome::Chromosome> chromosomes) {
-  const std::uint64_t n = header.reference_bases;
-  const std::uint64_t rows = n + 1;
-  if (!chromosomes.empty()) {
-    try {
-      genome::validate_chromosomes(chromosomes, n);
-    } catch (const std::invalid_argument& e) {
-      fail_section(SectionId::kChromosomes, e.what());
-    }
+namespace detail {
+
+ArtifactLayout parse_layout(std::span<const unsigned char> prefix,
+                            std::optional<std::uint64_t> file_bytes) {
+  ArtifactLayout layout;
+  FileHeaderV2& header = layout.header;
+  if (prefix.size() < 2 * sizeof(std::uint32_t)) fail("truncated file");
+  std::memcpy(&header, prefix.data(), std::min(prefix.size(), sizeof(header)));
+  if (header.magic != kIndexMagic) {
+    fail("bad magic (not a PIM-Aligner index)");
   }
-  try {
-    LoadedIndex loaded;
-    auto reference = genome::PackedSequence::from_words(
-        std::move(reference_words), static_cast<std::size_t>(n));
-    Bwt bwt;
-    bwt.symbols = genome::PackedSequence::from_words(
-        std::move(bwt_words), static_cast<std::size_t>(rows));
-    bwt.primary = header.primary;
-    std::array<std::uint64_t, genome::kNumBases> counts{};
-    std::array<std::uint64_t, genome::kNumBases> occurrences{};
-    for (std::size_t b = 0; b < genome::kNumBases; ++b) {
-      counts[b] = header.counts[b];
-      occurrences[b] = header.occurrences[b];
-    }
-    auto sampled_sa = SampledSuffixArray::from_parts(
-        header.sa_sample_rate,
-        util::BitVector::from_words(std::move(sa_row_words),
-                                    static_cast<std::size_t>(rows)),
-        std::move(sa_ranks), std::move(sa_samples));
-    FmIndexConfig config;
-    config.bucket_width = header.bucket_width;
-    config.sa_sample_rate = header.sa_sample_rate;
-    loaded.index = FmIndex::from_parts(
-        config, std::move(reference), std::move(bwt),
-        CountTable(counts, occurrences),
-        MarkerTable::from_parts(header.bucket_width, std::move(markers)),
-        std::move(sampled_sa));
-    loaded.chromosomes = std::move(chromosomes);
-    return loaded;
-  } catch (const std::invalid_argument& e) {
-    // A structurally inconsistent (but checksummed) artifact is an I/O-level
-    // corruption from the caller's point of view.
-    fail(std::string("inconsistent index structure: ") + e.what());
+  if (header.version != kIndexVersion) fail("unsupported index version");
+  if (prefix.size() < sizeof(header)) fail("truncated file");
+  if (header.header_bytes != sizeof(FileHeaderV2)) {
+    fail("header size mismatch");
   }
+  // header_checksum is the last field: it covers every byte before it.
+  if (fnv1a(kFnvOffset, &header, sizeof(header) - sizeof(std::uint64_t)) !=
+      header.header_checksum) {
+    fail("header checksum mismatch");
+  }
+  if (header.num_sections == 0 || header.num_sections > kMaxSections) {
+    fail("implausible section count");
+  }
+  if (prefix.size() < table_end(header.num_sections)) fail("truncated file");
+  const std::size_t table_bytes = header.num_sections * sizeof(SectionEntry);
+  layout.entries.resize(header.num_sections);
+  std::memcpy(layout.entries.data(), prefix.data() + sizeof(header),
+              table_bytes);
+  std::uint64_t stored_table_checksum = 0;
+  std::memcpy(&stored_table_checksum,
+              prefix.data() + sizeof(header) + table_bytes,
+              sizeof(stored_table_checksum));
+  if (fnv1a(kFnvOffset, layout.entries.data(), table_bytes) !=
+      stored_table_checksum) {
+    fail("section table checksum mismatch");
+  }
+  check_layout(header, layout.entries, file_bytes.value_or(header.file_bytes));
+  return layout;
 }
 
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// v2 writer.
+// Writer.
 
 void save_index(std::ostream& out, const FmIndex& index,
                 const std::vector<genome::Chromosome>& chromosomes) {
@@ -462,9 +369,7 @@ void save_index(std::ostream& out, const FmIndex& index,
   header.num_sections = static_cast<std::uint32_t>(payloads.size());
 
   std::array<SectionEntry, 7> table{};
-  std::uint64_t offset = sizeof(FileHeaderV2) +
-                         payloads.size() * sizeof(SectionEntry) +
-                         sizeof(std::uint64_t);  // + table checksum
+  std::uint64_t offset = table_end(payloads.size());
   for (std::size_t i = 0; i < payloads.size(); ++i) {
     table[i].id = static_cast<std::uint32_t>(payloads[i].id);
     table[i].offset = offset;
@@ -514,162 +419,234 @@ void save_index_file(const std::string& path, const FmIndex& index,
   }
 }
 
-void save_index_v1(std::ostream& out, const FmIndex& index) {
-  const genome::PackedSequence& reference = index.reference();
-  std::uint64_t hash = kFnvOffset;
-  write_pod_v1(out, kIndexMagic, hash);
-  write_pod_v1(out, kIndexVersionV1, hash);
-  write_pod_v1(out, index.config().bucket_width, hash);
-  write_pod_v1(out, index.config().sa_sample_rate, hash);
-
-  // Reference: 2-bit packed.
-  const std::uint64_t n = reference.size();
-  write_pod_v1(out, n, hash);
-  for (std::uint64_t i = 0; i < n; i += 32) {
-    std::uint64_t word = 0;
-    for (std::uint64_t j = 0; j < 32 && i + j < n; ++j) {
-      word |= static_cast<std::uint64_t>(reference.at(i + j)) << (2 * j);
-    }
-    write_pod_v1(out, word, hash);
-  }
-
-  // Suffix array: dumping it trades ~4 bytes/base of disk for skipping
-  // SA-IS at load. Recovered via locate() of every row (rate-independent).
-  const std::uint64_t rows = index.num_rows();
-  write_pod_v1(out, rows, hash);
-  for (std::uint64_t row = 0; row < rows; ++row) {
-    write_pod_v1(out, static_cast<std::uint32_t>(index.locate(row)), hash);
-  }
-  write_pod_v1(out, hash, hash);  // trailing checksum (hash of all prior bytes)
-  if (!out) fail("write failed");
-}
-
 // ---------------------------------------------------------------------------
-// Loading.
+// Reader.
 
 namespace {
 
-// Reads one v2 section payload into an owned, element-typed buffer and
-// verifies its checksum. `origin` is the stream position of the file's
-// first byte (load_index accepts streams that start mid-file).
-template <typename T>
-util::Storage<T> read_section(std::istream& in, std::istream::pos_type origin,
-                              const SectionEntry& entry) {
-  const auto id = static_cast<SectionId>(entry.id);
-  std::vector<T> buffer(static_cast<std::size_t>(entry.payload_bytes) /
-                        sizeof(T));
-  in.clear();
-  in.seekg(origin + static_cast<std::istream::off_type>(entry.offset));
-  in.read(reinterpret_cast<char*>(buffer.data()),
-          static_cast<std::streamsize>(entry.payload_bytes));
-  if (!in ||
-      static_cast<std::uint64_t>(in.gcount()) != entry.payload_bytes) {
-    fail_section(id, "truncated");
+// Sections are read this many bytes at a time, so a header that claims more
+// than a stream holds cannot make the loader allocate it all up front. A
+// multiple of every element size.
+constexpr std::uint64_t kReadChunk = std::uint64_t{64} << 20;
+
+/// Hands out section payloads in table order. A stream source reads each
+/// one front to back into an owned buffer and always checks its checksum;
+/// a mapped source borrows the bytes in place and checks on request.
+class SectionSource {
+ public:
+  /// `in` has consumed the artifact's first `position` bytes.
+  SectionSource(std::istream& in, std::uint64_t position)
+      : in_(&in), position_(position) {}
+  SectionSource(const unsigned char* base, bool verify)
+      : base_(base), verify_(verify) {}
+
+  template <typename T>
+  util::Storage<T> fetch(const SectionEntry& entry) {
+    const auto id = static_cast<SectionId>(entry.id);
+    if (base_ != nullptr) {
+      const unsigned char* data = base_ + entry.offset;
+      if (verify_) check(entry, data);
+      return util::Storage<T>::borrowed(
+          reinterpret_cast<const T*>(data),
+          static_cast<std::size_t>(entry.payload_bytes / sizeof(T)));
+    }
+    // parse_layout keeps offsets increasing in table order, so the gap
+    // before this section is never negative.
+    const auto gap = static_cast<std::streamsize>(entry.offset - position_);
+    in_->ignore(gap);
+    if (in_->gcount() != gap) fail_section(id, "truncated");
+    std::vector<T> buffer;
+    for (std::uint64_t done = 0; done < entry.payload_bytes;) {
+      const std::uint64_t chunk =
+          std::min(entry.payload_bytes - done, kReadChunk);
+      buffer.resize(static_cast<std::size_t>((done + chunk) / sizeof(T)));
+      const auto want = static_cast<std::streamsize>(chunk);
+      in_->read(reinterpret_cast<char*>(buffer.data()) + done, want);
+      if (in_->gcount() != want) fail_section(id, "truncated");
+      done += chunk;
+    }
+    position_ = entry.offset + entry.payload_bytes;
+    check(entry, buffer.data());
+    return util::Storage<T>(std::move(buffer));
   }
-  if (fnv1a(kFnvOffset, buffer.data(), entry.payload_bytes) !=
-      entry.checksum) {
-    fail_section(id, "checksum mismatch");
+
+ private:
+  static void check(const SectionEntry& entry, const void* data) {
+    if (fnv1a(kFnvOffset, data, static_cast<std::size_t>(
+                                    entry.payload_bytes)) != entry.checksum) {
+      fail_section(static_cast<SectionId>(entry.id), "checksum mismatch");
+    }
   }
-  return util::Storage<T>(std::move(buffer));
+
+  std::istream* in_ = nullptr;
+  std::uint64_t position_ = 0;
+  const unsigned char* base_ = nullptr;
+  bool verify_ = true;
+};
+
+/// The seven payloads of an artifact, typed as the index structures hold
+/// them.
+struct Sections {
+  util::Storage<std::uint64_t> reference_words;
+  util::Storage<std::uint64_t> bwt_words;
+  util::Storage<OccCheckpoint> markers;
+  util::Storage<std::uint32_t> sa_samples;
+  util::Storage<std::uint64_t> sa_row_words;
+  util::Storage<std::uint32_t> sa_ranks;
+  std::vector<genome::Chromosome> chromosomes;
+};
+
+/// The one section list. Walks the table in its own order, so a stream
+/// source never seeks backwards.
+Sections fetch_sections(const ArtifactLayout& layout, SectionSource& source) {
+  Sections sections;
+  for (const auto& entry : layout.entries) {
+    switch (static_cast<SectionId>(entry.id)) {
+      case SectionId::kReference:
+        sections.reference_words = source.fetch<std::uint64_t>(entry);
+        break;
+      case SectionId::kBwt:
+        sections.bwt_words = source.fetch<std::uint64_t>(entry);
+        break;
+      case SectionId::kMarkers:
+        sections.markers = source.fetch<OccCheckpoint>(entry);
+        break;
+      case SectionId::kSaSamples:
+        sections.sa_samples = source.fetch<std::uint32_t>(entry);
+        break;
+      case SectionId::kSaRows:
+        sections.sa_row_words = source.fetch<std::uint64_t>(entry);
+        break;
+      case SectionId::kSaRanks:
+        sections.sa_ranks = source.fetch<std::uint32_t>(entry);
+        break;
+      case SectionId::kChromosomes:
+        sections.chromosomes =
+            parse_chromosomes(source.fetch<unsigned char>(entry));
+        break;
+    }
+  }
+  return sections;
 }
 
-const SectionEntry& find_section(const std::vector<SectionEntry>& entries,
-                                 SectionId id) {
-  for (const auto& entry : entries) {
-    if (entry.id == static_cast<std::uint32_t>(id)) return entry;
+/// Builds the FmIndex from fetched sections (owned or borrowed).
+LoadedIndex assemble(const FileHeaderV2& header, Sections sections) {
+  const std::uint64_t n = header.reference_bases;
+  const std::uint64_t rows = n + 1;
+  if (!sections.chromosomes.empty()) {
+    try {
+      genome::validate_chromosomes(sections.chromosomes, n);
+    } catch (const std::invalid_argument& e) {
+      fail_section(SectionId::kChromosomes, e.what());
+    }
   }
-  // validate_v2_layout guarantees presence; unreachable.
-  fail_section(id, "missing section");
+  try {
+    LoadedIndex loaded;
+    auto reference = genome::PackedSequence::from_words(
+        std::move(sections.reference_words), static_cast<std::size_t>(n));
+    Bwt bwt;
+    bwt.symbols = genome::PackedSequence::from_words(
+        std::move(sections.bwt_words), static_cast<std::size_t>(rows));
+    bwt.primary = header.primary;
+    std::array<std::uint64_t, genome::kNumBases> counts{};
+    std::array<std::uint64_t, genome::kNumBases> occurrences{};
+    for (std::size_t b = 0; b < genome::kNumBases; ++b) {
+      counts[b] = header.counts[b];
+      occurrences[b] = header.occurrences[b];
+    }
+    auto sampled_sa = SampledSuffixArray::from_parts(
+        header.sa_sample_rate,
+        util::BitVector::from_words(std::move(sections.sa_row_words),
+                                    static_cast<std::size_t>(rows)),
+        std::move(sections.sa_ranks), std::move(sections.sa_samples));
+    FmIndexConfig config;
+    config.bucket_width = header.bucket_width;
+    config.sa_sample_rate = header.sa_sample_rate;
+    loaded.index = FmIndex::from_parts(
+        config, std::move(reference), std::move(bwt),
+        CountTable(counts, occurrences),
+        MarkerTable::from_parts(header.bucket_width,
+                                std::move(sections.markers)),
+        std::move(sampled_sa));
+    loaded.chromosomes = std::move(sections.chromosomes);
+    return loaded;
+  } catch (const std::logic_error& e) {
+    // A structurally inconsistent (but checksummed) artifact is an I/O-level
+    // corruption from the caller's point of view: an invalid_argument from a
+    // from_parts check, or an out_of_range from the k-mer table build
+    // walking corrupt marker rows.
+    fail(std::string("inconsistent index structure: ") + e.what());
+  }
 }
 
-LoadedIndex load_index_v2(std::istream& in, std::istream::pos_type origin,
-                          const FileHeaderV2& header,
-                          obs::MetricsRegistry* metrics) {
-  // Stream extent, for the bounds checks the mapped loader gets from fstat.
-  in.clear();
-  in.seekg(0, std::ios::end);
-  const auto end_pos = in.tellg();
-  if (end_pos < origin) fail("truncated file");
-  const auto actual_bytes = static_cast<std::uint64_t>(end_pos - origin);
-
-  if (header.num_sections == 0 || header.num_sections > kMaxSections) {
-    fail("implausible section count");
+/// Reads the header and the section table it declares, then parses them.
+/// The stream is left just past the table.
+ArtifactLayout read_layout(std::istream& in) {
+  std::vector<unsigned char> prefix(sizeof(FileHeaderV2));
+  in.read(reinterpret_cast<char*>(prefix.data()), sizeof(FileHeaderV2));
+  prefix.resize(static_cast<std::size_t>(in.gcount()));
+  if (prefix.size() == sizeof(FileHeaderV2)) {
+    FileHeaderV2 header;
+    std::memcpy(&header, prefix.data(), sizeof(header));
+    // Clamped, so a corrupt count reads a bounded table; parse_layout then
+    // rejects the count itself.
+    const auto want = static_cast<std::streamsize>(
+        table_end(std::min(header.num_sections, kMaxSections)) -
+        sizeof(FileHeaderV2));
+    prefix.resize(sizeof(FileHeaderV2) + static_cast<std::size_t>(want));
+    in.read(reinterpret_cast<char*>(prefix.data()) + sizeof(FileHeaderV2),
+            want);
+    prefix.resize(sizeof(FileHeaderV2) +
+                  static_cast<std::size_t>(in.gcount()));
   }
-  std::vector<SectionEntry> table(header.num_sections);
-  const std::uint64_t table_bytes =
-      std::uint64_t{header.num_sections} * sizeof(SectionEntry);
-  in.clear();
-  in.seekg(origin + static_cast<std::istream::off_type>(sizeof(FileHeaderV2)));
-  in.read(reinterpret_cast<char*>(table.data()),
-          static_cast<std::streamsize>(table_bytes));
-  std::uint64_t stored_table_checksum = 0;
-  in.read(reinterpret_cast<char*>(&stored_table_checksum),
-          sizeof(stored_table_checksum));
-  if (!in) fail("truncated file");
-  if (fnv1a(kFnvOffset, table.data(), table_bytes) != stored_table_checksum) {
-    fail("section table checksum mismatch");
-  }
-
-  const auto entries =
-      detail::validate_v2_layout(header, table.data(), actual_bytes);
-
-  const auto read_start = std::chrono::steady_clock::now();
-  auto reference_words = read_section<std::uint64_t>(
-      in, origin, find_section(entries, SectionId::kReference));
-  auto bwt_words = read_section<std::uint64_t>(
-      in, origin, find_section(entries, SectionId::kBwt));
-  auto markers = read_section<OccCheckpoint>(
-      in, origin, find_section(entries, SectionId::kMarkers));
-  auto sa_samples = read_section<std::uint32_t>(
-      in, origin, find_section(entries, SectionId::kSaSamples));
-  auto sa_row_words = read_section<std::uint64_t>(
-      in, origin, find_section(entries, SectionId::kSaRows));
-  auto sa_ranks = read_section<std::uint32_t>(
-      in, origin, find_section(entries, SectionId::kSaRanks));
-  auto chrom_storage = read_section<unsigned char>(
-      in, origin, find_section(entries, SectionId::kChromosomes));
-  auto chromosomes =
-      detail::parse_chromosomes(chrom_storage.data(), chrom_storage.size());
-  if (metrics != nullptr) {
-    metrics->histogram("index.load.read_ms").observe(ms_since(read_start));
-  }
-
-  return detail::assemble_v2(header, std::move(reference_words),
-                             std::move(bwt_words), std::move(markers),
-                             std::move(sa_samples), std::move(sa_row_words),
-                             std::move(sa_ranks), std::move(chromosomes));
+  return detail::parse_layout(prefix, std::nullopt);
 }
+
+/// A whole file mapped read-only. `base` stays null when open, fstat or
+/// mmap fails (mmap refuses an empty file). Unmaps on destruction unless
+/// released.
+struct Mapping {
+  void* base = nullptr;
+  std::size_t bytes = 0;
+
+  explicit Mapping(const std::string& path) {
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) return;
+    struct stat st{};
+    if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+      const auto size = static_cast<std::size_t>(st.st_size);
+      void* mapped = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+      if (mapped != MAP_FAILED) {
+        base = mapped;
+        bytes = size;
+      }
+    }
+    ::close(fd);  // The mapping keeps the file alive.
+  }
+  ~Mapping() {
+    if (base != nullptr) ::munmap(base, bytes);
+  }
+  Mapping(const Mapping&) = delete;
+  Mapping& operator=(const Mapping&) = delete;
+
+  const unsigned char* data() const {
+    return static_cast<const unsigned char*>(base);
+  }
+  void* release() { return std::exchange(base, nullptr); }
+};
 
 }  // namespace
 
 LoadedIndex load_index(std::istream& in, obs::MetricsRegistry* metrics) {
   const auto start = std::chrono::steady_clock::now();
-  const std::istream::pos_type origin = in.tellg();
-
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in) fail("truncated file");
-  if (magic != kIndexMagic) fail("bad magic (not a PIM-Aligner index)");
-
-  LoadedIndex loaded;
-  if (version == kIndexVersionV1) {
-    std::uint64_t hash = kFnvOffset;
-    hash = fnv1a(hash, &magic, sizeof(magic));
-    hash = fnv1a(hash, &version, sizeof(version));
-    loaded = load_index_v1(in, hash, metrics);
-  } else if (version == kIndexVersion) {
-    FileHeaderV2 header;
-    header.magic = magic;
-    header.version = version;
-    in.read(reinterpret_cast<char*>(&header) + 2 * sizeof(std::uint32_t),
-            sizeof(header) - 2 * sizeof(std::uint32_t));
-    if (!in) fail("truncated file");
-    loaded = load_index_v2(in, origin, header, metrics);
-  } else {
-    fail("unsupported index version");
+  const ArtifactLayout layout = read_layout(in);
+  const auto read_start = std::chrono::steady_clock::now();
+  SectionSource source(in, table_end(layout.entries.size()));
+  Sections sections = fetch_sections(layout, source);
+  if (metrics != nullptr) {
+    metrics->histogram("index.load.read_ms").observe(ms_since(read_start));
   }
+  LoadedIndex loaded = assemble(layout.header, std::move(sections));
   if (metrics != nullptr) {
     metrics->histogram("index.load.stream_ms").observe(ms_since(start));
   }
@@ -684,76 +661,107 @@ LoadedIndex load_index_file(const std::string& path,
 }
 
 IndexFileInfo inspect_index_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail("cannot open " + path);
-  in.seekg(0, std::ios::end);
-  const auto actual_bytes = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0);
+  const Mapping map(path);
+  if (map.base == nullptr) {
+    // A file that opens but will not map is, in practice, an empty one.
+    fail(std::ifstream(path) ? "truncated file" : "cannot open " + path);
+  }
+  const ArtifactLayout layout =
+      detail::parse_layout({map.data(), map.bytes}, map.bytes);
 
   IndexFileInfo info;
-  info.file_bytes = actual_bytes;
-
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in) fail("truncated file");
-  if (magic != kIndexMagic) fail("bad magic (not a PIM-Aligner index)");
-  info.version = version;
-
-  if (version == kIndexVersionV1) {
-    std::uint64_t ignored = kFnvOffset;
-    info.bucket_width = read_pod_v1<std::uint32_t>(in, ignored);
-    info.sa_sample_rate = read_pod_v1<std::uint32_t>(in, ignored);
-    info.reference_bases = read_pod_v1<std::uint64_t>(in, ignored);
-    return info;
+  info.version = layout.header.version;
+  info.bucket_width = layout.header.bucket_width;
+  info.sa_sample_rate = layout.header.sa_sample_rate;
+  info.reference_bases = layout.header.reference_bases;
+  info.file_bytes = layout.header.file_bytes;
+  SectionSource source(map.data(), /*verify=*/true);
+  for (const auto& entry : layout.entries) {
+    const auto id = static_cast<SectionId>(entry.id);
+    info.sections.push_back(
+        {section_name(id), entry.offset, entry.payload_bytes, entry.checksum});
+    if (id == SectionId::kChromosomes) {
+      info.num_chromosomes =
+          parse_chromosomes(source.fetch<unsigned char>(entry)).size();
+    }
   }
-  if (version != kIndexVersion) fail("unsupported index version");
-
-  FileHeaderV2 header;
-  header.magic = magic;
-  header.version = version;
-  in.read(reinterpret_cast<char*>(&header) + 2 * sizeof(std::uint32_t),
-          sizeof(header) - 2 * sizeof(std::uint32_t));
-  if (!in) fail("truncated file");
-  info.bucket_width = header.bucket_width;
-  info.sa_sample_rate = header.sa_sample_rate;
-  info.reference_bases = header.reference_bases;
-  info.file_bytes = header.file_bytes;
-
-  if (header.num_sections == 0 || header.num_sections > kMaxSections) {
-    fail("implausible section count");
-  }
-  std::vector<SectionEntry> table(header.num_sections);
-  const std::uint64_t table_bytes =
-      std::uint64_t{header.num_sections} * sizeof(SectionEntry);
-  in.read(reinterpret_cast<char*>(table.data()),
-          static_cast<std::streamsize>(table_bytes));
-  std::uint64_t stored_table_checksum = 0;
-  in.read(reinterpret_cast<char*>(&stored_table_checksum),
-          sizeof(stored_table_checksum));
-  if (!in) fail("truncated file");
-  if (fnv1a(kFnvOffset, table.data(), table_bytes) != stored_table_checksum) {
-    fail("section table checksum mismatch");
-  }
-  const auto entries =
-      detail::validate_v2_layout(header, table.data(), actual_bytes);
-
-  for (const auto& entry : entries) {
-    IndexSectionInfo section;
-    section.name = section_name(static_cast<SectionId>(entry.id));
-    section.offset = entry.offset;
-    section.payload_bytes = entry.payload_bytes;
-    section.checksum = entry.checksum;
-    info.sections.push_back(std::move(section));
-  }
-  const auto chrom_storage = read_section<unsigned char>(
-      in, std::istream::pos_type(0),
-      find_section(entries, SectionId::kChromosomes));
-  info.num_chromosomes =
-      detail::parse_chromosomes(chrom_storage.data(), chrom_storage.size())
-          .size();
   return info;
+}
+
+// ---------------------------------------------------------------------------
+// MappedIndex.
+
+MappedIndex::~MappedIndex() { unmap(); }
+
+MappedIndex::MappedIndex(MappedIndex&& other) noexcept
+    : loaded_(std::move(other.loaded_)),
+      map_base_(std::exchange(other.map_base_, nullptr)),
+      map_bytes_(std::exchange(other.map_bytes_, 0)) {}
+
+MappedIndex& MappedIndex::operator=(MappedIndex&& other) noexcept {
+  if (this != &other) {
+    unmap();
+    // The borrowed structures point into the mapping, not into `other`, so
+    // moving the LoadedIndex cannot dangle.
+    loaded_ = std::move(other.loaded_);
+    map_base_ = std::exchange(other.map_base_, nullptr);
+    map_bytes_ = std::exchange(other.map_bytes_, 0);
+  }
+  return *this;
+}
+
+void MappedIndex::unmap() noexcept {
+  if (map_base_ != nullptr) {
+    // Drop the borrowing structures before the region they borrow.
+    loaded_ = LoadedIndex{};
+    ::munmap(map_base_, map_bytes_);
+    map_base_ = nullptr;
+    map_bytes_ = 0;
+  }
+}
+
+std::uint64_t MappedIndex::resident_bytes() const {
+  if (mapped()) return map_bytes_;
+  return loaded_.reference().memory_bytes() +
+         loaded_.index.memory_footprint().total();
+}
+
+MappedIndex MappedIndex::open(const std::string& path,
+                              const MappedIndexOptions& options,
+                              obs::MetricsRegistry* metrics) {
+  const auto start = std::chrono::steady_clock::now();
+  Mapping map(path);
+  MappedIndex result;
+  if (map.base == nullptr) {
+    // The file could not be mapped: the stream loader reads it, or names
+    // why it cannot (a missing or empty file).
+    result.loaded_ = load_index_file(path, metrics);
+    return result;
+  }
+  const ArtifactLayout layout =
+      detail::parse_layout({map.data(), map.bytes}, map.bytes);
+  SectionSource source(map.data(), options.verify_checksums);
+  Sections sections = fetch_sections(layout, source);
+
+  // Index lookups are random-access by nature (backward search hops across
+  // the BWT, locate across the SA samples); default readahead would fault in
+  // ~128 KB per touch and balloon RSS far past the working set. Advised
+  // after the sections are fetched so the sequential checksum pass still
+  // enjoyed readahead, and before assemble builds the k-mer table.
+  (void)::madvise(map.base, map.bytes, MADV_RANDOM);
+#ifdef MADV_NOHUGEPAGE
+  // Likewise decline huge-folio mapping: one random locate should not make
+  // 2 MB of SA samples resident.
+  (void)::madvise(map.base, map.bytes, MADV_NOHUGEPAGE);
+#endif
+
+  result.loaded_ = assemble(layout.header, std::move(sections));
+  result.map_bytes_ = map.bytes;
+  result.map_base_ = map.release();
+  if (metrics != nullptr) {
+    metrics->histogram("index.load.map_ms").observe(ms_since(start));
+  }
+  return result;
 }
 
 }  // namespace pim::index

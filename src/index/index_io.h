@@ -21,13 +21,16 @@
 //   sections       reference | bwt | markers | sa-samples | sa-rows |
 //                  sa-ranks | chromosomes   (zero-padded to 8 bytes)
 //
-// Format v1 (BWT + SA dump, marker/count tables rebuilt at load) is still
-// *loaded* transparently — load_index dispatches on the version field —
-// and save_index_v1 keeps the writer around for compatibility tests.
+// One reader serves every consumer: detail::parse_layout validates the
+// header and section table for load_index, MappedIndex::open and
+// inspect_index_file alike, and one section list assembles the FmIndex from
+// either owned (stream) or borrowed (mapped) payloads.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,7 +41,6 @@
 namespace pim::index {
 
 inline constexpr std::uint32_t kIndexMagic = 0x50494D41;  // "PIMA"
-inline constexpr std::uint32_t kIndexVersionV1 = 1;
 inline constexpr std::uint32_t kIndexVersion = 2;
 
 /// Serialize to a binary stream in format v2; the reference section is
@@ -55,37 +57,32 @@ void save_index(std::ostream& out, const FmIndex& index,
 void save_index_file(const std::string& path, const FmIndex& index,
                      const std::vector<genome::Chromosome>& chromosomes = {});
 
-/// The legacy v1 writer (BWT + full SA dump; marker/count tables rebuilt at
-/// load). Kept so the v1 load path stays testable; new artifacts should be
-/// v2.
-void save_index_v1(std::ostream& out, const FmIndex& index);
-
 struct LoadedIndex {
   FmIndex index;
-  /// Per-chromosome table when the artifact stored one (v2), else empty.
-  /// A stored table always tiles reference() (both loaders validate it).
+  /// Per-chromosome table; empty when the artifact stored none. A stored
+  /// table always tiles reference() (both loaders validate it).
   std::vector<genome::Chromosome> chromosomes;
 
   /// The reference the index carries; the loader keeps no second copy.
   const genome::PackedSequence& reference() const { return index.reference(); }
 };
 
-/// Deserialize either format version into owned structures. Throws
-/// std::runtime_error naming the failing section on bad magic, unsupported
-/// version, truncation, size inconsistency, or checksum failure.
+/// Deserialize into owned structures. Reads the stream front to back
+/// exactly once (no seeking), so pipes and other non-seekable sources
+/// work. Throws std::runtime_error naming the failing section on bad magic,
+/// unsupported version, truncation, size inconsistency, or checksum
+/// failure.
 ///
 /// When `metrics` is set, the load publishes its cost split so cold-start
 /// claims are observable rather than asserted (see bench/index_load):
 ///   index.load.read_ms     — time spent reading + checksumming sections
-///   index.load.rebuild_ms  — time spent *rebuilding* derived tables
-///                            (v1 only: marker/count tables are not stored)
 ///   index.load.stream_ms   — total stream-load wall time
 LoadedIndex load_index(std::istream& in,
                        obs::MetricsRegistry* metrics = nullptr);
 LoadedIndex load_index_file(const std::string& path,
                             obs::MetricsRegistry* metrics = nullptr);
 
-/// Section descriptor of a v2 file, for inspect/verify tooling.
+/// Section descriptor of an artifact, for inspect/verify tooling.
 struct IndexSectionInfo {
   std::string name;
   std::uint64_t offset = 0;
@@ -100,13 +97,13 @@ struct IndexFileInfo {
   std::uint64_t reference_bases = 0;
   std::uint64_t file_bytes = 0;
   std::size_t num_chromosomes = 0;
-  /// v2 only (v1 has no section table).
   std::vector<IndexSectionInfo> sections;
 };
 
-/// Parse headers + section table without loading payloads (v2) or scan the
-/// v1 layout. Validates header integrity but not section payloads — use
-/// load_index / MappedIndex::open with verification for that.
+/// Parse the header and section table without loading payloads (only the
+/// chromosome section is read and checksummed, to count its records).
+/// Validates header integrity but not the other payloads — use load_index
+/// / MappedIndex::open with verification for that.
 IndexFileInfo inspect_index_file(const std::string& path);
 
 namespace detail {
@@ -153,27 +150,22 @@ static_assert(sizeof(SectionEntry) % 8 == 0);
 
 const char* section_name(SectionId id);
 
-/// Validate a v2 header + section table held in memory (the first
-/// `table_end(header)` bytes of the file). Returns the section entries.
-/// Throws std::runtime_error naming the failing piece.
-std::vector<SectionEntry> validate_v2_layout(const FileHeaderV2& header,
-                                             const SectionEntry* table,
-                                             std::uint64_t actual_file_bytes);
+struct ArtifactLayout {
+  FileHeaderV2 header;
+  std::vector<SectionEntry> entries;  ///< In table order.
+};
 
-/// Assemble an FmIndex + reference from v2 section buffers (owned or
-/// borrowed Storage). Shared by the stream loader and MappedIndex.
-LoadedIndex assemble_v2(const FileHeaderV2& header,
-                        util::Storage<std::uint64_t> reference_words,
-                        util::Storage<std::uint64_t> bwt_words,
-                        util::Storage<OccCheckpoint> markers,
-                        util::Storage<std::uint32_t> sa_samples,
-                        util::Storage<std::uint64_t> sa_row_words,
-                        util::Storage<std::uint32_t> sa_ranks,
-                        std::vector<genome::Chromosome> chromosomes);
-
-/// Decode the chromosomes section payload.
-std::vector<genome::Chromosome> parse_chromosomes(const unsigned char* data,
-                                                  std::size_t bytes);
+/// The one header + section-table parser. `prefix` holds the artifact's
+/// first bytes (at least the header and the table it declares, else
+/// "truncated file"); `file_bytes` is the artifact's actual size, or
+/// nullopt when the source cannot tell (a stream), which then trusts the
+/// header's own size and finds truncation while reading. Checks, in
+/// order: magic, version, header_bytes, header checksum, section count,
+/// table checksum, then the layout (sizes, alignment, bounds, order, and
+/// each section's geometry against the header). Throws std::runtime_error
+/// naming the failing piece.
+ArtifactLayout parse_layout(std::span<const unsigned char> prefix,
+                            std::optional<std::uint64_t> file_bytes);
 
 }  // namespace detail
 

@@ -2,18 +2,16 @@
 // whose persisted structures (reference, BWT, marker rows, sampled SA)
 // *borrow* the mapped bytes through the S42 Storage seam.
 //
-// Why this exists: the v1 load path deserializes the reference + SA and then
-// REBUILDS the marker/count tables — O(n) work and ~2x transient memory
-// before the first query. A mapped v2 artifact starts serving immediately:
-// the kernel pages sections in on demand, clean pages are shared across
-// every process mapping the same file, and cold-start cost collapses to
-// header + section-table validation (see bench/index_load).
+// Why this exists: the stream loader copies every section into owned
+// memory before the first query. A mapped artifact starts serving
+// immediately: the kernel pages sections in on demand, clean pages are
+// shared across every process mapping the same file, and cold-start cost
+// collapses to header + section-table validation (see bench/index_load).
 //
-// Platform: mmap on POSIX (__unix__ / __APPLE__); elsewhere — or when the
-// mapping fails — MappedIndex transparently falls back to the owned stream
-// loader, so callers never need a platform branch. A v1 file handed to
-// MappedIndex::open also falls back to the stream loader (v1 cannot be
-// mapped: its tables are not stored).
+// MappedIndex::open shares its header/section-table parser and its section
+// list with load_index (index_io.cpp). When the file cannot be mapped (open,
+// fstat or mmap fails) it falls back to the owned stream loader, so callers
+// never need a second path.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +27,6 @@ struct MappedIndexOptions {
   /// pass over the file; catches on-disk corruption before it becomes a
   /// wrong alignment. Off = trust the artifact, open in O(header).
   bool verify_checksums = true;
-  /// After verifying a section, advise the kernel to drop its pages
-  /// (MADV_DONTNEED) so the verification pass does not leave the whole file
-  /// resident: peak RSS at open stays ~one section, and pages fault back in
-  /// lazily as queries touch them. No effect when not verifying or not
-  /// mapped.
-  bool drop_pages_after_verify = false;
 };
 
 /// RAII owner of one mapped index artifact: the mapping and the FmIndex
@@ -68,7 +60,6 @@ class MappedIndex {
   /// True when the index borrows an mmap region; false on the stream-load
   /// fallback (owned structures).
   bool mapped() const { return map_base_ != nullptr; }
-  std::uint64_t file_bytes() const { return file_bytes_; }
 
   /// Bytes this index keeps addressable: the mapping size when mapped
   /// (an upper bound on residency — pages fault in on demand), else the
@@ -79,7 +70,6 @@ class MappedIndex {
   LoadedIndex loaded_;
   void* map_base_ = nullptr;
   std::size_t map_bytes_ = 0;
-  std::uint64_t file_bytes_ = 0;
 
   void unmap() noexcept;
 };

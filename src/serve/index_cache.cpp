@@ -56,8 +56,7 @@ std::shared_ptr<const index::MappedIndex> IndexCache::acquire(
   }
 
   auto mapped = std::make_shared<index::MappedIndex>(
-      index::MappedIndex::open(path_it->second, options_.mapped,
-                               options_.metrics));
+      index::MappedIndex::open(path_it->second, {}, options_.metrics));
   ++stats_.misses;
   misses_metric_.add(1);
   lru_.push_front(Entry{id, std::move(mapped)});

@@ -32,8 +32,6 @@ namespace pim::serve {
 struct IndexCacheOptions {
   /// Maximum indexes resident at once (LRU beyond that). Clamped to >= 1.
   std::size_t max_resident = 2;
-  /// How artifacts are opened (checksum verification, page dropping).
-  index::MappedIndexOptions mapped;
   /// Publishes the service.index_cache.* series when set.
   obs::MetricsRegistry* metrics = nullptr;
 };

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <vector>
 
 #include "src/align/backward_search.h"
 #include "src/genome/synthetic_genome.h"
@@ -104,19 +107,6 @@ TEST(IndexIo, FileRoundTrip) {
   EXPECT_THROW(load_index_file(dir.file("missing.bin")), std::runtime_error);
 }
 
-TEST(IndexIo, V1ArtifactsStillLoad) {
-  Fixture f(4);
-  std::stringstream buffer;
-  save_index_v1(buffer, f.fm);
-  const LoadedIndex loaded = load_index(buffer);
-  EXPECT_TRUE(loaded.reference() == f.reference);
-  EXPECT_TRUE(loaded.chromosomes.empty());  // v1 has no chromosome table
-  EXPECT_EQ(loaded.index.config().sa_sample_rate, 4U);
-  for (std::size_t row = 0; row < f.fm.num_rows(); row += 101) {
-    EXPECT_EQ(loaded.index.locate(row), f.fm.locate(row));
-  }
-}
-
 TEST(IndexIo, ChromosomeTableRoundTrips) {
   Fixture f;
   const std::vector<genome::Chromosome> chromosomes = {
@@ -157,6 +147,38 @@ TEST(IndexIo, InspectReportsSections) {
     EXPECT_EQ(section.offset % 8, 0U) << section.name;
   }
   EXPECT_LE(payload_total, info.file_bytes);
+}
+
+/// A read-only streambuf that cannot seek (seekoff/seekpos keep their
+/// failing defaults), like a pipe's.
+class ForwardOnlyBuf : public std::streambuf {
+ public:
+  explicit ForwardOnlyBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(IndexIo, NonSeekableStreamLoads) {
+  Fixture f(4);
+  std::stringstream buffer;
+  save_index(buffer, f.fm, {{"chr", 0, 5000}});
+  ForwardOnlyBuf source(buffer.str());
+  std::istream in(&source);
+  ASSERT_EQ(in.tellg(), std::istream::pos_type(-1));  // really cannot seek
+  const LoadedIndex loaded = load_index(in);
+  EXPECT_TRUE(loaded.reference() == f.reference);
+  ASSERT_EQ(loaded.chromosomes.size(), 1U);
+  for (std::size_t row = 0; row < f.fm.num_rows(); row += 89) {
+    EXPECT_EQ(loaded.index.locate(row), f.fm.locate(row));
+  }
+
+  const std::string bytes = buffer.str();
+  ForwardOnlyBuf short_source(bytes.substr(0, bytes.size() - 1));
+  std::istream short_in(&short_source);
+  EXPECT_THROW(load_index(short_in), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -210,16 +232,15 @@ TEST(IndexIoHardening, UnsupportedVersionBothLoaders) {
   std::string bytes = v2_bytes(f);
   const std::uint32_t version = 99;
   std::memcpy(bytes.data() + 4, &version, sizeof(version));
-  // The mapped loader falls through to the stream loader for any version it
-  // does not map, so both paths report the same canonical error.
+  // Both loaders share one header parser, so both report the same error.
   expect_both_loaders_reject(bytes, "unsupported index version", "version");
 }
 
 TEST(IndexIoHardening, TruncatedSectionBothLoaders) {
   Fixture f;
   const std::string bytes = v2_bytes(f);
-  // Cut mid-way through the payloads: the file-size check reports it as a
-  // truncated file before any section read.
+  // Cut mid-way through the payloads: the mapped loader's file-size check
+  // reports a truncated file, the stream loader the section it ran out in.
   expect_both_loaders_reject(bytes.substr(0, bytes.size() * 3 / 4),
                              "truncated", "truncated");
 }
@@ -258,31 +279,6 @@ TEST(IndexIoHardening, ZeroLengthReferenceBothLoaders) {
                                          sizeof(header) - sizeof(std::uint64_t));
   std::memcpy(bytes.data(), &header, sizeof(header));
   expect_both_loaders_reject(bytes, "zero-length reference", "zeroref");
-}
-
-TEST(IndexIoHardening, ZeroLengthReferenceV1) {
-  // Hand-craft the v1 prefix: magic, version, config, then n = 0. The
-  // loader rejects before reaching the trailing checksum.
-  std::stringstream buffer;
-  const std::uint32_t magic = kIndexMagic;
-  const std::uint32_t version = kIndexVersionV1;
-  const std::uint32_t bucket_width = 64;
-  const std::uint32_t sa_rate = 1;
-  const std::uint64_t n = 0;
-  buffer.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  buffer.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  buffer.write(reinterpret_cast<const char*>(&bucket_width),
-               sizeof(bucket_width));
-  buffer.write(reinterpret_cast<const char*>(&sa_rate), sizeof(sa_rate));
-  buffer.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  try {
-    load_index(buffer);
-    FAIL() << "v1 loader accepted a zero-length reference";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("zero-length reference"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 TEST(IndexIoHardening, HeaderChecksumCoversHeaderFields) {
@@ -333,6 +329,116 @@ TEST(IndexIoHardening, ResealedOverlappingChromosomesBothLoaders) {
               sizeof(table_checksum));
 
   expect_both_loaders_reject(bytes, "section 'chromosomes'", "overlap");
+}
+
+TEST(IndexIoHardening, V1ArtifactRejectedBothLoaders) {
+  // The retired v1 layout: magic, version 1, FM config, n, then the packed
+  // reference, the full SA and a trailing checksum (zeros here: the version
+  // check fires first).
+  std::string bytes(4096, '\0');
+  const std::uint32_t prefix[4] = {kIndexMagic, 1, 64, 1};
+  const std::uint64_t n = 5000;
+  std::memcpy(bytes.data(), prefix, sizeof(prefix));
+  std::memcpy(bytes.data() + sizeof(prefix), &n, sizeof(n));
+  expect_both_loaders_reject(bytes, "unsupported index version", "v1");
+}
+
+/// Recomputes every section checksum and the table checksum, as a crafted
+/// (rather than corrupted) artifact would carry them.
+std::string reseal(std::string bytes) {
+  detail::FileHeaderV2 header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  std::vector<detail::SectionEntry> entries(header.num_sections);
+  const std::size_t table_bytes =
+      entries.size() * sizeof(detail::SectionEntry);
+  std::memcpy(entries.data(), bytes.data() + sizeof(header), table_bytes);
+  for (auto& entry : entries) {
+    entry.checksum = detail::fnv1a(
+        detail::kFnvOffset, bytes.data() + entry.offset, entry.payload_bytes);
+  }
+  std::memcpy(bytes.data() + sizeof(header), entries.data(), table_bytes);
+  const std::uint64_t table_checksum =
+      detail::fnv1a(detail::kFnvOffset, entries.data(), table_bytes);
+  std::memcpy(bytes.data() + sizeof(header) + table_bytes, &table_checksum,
+              sizeof(table_checksum));
+  return bytes;
+}
+
+detail::ArtifactLayout layout_of(const std::string& bytes) {
+  return detail::parse_layout(
+      {reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size()},
+      bytes.size());
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// A checksummed table may claim a section far larger than the file. The
+// stream loader cannot see the file's size, so it must run out of bytes
+// before it allocates the claimed 16 GiB.
+TEST(IndexIoHardening, ResealedOversizedSectionBothLoaders) {
+  Fixture f;
+  std::string bytes = v2_bytes(f);
+  detail::FileHeaderV2 header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  std::vector<detail::SectionEntry> entries(header.num_sections);
+  const std::size_t table_bytes =
+      entries.size() * sizeof(detail::SectionEntry);
+  std::memcpy(entries.data(), bytes.data() + sizeof(header), table_bytes);
+  // sa-samples is the one section whose size the header does not fix.
+  const std::uint64_t claimed = std::uint64_t{1} << 34;
+  std::uint64_t shift = 0;
+  for (auto& entry : entries) {
+    entry.offset += shift;
+    if (entry.id == static_cast<std::uint32_t>(detail::SectionId::kSaSamples)) {
+      shift = claimed - ((entry.payload_bytes + 7) & ~std::uint64_t{7});
+      entry.payload_bytes = claimed;
+    }
+  }
+  header.file_bytes += shift;
+  header.header_checksum = detail::fnv1a(
+      detail::kFnvOffset, &header, sizeof(header) - sizeof(std::uint64_t));
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  std::memcpy(bytes.data() + sizeof(header), entries.data(), table_bytes);
+  const std::uint64_t table_checksum =
+      detail::fnv1a(detail::kFnvOffset, entries.data(), table_bytes);
+  std::memcpy(bytes.data() + sizeof(header) + table_bytes, &table_checksum,
+              sizeof(table_checksum));
+  expect_both_loaders_reject(bytes, "truncated", "oversized");
+}
+
+// Checksummed marker rows that drive the k-mer table build out of the BWT
+// must fail as an inconsistent structure, not escape as std::out_of_range.
+TEST(IndexIoHardening, ResealedCorruptMarkersBothLoaders) {
+  Fixture f;
+  std::string bytes = v2_bytes(f);
+  for (const auto& entry : layout_of(bytes).entries) {
+    if (entry.id != static_cast<std::uint32_t>(detail::SectionId::kMarkers)) {
+      continue;
+    }
+    const std::uint32_t word = 0xFFFFFF00U;
+    for (std::size_t i = 0; i < entry.payload_bytes / sizeof(word); ++i) {
+      std::memcpy(bytes.data() + entry.offset + i * sizeof(word), &word,
+                  sizeof(word));
+    }
+  }
+  expect_both_loaders_reject(reseal(bytes), "inconsistent index structure",
+                             "markers");
+
+  // Un-sealed, the same bytes reach assemble through an unverified mapping.
+  const tests::TempDir dir;
+  const std::string path = dir.file("markers_unverified.bin");
+  write_file(path, bytes);
+  try {
+    MappedIndex::open(path, {.verify_checksums = false});
+    FAIL() << "unverified mapped loader accepted corrupt markers";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("inconsistent index structure"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -420,42 +526,161 @@ TEST(IndexIoIdentity, RewriteKeepsOpenMappingValid) {
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
 }
 
-TEST(IndexIoIdentity, MappedOpenOfV1FallsBackToStream) {
-  Fixture f;
-  const tests::TempDir dir;
-  const std::string path = dir.file("v1_fallback.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    save_index_v1(out, f.fm);
-  }
-  const MappedIndex mapped = MappedIndex::open(path);
-  EXPECT_FALSE(mapped.mapped());  // v1 tables are rebuilt, not mappable
-  EXPECT_TRUE(mapped.reference() == f.reference);
-  EXPECT_EQ(mapped.index().num_rows(), f.fm.num_rows());
-}
-
 TEST(IndexIoIdentity, LoadMetricsDistinguishRebuildFromMap) {
   Fixture f;
   const tests::TempDir dir;
-  const std::string v1_path = dir.file("metrics_v1.bin");
-  const std::string v2_path = dir.file("metrics_v2.bin");
-  {
-    std::ofstream out(v1_path, std::ios::binary);
-    save_index_v1(out, f.fm);
-  }
-  save_index_file(v2_path, f.fm);
+  const std::string path = dir.file("metrics.bin");
+  save_index_file(path, f.fm);
 
   obs::MetricsRegistry registry;
-  (void)MappedIndex::open(v1_path, {}, &registry);
-  (void)MappedIndex::open(v2_path, {}, &registry);
+  (void)load_index_file(path, &registry);
+  (void)MappedIndex::open(path, {}, &registry);
   const auto snapshot = registry.scrape();
-  const auto* rebuild = snapshot.histogram("index.load.rebuild_ms");
-  ASSERT_NE(rebuild, nullptr);
-  EXPECT_EQ(rebuild->count, 1U);  // only the v1 fallback rebuilds
+  const auto* stream_ms = snapshot.histogram("index.load.stream_ms");
+  ASSERT_NE(stream_ms, nullptr);
+  EXPECT_EQ(stream_ms->count, 1U);  // only the stream load copies sections
   const auto* map_ms = snapshot.histogram("index.load.map_ms");
-  if (map_ms != nullptr) {  // absent only on platforms without mmap
-    EXPECT_EQ(map_ms->count, 1U);
+  ASSERT_NE(map_ms, nullptr);
+  EXPECT_EQ(map_ms->count, 1U);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation suite: every reader of a damaged artifact either loads it
+// or throws std::runtime_error — never another exception type, never an
+// out-of-bounds access (CI runs ctest under ASan/UBSan).
+//
+// Known, recorded defect: a re-sealed flip (checksums recomputed, as in a
+// crafted artifact) can load and then crash the first exact_locate in
+// SampledSuffixArray::locate. Checksums catch corruption, not a crafted
+// artifact, so these tests check the loaders' contract and run no queries.
+// ---------------------------------------------------------------------------
+
+std::string mutation_seed_bytes() {
+  genome::SyntheticGenomeSpec spec;
+  // 1001 BWT rows: three u32 rank blocks, so sa-ranks ends mid-word.
+  spec.length = 1000;
+  spec.seed = 41;
+  const PackedSequence reference = genome::generate_reference(spec);
+  const FmIndex fm =
+      FmIndex::build(reference, {.bucket_width = 32, .sa_sample_rate = 4});
+  std::stringstream buffer;
+  save_index(buffer, fm, {{"chrA", 0, 600}, {"chrB", 600, 400}});
+  return buffer.str();
+}
+
+enum class Outcome { kLoaded, kRejected, kOtherException };
+
+template <typename Load>
+Outcome outcome_of(Load&& load) {
+  try {
+    load();
+    return Outcome::kLoaded;
+  } catch (const std::runtime_error&) {
+    return Outcome::kRejected;
+  } catch (...) {
+    return Outcome::kOtherException;
   }
+}
+
+Outcome stream_outcome(const std::string& bytes) {
+  return outcome_of([&] {
+    std::stringstream in(bytes);
+    (void)load_index(in);
+  });
+}
+
+Outcome mapped_outcome(const std::string& path, bool verify = true) {
+  return outcome_of(
+      [&] { (void)MappedIndex::open(path, {.verify_checksums = verify}); });
+}
+
+TEST(IndexIoMutation, BitFlipsRejectedUnlessInPadding) {
+  const std::string original = mutation_seed_bytes();
+  std::vector<std::size_t> padding;
+  for (const auto& entry : layout_of(original).entries) {
+    const std::uint64_t end = entry.offset + entry.payload_bytes;
+    for (std::uint64_t pos = end; pos % 8 != 0; ++pos) padding.push_back(pos);
+  }
+  ASSERT_FALSE(padding.empty());
+
+  const tests::TempDir dir;
+  const std::string path = dir.file("flip.bin");
+  const auto check_flip = [&](std::size_t pos, unsigned bit) {
+    std::string bytes = original;
+    bytes[pos] = static_cast<char>(bytes[pos] ^ (1U << bit));
+    write_file(path, bytes);
+    const bool in_padding =
+        std::find(padding.begin(), padding.end(), pos) != padding.end();
+    const Outcome expected =
+        in_padding ? Outcome::kLoaded : Outcome::kRejected;
+    EXPECT_EQ(stream_outcome(bytes), expected) << "byte " << pos;
+    EXPECT_EQ(mapped_outcome(path), expected) << "byte " << pos;
+  };
+  util::Xoshiro256 rng(2025);
+  for (int trial = 0; trial < 300; ++trial) {
+    check_flip(static_cast<std::size_t>(rng.bounded(original.size())),
+               static_cast<unsigned>(rng.bounded(8)));
+  }
+  for (const std::size_t pos : padding) check_flip(pos, 0);
+}
+
+TEST(IndexIoMutation, TruncationsRejectedByAllReaders) {
+  const std::string original = mutation_seed_bytes();
+  // Every boundary the parser steps over, then random cut points.
+  std::vector<std::size_t> lengths = {0, 1, 7, 8, 119, 120, 127, 128,
+                                      original.size() - 1};
+  for (const auto& entry : layout_of(original).entries) {
+    lengths.push_back(entry.offset);
+    lengths.push_back(entry.offset + entry.payload_bytes / 2);
+  }
+  util::Xoshiro256 rng(7);
+  while (lengths.size() < 100) {
+    lengths.push_back(static_cast<std::size_t>(rng.bounded(original.size())));
+  }
+
+  const tests::TempDir dir;
+  const std::string path = dir.file("truncated.bin");
+  for (const std::size_t length : lengths) {
+    const std::string bytes = original.substr(0, length);
+    write_file(path, bytes);
+    EXPECT_EQ(stream_outcome(bytes), Outcome::kRejected) << length;
+    EXPECT_EQ(mapped_outcome(path), Outcome::kRejected) << length;
+    EXPECT_EQ(outcome_of([&] { (void)inspect_index_file(path); }),
+              Outcome::kRejected)
+        << length;
+  }
+}
+
+TEST(IndexIoMutation, ResealedPayloadFlipsLoadOrThrowRuntimeError) {
+  const std::string original = mutation_seed_bytes();
+  const auto entries = layout_of(original).entries;
+  const tests::TempDir dir;
+  const std::string sealed_path = dir.file("resealed.bin");
+  const std::string unsealed_path = dir.file("unsealed.bin");
+  util::Xoshiro256 rng(31337);
+  int loaded = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto& entry = entries[rng.bounded(entries.size())];
+    const auto pos = static_cast<std::size_t>(
+        entry.offset + rng.bounded(entry.payload_bytes));
+    std::string unsealed = original;
+    unsealed[pos] = static_cast<char>(unsealed[pos] ^ (1U << rng.bounded(8)));
+    const std::string sealed = reseal(unsealed);
+    write_file(sealed_path, sealed);
+    write_file(unsealed_path, unsealed);
+
+    // One parser and one assemble step: every reader reaches one verdict.
+    const Outcome stream = stream_outcome(sealed);
+    EXPECT_NE(stream, Outcome::kOtherException) << "byte " << pos;
+    EXPECT_EQ(mapped_outcome(sealed_path), stream) << "byte " << pos;
+    EXPECT_EQ(mapped_outcome(unsealed_path, /*verify=*/false), stream)
+        << "byte " << pos;
+    loaded += stream == Outcome::kLoaded;
+  }
+  // Most payload bits (reference, SA samples, names) are not cross-checked
+  // at load; the suite must still exercise both verdicts.
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, 600);
 }
 
 }  // namespace
