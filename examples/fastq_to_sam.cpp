@@ -31,13 +31,15 @@
 //                 building from FASTA; ref.fasta is then omitted. Mutually
 //                 exclusive with --save-index (exit 2).
 //
-// With no arguments, runs a self-contained demo: generates a synthetic
-// reference and ART-like FASTQ reads (with quality ramp), writes them to
-// temporary files, aligns with the multithreaded two-stage pipeline, and
-// prints the first SAM records plus summary statistics.
+// With no positional arguments, runs a self-contained demo: generates a
+// synthetic reference and ART-like FASTQ reads (with quality ramp), writes
+// them as pim_aligner_demo_* in the temp directory ($TMPDIR, else /tmp),
+// aligns with the multithreaded two-stage pipeline, and prints the
+// first SAM records plus summary statistics.
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -226,9 +228,14 @@ int run(const std::string& ref_path, const std::string& fastq_path,
   return 0;
 }
 
+/// The demo writes its inputs and outputs as pim_aligner_demo_* in the
+/// temp directory.
 int run_demo(const std::string& metrics_path, std::size_t pim_chips) {
   using namespace pim;
-  std::printf("no input files: running the self-contained demo\n\n");
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  std::printf("no input files: running the self-contained demo in %s\n\n",
+              dir.string().c_str());
+  const auto path = [&](const char* name) { return (dir / name).string(); };
 
   // Generate reference + reads and write them as real files, so the demo
   // exercises the same I/O path as the CLI mode.
@@ -236,7 +243,7 @@ int run_demo(const std::string& metrics_path, std::size_t pim_chips) {
   gspec.length = 120000;
   gspec.seed = 77;
   const auto reference = genome::generate_reference(gspec);
-  genome::write_fasta_file("/tmp/pim_aligner_demo_ref.fasta",
+  genome::write_fasta_file(path("pim_aligner_demo_ref.fasta"),
                            {{"demo_ref synthetic", reference, 0}});
 
   readsim::ReadSimSpec rspec;
@@ -248,20 +255,20 @@ int run_demo(const std::string& metrics_path, std::size_t pim_chips) {
   rspec.emit_qualities = true;  // real FASTQ qualities
   rspec.seed = 99;
   const auto set = readsim::ReadSimulator(rspec).generate(reference);
-  genome::write_fastq_file("/tmp/pim_aligner_demo_reads.fastq",
+  genome::write_fastq_file(path("pim_aligner_demo_reads.fastq"),
                            readsim::to_fastq(set));
 
-  const int rc = run("/tmp/pim_aligner_demo_ref.fasta",
-                     "/tmp/pim_aligner_demo_reads.fastq",
-                     "/tmp/pim_aligner_demo.sam", 4, 2, /*shards=*/2,
+  const int rc = run(path("pim_aligner_demo_ref.fasta"),
+                     path("pim_aligner_demo_reads.fastq"),
+                     path("pim_aligner_demo.sam"), 4, 2, /*shards=*/2,
                      metrics_path.empty()
-                         ? "/tmp/pim_aligner_demo_metrics.jsonl"
+                         ? path("pim_aligner_demo_metrics.jsonl")
                          : metrics_path,
                      pim_chips, /*index_path=*/"", /*save_index_path=*/"");
   if (rc != 0) return rc;
 
   std::printf("\nfirst SAM lines:\n");
-  std::ifstream sam("/tmp/pim_aligner_demo.sam");
+  std::ifstream sam(path("pim_aligner_demo.sam"));
   std::string line;
   for (int i = 0; i < 8 && std::getline(sam, line); ++i) {
     std::printf("  %s\n", line.c_str());

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -147,32 +148,35 @@ int cmd_align(const std::string& index_path, const std::string& fastq_path,
   return 0;
 }
 
+/// The demo writes its inputs and outputs as pim_cli_* in the temp
+/// directory ($TMPDIR, else /tmp).
 int demo() {
   using namespace pim;
-  std::printf(
-      "no arguments: running the build -> info -> verify -> align demo\n\n");
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  std::printf("running the build -> info -> verify -> align demo in %s\n\n",
+              dir.string().c_str());
+  const auto path = [&](const char* name) { return (dir / name).string(); };
   genome::SyntheticGenomeSpec gspec;
   gspec.length = 80000;
   gspec.seed = 31;
   const auto reference = genome::generate_reference(gspec);
-  genome::write_fasta_file("/tmp/pim_cli_ref.fasta",
-                           {{"demo", reference, 0}});
+  genome::write_fasta_file(path("pim_cli_ref.fasta"), {{"demo", reference, 0}});
   readsim::ReadSimSpec rspec;
   rspec.read_length = 80;
   rspec.num_reads = 300;
   rspec.emit_qualities = true;
   rspec.seed = 32;
   const auto set = readsim::ReadSimulator(rspec).generate(reference);
-  genome::write_fastq_file("/tmp/pim_cli_reads.fastq", readsim::to_fastq(set));
+  genome::write_fastq_file(path("pim_cli_reads.fastq"), readsim::to_fastq(set));
 
-  int rc = cmd_build("/tmp/pim_cli_ref.fasta", "/tmp/pim_cli.index");
+  int rc = cmd_build(path("pim_cli_ref.fasta"), path("pim_cli.index"));
   if (rc != 0) return rc;
-  rc = cmd_info("/tmp/pim_cli.index");
+  rc = cmd_info(path("pim_cli.index"));
   if (rc != 0) return rc;
-  rc = cmd_verify("/tmp/pim_cli.index");
+  rc = cmd_verify(path("pim_cli.index"));
   if (rc != 0) return rc;
-  return cmd_align("/tmp/pim_cli.index", "/tmp/pim_cli_reads.fastq",
-                   "/tmp/pim_cli.sam");
+  return cmd_align(path("pim_cli.index"), path("pim_cli_reads.fastq"),
+                   path("pim_cli.sam"));
 }
 
 int run(int argc, char** argv) {

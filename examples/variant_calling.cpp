@@ -4,8 +4,13 @@
 //
 //   reference -> donor genome with planted SNVs -> ART-like reads
 //   -> two-stage alignment -> pileup -> SNV calls -> precision/recall
+//
+// The VCF goes to pim_aligner_demo.vcf in the temp directory ($TMPDIR, else
+// /tmp).
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "src/align/engine.h"
 #include "src/genome/synthetic_genome.h"
@@ -18,6 +23,9 @@
 int main() {
   using namespace pim;
   using util::TextTable;
+  const std::string vcf_path =
+      (std::filesystem::temp_directory_path() / "pim_aligner_demo.vcf")
+          .string();
 
   // 1. Reference and donor.
   genome::SyntheticGenomeSpec gspec;
@@ -96,11 +104,11 @@ int main() {
   std::printf("\n%s", out.render().c_str());
 
   // 5. Emit VCF.
-  std::ofstream vcf("/tmp/pim_aligner_demo.vcf");
+  std::ofstream vcf(vcf_path);
   varcall::write_vcf_header(vcf, "demo_ref", reference.size());
   varcall::write_vcf_records(vcf, "demo_ref", calls);
-  std::printf("\nwrote %zu VCF records -> /tmp/pim_aligner_demo.vcf\n",
-              calls.size());
+  std::printf("\nwrote %zu VCF records -> %s\n", calls.size(),
+              vcf_path.c_str());
 
   std::printf("\nfirst calls:\n");
   std::size_t shown = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace pim::index {
 
@@ -12,7 +13,7 @@ FmIndex FmIndex::build(const genome::PackedSequence& reference,
 }
 
 FmIndex FmIndex::build_from_sa(const genome::PackedSequence& reference,
-                               const SuffixArray& sa,
+                               SuffixArray sa,
                                const FmIndexConfig& config) {
   FmIndex index;
   index.config_ = config;
@@ -24,8 +25,7 @@ FmIndex FmIndex::build_from_sa(const genome::PackedSequence& reference,
   index.bwt_ = build_bwt(reference, sa);
   index.counts_ = CountTable(index.bwt_);
   index.markers_ = MarkerTable(index.bwt_, index.counts_, config.bucket_width);
-  index.sampled_sa_ =
-      SampledSuffixArray(sa, index.bwt_, index.counts_, config.sa_sample_rate);
+  index.sampled_sa_ = SampledSuffixArray(std::move(sa), config.sa_sample_rate);
   index.build_kmer_table();
   return index;
 }
@@ -53,7 +53,7 @@ FmIndex FmIndex::from_parts(const FmIndexConfig& config,
     throw std::invalid_argument(
         "FmIndex::from_parts: marker row count inconsistent with BWT");
   }
-  if (sampled_sa.sampled_rows().size() != bwt.size()) {
+  if (sampled_sa.num_rows() != bwt.size()) {
     throw std::invalid_argument(
         "FmIndex::from_parts: sampled-SA row count inconsistent with BWT");
   }

@@ -70,9 +70,10 @@ class FmIndex {
 
   /// Build from a pre-computed suffix array (e.g. deserialized): skips
   /// SA-IS, everything else is derived in O(n). The SA must be the
-  /// sentinel-inclusive array of `reference` (size n+1).
+  /// sentinel-inclusive array of `reference` (size n+1). At sample rate 1
+  /// the index adopts it as its locate table, so pass it by move.
   static FmIndex build_from_sa(const genome::PackedSequence& reference,
-                               const SuffixArray& sa,
+                               SuffixArray sa,
                                const FmIndexConfig& config = {});
 
   /// Reassemble from persisted structures without rebuilding anything —
@@ -134,10 +135,13 @@ class FmIndex {
     return next;
   }
 
-  /// Text position of SA row `row`.
+  /// Text position of SA row `row`: SA[row] at sample rate 1, an LF walk
+  /// above it. Throws std::out_of_range for a row past num_rows() and
+  /// std::runtime_error when a (crafted) table yields no position <= n.
   std::uint64_t locate(std::size_t row) const;
 
-  /// All text positions in an interval, sorted ascending.
+  /// All text positions in an interval, sorted ascending (at rate 1, the
+  /// interval's contiguous SA entries, sorted).
   std::vector<std::uint64_t> locate_all(const SaInterval& interval) const;
 
   /// Same, into `out` (clear + append, reusing capacity) — the engine hot

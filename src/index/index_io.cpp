@@ -355,8 +355,9 @@ void save_index(std::ostream& out, const FmIndex& index,
   const auto bwt_words = index.bwt().symbols.words();
   const auto marker_rows = index.markers().rows();
   const auto sa_samples = index.sampled_sa().samples();
-  const auto sa_row_words = index.sampled_sa().sampled_rows().words();
-  const auto sa_ranks = index.sampled_sa().rank_blocks();
+  const auto sa_marks = index.sampled_sa().persisted_marks();
+  const auto sa_row_words = sa_marks.rows.words();
+  const auto sa_ranks = sa_marks.rank_blocks.span();
   const std::array<SectionPayload, 7> payloads = {{
       {SectionId::kReference, ref_words.data(), ref_words.size_bytes()},
       {SectionId::kBwt, bwt_words.data(), bwt_words.size_bytes()},

@@ -21,6 +21,11 @@
 //   sections       reference | bwt | markers | sa-samples | sa-rows |
 //                  sa-ranks | chromosomes   (zero-padded to 8 bytes)
 //
+// At SA sample rate 1 sa-samples is the whole SA, and sa-rows / sa-ranks
+// are fixed by n (every row marked): SampledSuffixArray::persisted_marks
+// builds them for the writer, and from_parts checks and drops them on load,
+// since the index holds only the SA.
+//
 // One reader serves every consumer: detail::parse_layout validates the
 // header and section table for load_index, MappedIndex::open and
 // inspect_index_file alike, and one section list assembles the FmIndex from

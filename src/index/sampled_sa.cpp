@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace pim::index {
 
-SampledSuffixArray::SampledSuffixArray(const SuffixArray& sa, const Bwt& bwt,
-                                       const CountTable& counts,
-                                       std::uint32_t rate)
+SampledSuffixArray::SampledSuffixArray(SuffixArray sa, std::uint32_t rate)
     : rate_(rate) {
-  (void)counts;  // kept in the signature for symmetry with locate()
   if (rate == 0) throw std::invalid_argument("SampledSuffixArray: rate 0");
-  if (sa.size() != bwt.size()) {
-    throw std::invalid_argument("SampledSuffixArray: SA/BWT size mismatch");
+  if (rate == 1) {
+    samples_ = std::move(sa);
+    return;
   }
   sampled_rows_.resize(sa.size());
   for (std::size_t row = 0; row < sa.size(); ++row) {
@@ -42,6 +41,16 @@ SampledSuffixArray::SampledSuffixArray(const SuffixArray& sa, const Bwt& bwt,
   rank_blocks[blocks] = running;
 }
 
+std::vector<std::uint32_t> SampledSuffixArray::full_rank_blocks(
+    std::size_t num_rows) {
+  std::vector<std::uint32_t> blocks(num_rows / kRankBlockBits + 2);
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    blocks[b] =
+        static_cast<std::uint32_t>(std::min(b * kRankBlockBits, num_rows));
+  }
+  return blocks;
+}
+
 SampledSuffixArray SampledSuffixArray::from_parts(
     std::uint32_t rate, util::BitVector sampled_rows,
     util::Storage<std::uint32_t> rank_blocks,
@@ -67,16 +76,48 @@ SampledSuffixArray SampledSuffixArray::from_parts(
   }
   SampledSuffixArray sa;
   sa.rate_ = rate;
+  sa.samples_ = std::move(samples);
+  if (rate == 1) {
+    // Every row is sampled, so the samples are the SA and neither side
+    // structure is consulted: check that they say so, then drop them.
+    const auto full = full_rank_blocks(sampled_rows.size());
+    if (sa.samples_.size() != sampled_rows.size() ||
+        !std::equal(full.begin(), full.end(), rank_blocks.span().begin())) {
+      throw std::invalid_argument(
+          "SampledSuffixArray: rate 1 with unsampled rows");
+    }
+    return sa;
+  }
   sa.sampled_rows_ = std::move(sampled_rows);
   sa.rank_blocks_ = std::move(rank_blocks);
-  sa.samples_ = std::move(samples);
   return sa;
+}
+
+SampledSuffixArray::Marks SampledSuffixArray::persisted_marks() const {
+  if (rate_ == 1) {
+    return {util::BitVector(samples_.size(), /*value=*/true),
+            full_rank_blocks(samples_.size())};
+  }
+  return {util::BitVector::borrowed(sampled_rows_.words().data(),
+                                    sampled_rows_.size()),
+          util::Storage<std::uint32_t>::borrowed(rank_blocks_.data(),
+                                                 rank_blocks_.size())};
 }
 
 std::size_t SampledSuffixArray::rank_sampled(std::size_t row) const {
   const std::size_t block = row / kRankBlockBits;
   return rank_blocks_[block] +
          sampled_rows_.popcount_range(block * kRankBlockBits, row);
+}
+
+void SampledSuffixArray::fail_row(std::size_t row) {
+  throw std::out_of_range("SampledSuffixArray: row " + std::to_string(row) +
+                          " past the suffix array");
+}
+
+void SampledSuffixArray::fail_corrupt(const char* what) {
+  throw std::runtime_error(std::string("SampledSuffixArray: corrupt index (") +
+                           what + ")");
 }
 
 }  // namespace pim::index

@@ -16,6 +16,8 @@ using I = std::int32_t;
 // SA-IS (Nong, Zhang, Chan 2009), following Yuta Mori's compact formulation.
 // `t` is an integer string of length n over alphabet [0, k) whose last
 // character is the unique smallest (the sentinel). `sa` has room for n.
+// The top level runs on the byte text; the reduced problem's text lives in
+// the back of `sa` itself, so the recursion runs on int32.
 // ---------------------------------------------------------------------------
 
 void fill_bucket_bounds(const std::vector<I>& counts, std::vector<I>& bounds,
@@ -29,7 +31,8 @@ void fill_bucket_bounds(const std::vector<I>& counts, std::vector<I>& bounds,
 
 // Induced sort: given LMS suffixes already placed, derive L-type suffixes in
 // a left-to-right pass, then S-type suffixes in a right-to-left pass.
-void induce_sort(const I* t, I* sa, I n, const std::vector<bool>& is_s,
+template <typename T>
+void induce_sort(const T* t, I* sa, I n, const std::vector<bool>& is_s,
                  const std::vector<I>& counts, std::vector<I>& bounds) {
   fill_bucket_bounds(counts, bounds, /*bucket_ends=*/false);
   for (I i = 0; i < n; ++i) {
@@ -47,7 +50,8 @@ void induce_sort(const I* t, I* sa, I n, const std::vector<bool>& is_s,
   }
 }
 
-void sais(const I* t, I* sa, I n, I k) {
+template <typename T>
+void sais(const T* t, I* sa, I n, I k) {
   if (n == 1) {  // just the sentinel
     sa[0] = 0;
     return;
@@ -118,7 +122,7 @@ void sais(const I* t, I* sa, I n, I k) {
   I* const sa1 = sa;
   I* const t1 = sa + n - n1;
   if (name_count < n1) {
-    sais(t1, sa1, n1, name_count);
+    sais<I>(t1, sa1, n1, name_count);
   } else {
     for (I i = 0; i < n1; ++i) sa1[t1[i]] = i;
   }
@@ -138,17 +142,6 @@ void sais(const I* t, I* sa, I n, I k) {
   induce_sort(t, sa, n, is_s, counts, bounds);
 }
 
-// Build the int string reference$ with alphabet {$:0, A:1, C:2, G:3, T:4}.
-std::vector<I> to_int_string(const genome::PackedSequence& text) {
-  std::vector<I> t;
-  t.reserve(text.size() + 1);
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    t.push_back(static_cast<I>(text.at(i)) + 1);
-  }
-  t.push_back(0);  // sentinel
-  return t;
-}
-
 }  // namespace
 
 SuffixArray build_suffix_array(const genome::PackedSequence& text) {
@@ -156,14 +149,18 @@ SuffixArray build_suffix_array(const genome::PackedSequence& text) {
       static_cast<std::size_t>(std::numeric_limits<I>::max()) - 2) {
     throw std::invalid_argument("build_suffix_array: text too long for int32");
   }
-  const std::vector<I> t = to_int_string(text);
-  std::vector<I> sa(t.size());
-  sais(t.data(), sa.data(), static_cast<I>(t.size()), 5);
-  SuffixArray out(sa.size());
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    out[i] = static_cast<std::uint32_t>(sa[i]);
+  // reference$ as bytes over {$:0, A:1, C:2, G:3, T:4}.
+  std::vector<std::uint8_t> t(text.size() + 1);
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    t[i] = static_cast<std::uint8_t>(static_cast<unsigned>(text.at(i)) + 1);
   }
-  return out;
+  t.back() = 0;  // sentinel
+  // SA-IS writes the returned array in place, through its int32 view (a
+  // signed view of an unsigned object is an allowed alias); every value it
+  // leaves there is a position in [0, n].
+  SuffixArray sa(t.size());
+  sais(t.data(), reinterpret_cast<I*>(sa.data()), static_cast<I>(t.size()), 5);
+  return sa;
 }
 
 SuffixArray build_suffix_array_naive(const genome::PackedSequence& text) {

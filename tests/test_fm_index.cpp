@@ -88,6 +88,67 @@ TEST_P(SampledSaProperty, LocateMatchesFullSa) {
 INSTANTIATE_TEST_SUITE_P(SampleRates, SampledSaProperty,
                          ::testing::Values(1U, 2U, 4U, 8U, 32U));
 
+// Rate 1 reads the adopted SA-IS output by row; rate 4 walks LF. Both must
+// give the oracle's SA, row by row and interval by interval.
+TEST(FmIndex, Rate1LocateMatchesSuffixArray) {
+  genome::SyntheticGenomeSpec repeats;
+  repeats.length = 3000;
+  repeats.seed = 43;
+  repeats.repeat_fraction = 0.6;
+  repeats.repeat_unit_length = 120;
+  const std::vector<PackedSequence> texts = {
+      PackedSequence(""),
+      PackedSequence("G"),
+      genome::generate_uniform(2500, 41),
+      genome::generate_reference(repeats),
+      PackedSequence(std::string(700, 'A')),
+  };
+  util::Xoshiro256 rng(47);
+  for (const auto& text : texts) {
+    const std::size_t n = text.size();
+    const SuffixArray oracle = build_suffix_array_naive(text);
+    const FmIndex full =
+        FmIndex::build(text, {.bucket_width = 32, .sa_sample_rate = 1});
+    const FmIndex sampled =
+        FmIndex::build(text, {.bucket_width = 32, .sa_sample_rate = 4});
+    ASSERT_EQ(full.num_rows(), n + 1);
+    EXPECT_EQ(full.memory_footprint().sa_bytes, 4 * (n + 1)) << n;
+    for (std::size_t row = 0; row <= n; ++row) {
+      ASSERT_EQ(full.locate(row), oracle[row]) << "n=" << n << " row=" << row;
+      ASSERT_EQ(sampled.locate(row), oracle[row])
+          << "n=" << n << " row=" << row;
+    }
+    std::vector<std::uint64_t> from_full;
+    std::vector<std::uint64_t> from_sampled;
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::uint64_t low = rng.bounded(n + 1);
+      const std::uint64_t high = low + 1 + rng.bounded(n + 1 - low);
+      full.locate_all_into({low, high}, from_full);
+      sampled.locate_all_into({low, high}, from_sampled);
+      std::vector<std::uint64_t> expect(oracle.begin() + low,
+                                        oracle.begin() + high);
+      std::sort(expect.begin(), expect.end());
+      ASSERT_EQ(from_full, expect) << "n=" << n << " [" << low << "," << high;
+      ASSERT_EQ(from_sampled, expect)
+          << "n=" << n << " [" << low << "," << high;
+    }
+  }
+}
+
+TEST(FmIndex, LocateRejectsRowsPastTheSuffixArray) {
+  const PackedSequence text = genome::generate_uniform(300, 53);
+  for (const std::uint32_t rate : {1U, 4U}) {
+    const FmIndex fm =
+        FmIndex::build(text, {.bucket_width = 32, .sa_sample_rate = rate});
+    EXPECT_THROW((void)fm.locate(fm.num_rows()), std::out_of_range) << rate;
+    std::vector<std::uint64_t> out;
+    EXPECT_THROW(fm.locate_all_into({fm.num_rows() - 2, fm.num_rows() + 1},
+                                    out),
+                 std::out_of_range)
+        << rate;
+  }
+}
+
 TEST(FmIndex, ExtendShrinksIntervalsMonotonically) {
   genome::SyntheticGenomeSpec spec;
   spec.length = 2000;

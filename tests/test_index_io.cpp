@@ -6,12 +6,14 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <streambuf>
 #include <string>
 #include <vector>
 
 #include "src/align/backward_search.h"
+#include "src/align/search_core.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/index/mapped_index.h"
 #include "src/util/rng.h"
@@ -69,6 +71,47 @@ TEST(IndexIo, RoundTripWithSampledSa) {
   for (std::size_t row = 0; row < f.fm.num_rows(); row += 61) {
     EXPECT_EQ(loaded.index.locate(row), f.fm.locate(row));
   }
+}
+
+// A rate-1 index holds its SA and nothing else for locate; the artifact
+// still carries the all-set row marks and the full rank directory, and both
+// loaders drop them again.
+TEST(IndexIo, Rate1LoadsKeepOnlyTheSuffixArray) {
+  Fixture f;
+  const std::size_t rows = f.fm.num_rows();
+  EXPECT_EQ(f.fm.memory_footprint().sa_bytes, 4 * rows);
+  const tests::TempDir dir;
+  const std::string path = dir.file("rate1.bin");
+  save_index_file(path, f.fm);
+  const LoadedIndex streamed = load_index_file(path);
+  const MappedIndex mapped = MappedIndex::open(path);
+  for (const FmIndex* index : {&streamed.index, &mapped.index()}) {
+    EXPECT_EQ(index->memory_footprint().sa_bytes, 4 * rows);
+    for (std::size_t row = 0; row < rows; row += 7) {
+      ASSERT_EQ(index->locate(row), f.fm.locate(row)) << row;
+    }
+  }
+  const auto marks = SampledSuffixArray(SuffixArray(1025), 1).persisted_marks();
+  EXPECT_EQ(marks.rows.size(), 1025U);
+  EXPECT_EQ(marks.rows.popcount(), 1025U);
+  const auto ranks = marks.rank_blocks.span();
+  EXPECT_EQ(std::vector<std::uint32_t>(ranks.begin(), ranks.end()),
+            (std::vector<std::uint32_t>{0, 512, 1024, 1025}));
+}
+
+// The artifact bytes are the format: FNV-1a digests of save_index's output
+// at rate 1 (row marks and rank directory written from n) and at rate 4
+// (written from the sampled table). Any drift in either fails here.
+TEST(IndexIo, SavedBytesArePinned) {
+  const auto digest = [](std::uint32_t rate) {
+    const Fixture f(rate);
+    std::stringstream buffer;
+    save_index(buffer, f.fm, {{"chrA", 0, 3000}, {"chrB", 3000, 2000}});
+    const std::string bytes = buffer.str();
+    return detail::fnv1a(detail::kFnvOffset, bytes.data(), bytes.size());
+  };
+  EXPECT_EQ(digest(1), 0x002266c04f239e1bULL);
+  EXPECT_EQ(digest(4), 0x40ae683a786f9533ULL);
 }
 
 TEST(IndexIo, BadMagicRejected) {
@@ -549,20 +592,22 @@ TEST(IndexIoIdentity, LoadMetricsDistinguishRebuildFromMap) {
 // or throws std::runtime_error — never another exception type, never an
 // out-of-bounds access (CI runs ctest under ASan/UBSan).
 //
-// Known, recorded defect: a re-sealed flip (checksums recomputed, as in a
-// crafted artifact) can load and then crash the first exact_locate in
-// SampledSuffixArray::locate. Checksums catch corruption, not a crafted
-// artifact, so these tests check the loaders' contract and run no queries.
+// Checksums catch corruption, not a crafted artifact: a re-sealed flip
+// (checksums recomputed) can load. Queries on such an index must then return
+// or throw, never read outside it.
 // ---------------------------------------------------------------------------
 
-std::string mutation_seed_bytes() {
+PackedSequence mutation_seed_reference() {
   genome::SyntheticGenomeSpec spec;
   // 1001 BWT rows: three u32 rank blocks, so sa-ranks ends mid-word.
   spec.length = 1000;
   spec.seed = 41;
-  const PackedSequence reference = genome::generate_reference(spec);
-  const FmIndex fm =
-      FmIndex::build(reference, {.bucket_width = 32, .sa_sample_rate = 4});
+  return genome::generate_reference(spec);
+}
+
+std::string mutation_seed_bytes(std::uint32_t sa_rate = 4) {
+  const FmIndex fm = FmIndex::build(
+      mutation_seed_reference(), {.bucket_width = 32, .sa_sample_rate = sa_rate});
   std::stringstream buffer;
   save_index(buffer, fm, {{"chrA", 0, 600}, {"chrB", 600, 400}});
   return buffer.str();
@@ -681,6 +726,63 @@ TEST(IndexIoMutation, ResealedPayloadFlipsLoadOrThrowRuntimeError) {
   // at load; the suite must still exercise both verdicts.
   EXPECT_GT(loaded, 0);
   EXPECT_LT(loaded, 600);
+}
+
+// Stage one and locate on every re-sealed artifact that loads, at the full
+// SA (rate 1, read by row) and a sampled one (rate 4, LF walk). Each call
+// returns or throws a std::exception; under ASan an out-of-bounds read
+// fails the run.
+TEST(IndexIoMutation, ResealedFlipsThenQueriesReturnOrThrow) {
+  const PackedSequence reference = mutation_seed_reference();
+  util::Xoshiro256 rng(4242);
+  std::vector<std::vector<genome::Base>> reads;
+  for (int i = 0; i < 12; ++i) {
+    const std::size_t start = rng.bounded(reference.size() - 40);
+    reads.push_back(reference.slice(start, start + 40));
+  }
+  std::vector<std::uint64_t> positions;
+  const auto returns_or_throws = [](auto&& query) {
+    try {
+      query();
+      return false;
+    } catch (const std::exception&) {
+      return true;
+    }
+  };
+  for (const std::uint32_t rate : {1U, 4U}) {
+    const std::string original = mutation_seed_bytes(rate);
+    const auto entries = layout_of(original).entries;
+    int loaded = 0;
+    int threw = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+      const auto& entry = entries[rng.bounded(entries.size())];
+      const auto pos = static_cast<std::size_t>(
+          entry.offset + rng.bounded(entry.payload_bytes));
+      std::string bytes = original;
+      bytes[pos] = static_cast<char>(bytes[pos] ^ (1U << rng.bounded(8)));
+      std::stringstream in(reseal(std::move(bytes)));
+      std::optional<LoadedIndex> artifact;
+      try {
+        artifact.emplace(load_index(in));
+      } catch (const std::runtime_error&) {
+        continue;
+      }
+      ++loaded;
+      const FmIndex& index = artifact->index;
+      for (const auto& read : reads) {
+        threw += returns_or_throws(
+            [&] { (void)align::exact_locate_core(index, read, positions); });
+        // The read's last four bases: an interval of several rows.
+        const std::vector<genome::Base> tail(read.end() - 4, read.end());
+        threw += returns_or_throws([&] {
+          index.locate_all_into(align::exact_search(index, tail).interval,
+                                positions);
+        });
+      }
+    }
+    EXPECT_GT(loaded, 0) << "rate " << rate;
+    EXPECT_GT(threw, 0) << "rate " << rate;
+  }
 }
 
 }  // namespace
