@@ -1,18 +1,12 @@
-// Ablation — method-I vs method-II IM_ADD placement (Fig. 6d) and SA
-// sampling rate.
+// Ablation — method-I vs method-II IM_ADD placement (Fig. 6d).
 //
 // Method-I keeps the addition in the same sub-array (cheap, but the compare
 // resources idle during the add); method-II duplicates the sub-array so
-// comparison and addition pipeline (Pd >= 2). The second table sweeps the
-// locate() memory/latency trade against SA sampling, an extension knob the
-// paper leaves at "store the full SA".
+// comparison and addition pipeline (Pd >= 2).
 #include <cstdio>
 
 #include "src/accel/pim_aligner_model.h"
-#include "src/genome/synthetic_genome.h"
-#include "src/index/fm_index.h"
 #include "src/pim/pipeline.h"
-#include "src/util/rng.h"
 #include "src/util/table.h"
 
 int main() {
@@ -44,34 +38,5 @@ int main() {
   std::printf("\npaper: method-II with Pd=2 buys ~40%% throughput for the "
               "duplication power; gains saturate beyond Pd=3\nbecause the "
               "carry-serial IM_ADD cannot split across sub-arrays.\n");
-
-  // --- SA sampling ablation -------------------------------------------------
-  std::printf("\n=== Ablation: SA sampling rate (locate cost vs memory) ===\n\n");
-  pim::genome::SyntheticGenomeSpec spec;
-  spec.length = 1 << 18;
-  spec.seed = 9;
-  const auto reference = pim::genome::generate_reference(spec);
-  TextTable sa_out({"rate", "SA bytes", "avg LF steps per locate"});
-  for (const std::uint32_t rate : {1U, 2U, 4U, 8U, 16U}) {
-    const auto fm = pim::index::FmIndex::build(
-        reference, {.bucket_width = 128, .sa_sample_rate = rate});
-    // Measure LF-walk lengths by timing locate work: count via occ calls is
-    // internal, so approximate with the expectation (rate-1)/2 and verify
-    // correctness by spot locates.
-    pim::util::Xoshiro256 rng(31);
-    double checked = 0;
-    for (int t = 0; t < 200; ++t) {
-      const std::size_t row = rng.bounded(fm.num_rows());
-      checked += static_cast<double>(fm.locate(row) % 2);  // touch the path
-    }
-    (void)checked;
-    sa_out.add_row({std::to_string(rate),
-                    std::to_string(fm.memory_footprint().sa_bytes),
-                    TextTable::num((rate - 1) / 2.0)});
-  }
-  std::printf("%s", sa_out.render().c_str());
-  std::printf("\nthe paper stores the full SA (rate 1) inside the ~12 GB "
-              "footprint; sampling trades locate LF-walks\n(each one more "
-              "in-memory LFM) for a linear SA-memory reduction.\n");
   return 0;
 }

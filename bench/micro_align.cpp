@@ -160,22 +160,20 @@ void BM_FmExactLocate(benchmark::State& state) {
 BENCHMARK(BM_FmExactLocate)->Arg(25)->Arg(50)->Arg(100)->Complexity();
 
 // Locate of multi-row intervals, the shape repeats give stage one, on a
-// 4 Mbp repeat-rich reference (SA and BWT above a per-core L2). Rate 1 reads
-// the interval's SA entries by row; rate 4 walks LF for three rows in four.
-// per_row is the time per located row.
+// 4 Mbp repeat-rich reference (SA and BWT above a per-core L2): the
+// interval's SA entries read by row, then sorted. per_row is the time per
+// located row.
 struct LocateWorkload {
   pim::index::FmIndex fm;
   std::vector<pim::index::SaInterval> intervals;
 
-  explicit LocateWorkload(std::uint32_t rate) {
+  LocateWorkload() {
     pim::genome::SyntheticGenomeSpec spec;
     spec.length = std::size_t{4} << 20;
     spec.seed = 37;
     spec.repeat_fraction = 0.5;
     const auto reference = pim::genome::generate_reference(spec);
-    fm = pim::index::FmIndex::build(reference,
-                                    {.bucket_width = 128,
-                                     .sa_sample_rate = rate});
+    fm = pim::index::FmIndex::build(reference, {.bucket_width = 128});
     pim::util::Xoshiro256 rng(41);
     while (intervals.size() < 1024) {
       const std::size_t start = rng.bounded(reference.size() - 20);
@@ -188,9 +186,7 @@ struct LocateWorkload {
 };
 
 void BM_LocateAll(benchmark::State& state) {
-  static LocateWorkload full(1);
-  static LocateWorkload sampled(4);
-  const auto& w = state.range(0) == 1 ? full : sampled;
+  static const LocateWorkload w;
   std::vector<std::uint64_t> out;
   std::size_t i = 0;
   std::uint64_t rows = 0;
@@ -205,7 +201,7 @@ void BM_LocateAll(benchmark::State& state) {
       static_cast<double>(rows),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_LocateAll)->Arg(1)->Arg(4);
+BENCHMARK(BM_LocateAll);
 
 void BM_SmithWatermanFull(benchmark::State& state) {
   auto& w = workload();

@@ -72,8 +72,7 @@ int cmd_info(const std::string& index_path) {
   std::printf("  reference: %llu bp, %zu chromosome(s)\n",
               static_cast<unsigned long long>(info.reference_bases),
               info.num_chromosomes);
-  std::printf("  bucket width d: %u, SA sample rate: %u\n", info.bucket_width,
-              info.sa_sample_rate);
+  std::printf("  bucket width d: %u\n", info.bucket_width);
   for (const auto& section : info.sections) {
     std::printf("  section %-12s offset %8llu  %10llu B  fnv1a %016llx\n",
                 section.name.c_str(),

@@ -37,8 +37,7 @@ double PimChipModel::memory_footprint_gb() const {
       static_cast<double>(timing_->cols()) / 2.0;  // checkpoint every row
   const double bwt_bytes = n * 2.0 / 8.0;
   const double mt_bytes = n / d * 4.0 * 4.0;  // 4 nt x 4-byte markers
-  const double sa_bytes =
-      n * 4.0 / static_cast<double>(config_.sa_sample_rate);
+  const double sa_bytes = n * 4.0;  // the full SA, one u32 per base
   return (bwt_bytes + mt_bytes + sa_bytes) / 1e9;
 }
 

@@ -41,7 +41,6 @@ struct ChipModelConfig {
 
   // Provisioning.
   std::uint32_t pipelines = 32;       ///< Concurrent pipeline groups.
-  std::uint32_t sa_sample_rate = 1;   ///< Full SA, as the paper stores it.
 
   // Power calibration (documented in DESIGN.md; overridable).
   double memory_standby_w_per_gb = 0.857;  ///< NVM periphery standby.

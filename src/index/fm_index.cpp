@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace pim::index {
@@ -25,7 +26,7 @@ FmIndex FmIndex::build_from_sa(const genome::PackedSequence& reference,
   index.bwt_ = build_bwt(reference, sa);
   index.counts_ = CountTable(index.bwt_);
   index.markers_ = MarkerTable(index.bwt_, index.counts_, config.bucket_width);
-  index.sampled_sa_ = SampledSuffixArray(std::move(sa), config.sa_sample_rate);
+  index.sa_ = std::move(sa);
   index.build_kmer_table();
   return index;
 }
@@ -33,7 +34,7 @@ FmIndex FmIndex::build_from_sa(const genome::PackedSequence& reference,
 FmIndex FmIndex::from_parts(const FmIndexConfig& config,
                             genome::PackedSequence reference, Bwt bwt,
                             CountTable counts, MarkerTable markers,
-                            SampledSuffixArray sampled_sa) {
+                            util::Storage<std::uint32_t> sa) {
   if (bwt.size() == 0) {
     throw std::invalid_argument("FmIndex::from_parts: empty BWT");
   }
@@ -53,9 +54,9 @@ FmIndex FmIndex::from_parts(const FmIndexConfig& config,
     throw std::invalid_argument(
         "FmIndex::from_parts: marker row count inconsistent with BWT");
   }
-  if (sampled_sa.num_rows() != bwt.size()) {
+  if (sa.size() != bwt.size()) {
     throw std::invalid_argument(
-        "FmIndex::from_parts: sampled-SA row count inconsistent with BWT");
+        "FmIndex::from_parts: suffix array length inconsistent with BWT");
   }
   FmIndex index;
   index.config_ = config;
@@ -63,15 +64,19 @@ FmIndex FmIndex::from_parts(const FmIndexConfig& config,
   index.bwt_ = std::move(bwt);
   index.counts_ = std::move(counts);
   index.markers_ = std::move(markers);
-  index.sampled_sa_ = std::move(sampled_sa);
+  index.sa_ = std::move(sa);
   index.build_kmer_table();
   return index;
 }
 
-std::uint64_t FmIndex::locate(std::size_t row) const {
-  return sampled_sa_.locate(
-      bwt_, counts_, row,
-      [this](genome::Base nt, std::size_t i) { return occ(nt, i); });
+void FmIndex::fail_row(std::size_t row) {
+  throw std::out_of_range("FmIndex::locate: row " + std::to_string(row) +
+                          " past the suffix array");
+}
+
+void FmIndex::fail_position(std::size_t row) {
+  throw std::runtime_error("FmIndex::locate: corrupt index (SA row " +
+                           std::to_string(row) + " past the text)");
 }
 
 std::vector<std::uint64_t> FmIndex::locate_all(
@@ -162,7 +167,7 @@ FmIndex::MemoryFootprint FmIndex::memory_footprint() const {
   MemoryFootprint fp;
   fp.bwt_bytes = bwt_.symbols.memory_bytes();
   fp.marker_bytes = markers_.memory_bytes();
-  fp.sa_bytes = sampled_sa_.memory_bytes();
+  fp.sa_bytes = sa_.size() * sizeof(std::uint32_t);
   return fp;
 }
 

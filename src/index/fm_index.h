@@ -1,10 +1,12 @@
-// FM-index facade — ties together BWT, Count, Marker Table and sampled SA
+// FM-index facade — ties together BWT, Count, Marker Table and suffix array
 // into the structure Algorithm 1/2 and the PIM mapping layer consume.
 //
 // The three persisted structures match the paper exactly: BWT, MT, SA
 // ("only BWT, Marker Table (MT), and SA will be stored in the memory").
 // The full Occ table is never kept; occ() is always computed as
-// marker + count_match, the decomposition the hardware executes.
+// marker + count_match, the decomposition the hardware executes. The SA is
+// kept whole, as the paper keeps it: locate(row) reads one 32-bit word,
+// which is what the simulated platform charges per located row.
 //
 // The index also carries the 2-bit-packed reference it was built over
 // (owned after a build, borrowed from a mapped artifact after a load).
@@ -27,8 +29,8 @@
 #include "src/index/bwt.h"
 #include "src/index/marker_table.h"
 #include "src/index/occ_table.h"
-#include "src/index/sampled_sa.h"
 #include "src/index/suffix_array.h"
+#include "src/util/storage.h"
 
 namespace pim::index {
 
@@ -56,8 +58,6 @@ struct SearchStart {
 struct FmIndexConfig {
   /// Occ checkpoint spacing d. 128 bps = one sub-array row (paper default).
   std::uint32_t bucket_width = 128;
-  /// SA sampling rate; 1 = full SA as in the paper.
-  std::uint32_t sa_sample_rate = 1;
 };
 
 class FmIndex {
@@ -70,8 +70,8 @@ class FmIndex {
 
   /// Build from a pre-computed suffix array (e.g. deserialized): skips
   /// SA-IS, everything else is derived in O(n). The SA must be the
-  /// sentinel-inclusive array of `reference` (size n+1). At sample rate 1
-  /// the index adopts it as its locate table, so pass it by move.
+  /// sentinel-inclusive array of `reference` (size n+1). The index adopts
+  /// it as its locate table, so pass it by move.
   static FmIndex build_from_sa(const genome::PackedSequence& reference,
                                SuffixArray sa,
                                const FmIndexConfig& config = {});
@@ -80,13 +80,13 @@ class FmIndex {
   /// the zero-copy load path (S42): every part, the reference text
   /// included, may borrow its buffers from a mapped index artifact.
   /// Performs structural consistency checks (text length, marker row
-  /// count, sampled-row count, primary in range) and throws
+  /// count, SA length, primary in range) and throws
   /// std::invalid_argument on mismatch; it does NOT re-derive the parts, so
   /// a checksummed artifact is the integrity story.
   static FmIndex from_parts(const FmIndexConfig& config,
                             genome::PackedSequence reference, Bwt bwt,
                             CountTable counts, MarkerTable markers,
-                            SampledSuffixArray sampled_sa);
+                            util::Storage<std::uint32_t> sa);
 
   /// Number of bases in the reference (n); BWT rows are n+1.
   std::uint64_t reference_size() const { return bwt_.size() - 1; }
@@ -98,7 +98,8 @@ class FmIndex {
   const Bwt& bwt() const { return bwt_; }
   const CountTable& counts() const { return counts_; }
   const MarkerTable& markers() const { return markers_; }
-  const SampledSuffixArray& sampled_sa() const { return sampled_sa_; }
+  /// The sentinel-inclusive suffix array (num_rows() entries).
+  std::span<const std::uint32_t> suffix_array() const { return sa_.span(); }
   const FmIndexConfig& config() const { return config_; }
 
   /// Occ(nt, i) — computed from the marker table (marker - Count + residual).
@@ -135,13 +136,18 @@ class FmIndex {
     return next;
   }
 
-  /// Text position of SA row `row`: SA[row] at sample rate 1, an LF walk
-  /// above it. Throws std::out_of_range for a row past num_rows() and
-  /// std::runtime_error when a (crafted) table yields no position <= n.
-  std::uint64_t locate(std::size_t row) const;
+  /// Text position of SA row `row`: SA[row]. A loaded SA may be crafted,
+  /// so this throws std::out_of_range for a row past num_rows() and
+  /// std::runtime_error for a value past n.
+  std::uint64_t locate(std::size_t row) const {
+    if (row >= sa_.size()) fail_row(row);
+    const std::uint64_t position = sa_[row];
+    if (position >= sa_.size()) fail_position(row);
+    return position;
+  }
 
-  /// All text positions in an interval, sorted ascending (at rate 1, the
-  /// interval's contiguous SA entries, sorted).
+  /// All text positions in an interval, sorted ascending (the interval's
+  /// contiguous SA entries, sorted).
   std::vector<std::uint64_t> locate_all(const SaInterval& interval) const;
 
   /// Same, into `out` (clear + append, reusing capacity) — the engine hot
@@ -197,12 +203,17 @@ class FmIndex {
   /// its four level-(l+1) children.
   void build_kmer_table();
 
+  [[noreturn]] static void fail_row(std::size_t row);
+  [[noreturn]] static void fail_position(std::size_t row);
+
   FmIndexConfig config_;
   genome::PackedSequence reference_;
   Bwt bwt_;
   CountTable counts_;
   MarkerTable markers_;
-  SampledSuffixArray sampled_sa_;
+  /// Owned after a build (SA-IS's output, adopted), borrowed after a
+  /// mapped load.
+  util::Storage<std::uint32_t> sa_;
   std::uint32_t kmer_length_ = 0;
   std::vector<KmerEntry> kmer_table_;  ///< 4^k entries, k-mer code order.
 };

@@ -202,6 +202,49 @@ constexpr std::uint64_t words_for_bits(std::uint64_t bits) {
   return (bits + 63) / 64;
 }
 
+// ---------------------------------------------------------------------------
+// The SA sections. The index keeps the full SA (sample rate 1), so
+// sa-samples is SA[0..n] and the sa-rows / sa-ranks sections are fixed by
+// the row count: every row marked, and rank block b (one per 512 rows,
+// plus a total) counting min(512 * b, rows) marked rows before it. The
+// writer emits that form and both loaders require it, then drop it.
+
+constexpr std::uint64_t kRankBlockBits = 512;
+
+constexpr std::uint64_t sa_rank_blocks(std::uint64_t rows) {
+  return rows / kRankBlockBits + 2;
+}
+
+/// Word `i` of the sa-rows bitmap: all ones, the last word's tail bits zero.
+constexpr std::uint64_t sa_row_word(std::uint64_t rows, std::uint64_t i) {
+  const std::uint64_t tail = rows % 64;
+  return i + 1 == words_for_bits(rows) && tail != 0 ? (1ULL << tail) - 1
+                                                   : ~0ULL;
+}
+
+/// Entry `b` of the sa-ranks directory.
+constexpr std::uint32_t sa_rank_block(std::uint64_t rows, std::uint64_t b) {
+  return static_cast<std::uint32_t>(std::min(b * kRankBlockBits, rows));
+}
+
+/// The loaders' check of the two sections (parse_layout has fixed their
+/// sizes). Takes them by value, so a loaded artifact drops them here.
+void check_sa_marks(util::Storage<std::uint64_t> row_words,
+                    util::Storage<std::uint32_t> ranks, std::uint64_t rows) {
+  for (std::size_t i = 0; i < row_words.size(); ++i) {
+    if (row_words[i] != sa_row_word(rows, i)) {
+      fail_section(SectionId::kSaRows,
+                   "unmarked rows in word " + std::to_string(i));
+    }
+  }
+  for (std::size_t b = 0; b < ranks.size(); ++b) {
+    if (ranks[b] != sa_rank_block(rows, b)) {
+      fail_section(SectionId::kSaRanks, "rank block " + std::to_string(b) +
+                                            " inconsistent with header");
+    }
+  }
+}
+
 void check_layout(const FileHeaderV2& header,
                   const std::vector<SectionEntry>& entries,
                   std::uint64_t actual_file_bytes) {
@@ -214,7 +257,10 @@ void check_layout(const FileHeaderV2& header,
   const std::uint64_t rows = n + 1;
   const std::uint64_t d = header.bucket_width;
   if (d == 0) fail("zero marker bucket width");
-  if (header.sa_sample_rate == 0) fail("zero SA sample rate");
+  if (header.sa_sample_rate != 1) {
+    fail("unsupported SA sample rate " +
+         std::to_string(header.sa_sample_rate));
+  }
   if (header.primary >= rows) fail("primary row out of range");
 
   std::array<bool, 8> seen{};
@@ -253,16 +299,10 @@ void check_layout(const FileHeaderV2& header,
         expected = words_for_bits(rows) * 8;
         break;
       case SectionId::kSaRanks:
-        expected = (rows / SampledSuffixArray::kRankBlockBits + 2) *
-                   sizeof(std::uint32_t);
+        expected = sa_rank_blocks(rows) * sizeof(std::uint32_t);
         break;
       case SectionId::kSaSamples:
-        // Sample count depends on the data (value-based sampling); require
-        // well-formed u32 payload with at least row 0's sample.
-        if (entry.payload_bytes % sizeof(std::uint32_t) != 0 ||
-            entry.payload_bytes == 0) {
-          fail_section(id, "malformed payload size");
-        }
+        expected = rows * sizeof(std::uint32_t);
         break;
       case SectionId::kChromosomes:
         if (entry.payload_bytes < sizeof(std::uint64_t)) {
@@ -341,7 +381,7 @@ void save_index(std::ostream& out, const FmIndex& index,
   header.version = kIndexVersion;
   header.header_bytes = sizeof(FileHeaderV2);
   header.bucket_width = index.config().bucket_width;
-  header.sa_sample_rate = index.config().sa_sample_rate;
+  header.sa_sample_rate = 1;
   header.reference_bases = reference.size();
   header.primary = index.bwt().primary;
   for (std::size_t b = 0; b < genome::kNumBases; ++b) {
@@ -354,17 +394,25 @@ void save_index(std::ostream& out, const FmIndex& index,
   const auto ref_words = reference.words();
   const auto bwt_words = index.bwt().symbols.words();
   const auto marker_rows = index.markers().rows();
-  const auto sa_samples = index.sampled_sa().samples();
-  const auto sa_marks = index.sampled_sa().persisted_marks();
-  const auto sa_row_words = sa_marks.rows.words();
-  const auto sa_ranks = sa_marks.rank_blocks.span();
+  const auto sa = index.suffix_array();
+  const std::uint64_t rows = sa.size();
+  std::vector<std::uint64_t> sa_row_words(words_for_bits(rows));
+  for (std::size_t i = 0; i < sa_row_words.size(); ++i) {
+    sa_row_words[i] = sa_row_word(rows, i);
+  }
+  std::vector<std::uint32_t> sa_ranks(sa_rank_blocks(rows));
+  for (std::size_t b = 0; b < sa_ranks.size(); ++b) {
+    sa_ranks[b] = sa_rank_block(rows, b);
+  }
   const std::array<SectionPayload, 7> payloads = {{
       {SectionId::kReference, ref_words.data(), ref_words.size_bytes()},
       {SectionId::kBwt, bwt_words.data(), bwt_words.size_bytes()},
       {SectionId::kMarkers, marker_rows.data(), marker_rows.size_bytes()},
-      {SectionId::kSaSamples, sa_samples.data(), sa_samples.size_bytes()},
-      {SectionId::kSaRows, sa_row_words.data(), sa_row_words.size_bytes()},
-      {SectionId::kSaRanks, sa_ranks.data(), sa_ranks.size_bytes()},
+      {SectionId::kSaSamples, sa.data(), sa.size_bytes()},
+      {SectionId::kSaRows, sa_row_words.data(),
+       sa_row_words.size() * sizeof(std::uint64_t)},
+      {SectionId::kSaRanks, sa_ranks.data(),
+       sa_ranks.size() * sizeof(std::uint32_t)},
       {SectionId::kChromosomes, chrom_payload.data(), chrom_payload.size()},
   }};
   header.num_sections = static_cast<std::uint32_t>(payloads.size());
@@ -534,6 +582,8 @@ Sections fetch_sections(const ArtifactLayout& layout, SectionSource& source) {
 LoadedIndex assemble(const FileHeaderV2& header, Sections sections) {
   const std::uint64_t n = header.reference_bases;
   const std::uint64_t rows = n + 1;
+  check_sa_marks(std::move(sections.sa_row_words),
+                 std::move(sections.sa_ranks), rows);
   if (!sections.chromosomes.empty()) {
     try {
       genome::validate_chromosomes(sections.chromosomes, n);
@@ -555,20 +605,12 @@ LoadedIndex assemble(const FileHeaderV2& header, Sections sections) {
       counts[b] = header.counts[b];
       occurrences[b] = header.occurrences[b];
     }
-    auto sampled_sa = SampledSuffixArray::from_parts(
-        header.sa_sample_rate,
-        util::BitVector::from_words(std::move(sections.sa_row_words),
-                                    static_cast<std::size_t>(rows)),
-        std::move(sections.sa_ranks), std::move(sections.sa_samples));
-    FmIndexConfig config;
-    config.bucket_width = header.bucket_width;
-    config.sa_sample_rate = header.sa_sample_rate;
     loaded.index = FmIndex::from_parts(
-        config, std::move(reference), std::move(bwt),
-        CountTable(counts, occurrences),
+        {.bucket_width = header.bucket_width}, std::move(reference),
+        std::move(bwt), CountTable(counts, occurrences),
         MarkerTable::from_parts(header.bucket_width,
                                 std::move(sections.markers)),
-        std::move(sampled_sa));
+        std::move(sections.sa_samples));
     loaded.chromosomes = std::move(sections.chromosomes);
     return loaded;
   } catch (const std::logic_error& e) {
@@ -673,7 +715,6 @@ IndexFileInfo inspect_index_file(const std::string& path) {
   IndexFileInfo info;
   info.version = layout.header.version;
   info.bucket_width = layout.header.bucket_width;
-  info.sa_sample_rate = layout.header.sa_sample_rate;
   info.reference_bases = layout.header.reference_bases;
   info.file_bytes = layout.header.file_bytes;
   SectionSource source(map.data(), /*verify=*/true);
@@ -745,14 +786,14 @@ MappedIndex MappedIndex::open(const std::string& path,
   Sections sections = fetch_sections(layout, source);
 
   // Index lookups are random-access by nature (backward search hops across
-  // the BWT, locate across the SA samples); default readahead would fault in
+  // the BWT, locate across the SA); default readahead would fault in
   // ~128 KB per touch and balloon RSS far past the working set. Advised
   // after the sections are fetched so the sequential checksum pass still
   // enjoyed readahead, and before assemble builds the k-mer table.
   (void)::madvise(map.base, map.bytes, MADV_RANDOM);
 #ifdef MADV_NOHUGEPAGE
   // Likewise decline huge-folio mapping: one random locate should not make
-  // 2 MB of SA samples resident.
+  // 2 MB of the SA resident.
   (void)::madvise(map.base, map.bytes, MADV_NOHUGEPAGE);
 #endif
 

@@ -21,10 +21,10 @@
 //   sections       reference | bwt | markers | sa-samples | sa-rows |
 //                  sa-ranks | chromosomes   (zero-padded to 8 bytes)
 //
-// At SA sample rate 1 sa-samples is the whole SA, and sa-rows / sa-ranks
-// are fixed by n (every row marked): SampledSuffixArray::persisted_marks
-// builds them for the writer, and from_parts checks and drops them on load,
-// since the index holds only the SA.
+// The index keeps the full SA, so the header's sa_sample_rate is always 1,
+// sa-samples is SA[0..n] as u32, and sa-rows / sa-ranks are fixed by n
+// (every row marked, and the matching rank directory). The writer emits
+// them from n; both loaders check them and drop them.
 //
 // One reader serves every consumer: detail::parse_layout validates the
 // header and section table for load_index, MappedIndex::open and
@@ -98,7 +98,6 @@ struct IndexSectionInfo {
 struct IndexFileInfo {
   std::uint32_t version = 0;
   std::uint32_t bucket_width = 0;
-  std::uint32_t sa_sample_rate = 0;
   std::uint64_t reference_bases = 0;
   std::uint64_t file_bytes = 0;
   std::size_t num_chromosomes = 0;
@@ -124,7 +123,7 @@ struct FileHeaderV2 {
   std::uint64_t header_bytes = 0;  ///< sizeof(FileHeaderV2), extension room.
   std::uint64_t file_bytes = 0;    ///< Total artifact size, for bounds checks.
   std::uint32_t bucket_width = 0;
-  std::uint32_t sa_sample_rate = 0;
+  std::uint32_t sa_sample_rate = 0;   ///< Always 1: the full SA.
   std::uint64_t reference_bases = 0;  ///< n; BWT rows are n+1.
   std::uint32_t primary = 0;          ///< Sentinel row of the BWT.
   std::uint32_t num_sections = 0;

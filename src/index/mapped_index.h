@@ -1,5 +1,5 @@
 // Zero-copy index loading: mmap a v2 index artifact and assemble an FmIndex
-// whose persisted structures (reference, BWT, marker rows, sampled SA)
+// whose persisted structures (reference, BWT, marker rows, suffix array)
 // *borrow* the mapped bytes through the S42 Storage seam.
 //
 // Why this exists: the stream loader copies every section into owned

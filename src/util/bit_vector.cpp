@@ -76,34 +76,6 @@ std::size_t BitVector::popcount() const {
   return total;
 }
 
-std::size_t BitVector::popcount_range(std::size_t begin, std::size_t end) const {
-  if (begin >= end) return 0;
-  if (end > num_bits_) throw std::out_of_range("popcount_range past end");
-  const std::uint64_t* words = words_.data();
-  std::size_t total = 0;
-  std::size_t first_word = begin >> 6;
-  std::size_t last_word = (end - 1) >> 6;
-  if (first_word == last_word) {
-    std::uint64_t w = words[first_word];
-    w >>= (begin & 63);
-    const std::size_t span = end - begin;
-    if (span < 64) w &= (1ULL << span) - 1;
-    return static_cast<std::size_t>(std::popcount(w));
-  }
-  // Head word.
-  total += static_cast<std::size_t>(std::popcount(words[first_word] >> (begin & 63)));
-  // Middle words.
-  for (std::size_t i = first_word + 1; i < last_word; ++i) {
-    total += static_cast<std::size_t>(std::popcount(words[i]));
-  }
-  // Tail word.
-  std::uint64_t tail = words[last_word];
-  const std::size_t tail_bits = ((end - 1) & 63) + 1;
-  if (tail_bits < 64) tail &= (1ULL << tail_bits) - 1;
-  total += static_cast<std::size_t>(std::popcount(tail));
-  return total;
-}
-
 void BitVector::check_same_size(const BitVector& a, const BitVector& b) {
   if (a.num_bits_ != b.num_bits_) {
     throw std::invalid_argument("BitVector size mismatch");

@@ -58,9 +58,6 @@ class BitVector {
   /// Number of set bits. Word-parallel (std::popcount per 64-bit word).
   std::size_t popcount() const;
 
-  /// Number of set bits in the half-open bit range [begin, end).
-  std::size_t popcount_range(std::size_t begin, std::size_t end) const;
-
   // Word-parallel bulk logic. Operands must have equal size.
   BitVector operator&(const BitVector& other) const;
   BitVector operator|(const BitVector& other) const;

@@ -4,7 +4,6 @@
 
 #include <stdexcept>
 
-#include "src/util/rng.h"
 
 namespace pim::util {
 namespace {
@@ -76,37 +75,6 @@ TEST(BitVector, SetAllClearAll) {
   EXPECT_EQ(v.popcount(), 77U);
   v.clear_all();
   EXPECT_EQ(v.popcount(), 0U);
-}
-
-TEST(BitVector, PopcountRangeBasic) {
-  BitVector v(256);
-  for (std::size_t i = 0; i < 256; i += 2) v.set(i, true);
-  EXPECT_EQ(v.popcount_range(0, 256), 128U);
-  EXPECT_EQ(v.popcount_range(0, 1), 1U);
-  EXPECT_EQ(v.popcount_range(1, 2), 0U);
-  EXPECT_EQ(v.popcount_range(0, 0), 0U);
-  EXPECT_EQ(v.popcount_range(10, 10), 0U);
-  EXPECT_EQ(v.popcount_range(0, 64), 32U);
-  EXPECT_EQ(v.popcount_range(63, 65), 1U);  // straddles a word boundary
-}
-
-TEST(BitVector, PopcountRangeMatchesNaive) {
-  Xoshiro256 rng(7);
-  BitVector v(500);
-  for (std::size_t i = 0; i < v.size(); ++i) v.set(i, rng.bernoulli(0.3));
-  for (int trial = 0; trial < 200; ++trial) {
-    std::size_t a = rng.bounded(501);
-    std::size_t b = rng.bounded(501);
-    if (a > b) std::swap(a, b);
-    std::size_t naive = 0;
-    for (std::size_t i = a; i < b; ++i) naive += v.get(i) ? 1 : 0;
-    EXPECT_EQ(v.popcount_range(a, b), naive) << "range [" << a << "," << b << ")";
-  }
-}
-
-TEST(BitVector, PopcountRangePastEndThrows) {
-  BitVector v(10);
-  EXPECT_THROW(v.popcount_range(0, 11), std::out_of_range);
 }
 
 TEST(BitVector, BitwiseOperators) {

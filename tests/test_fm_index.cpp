@@ -65,31 +65,8 @@ TEST(FmIndex, LocateRecoversSuffixArray) {
   }
 }
 
-// Sampled-SA property: locate() is exact for every row at every rate.
-class SampledSaProperty : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(SampledSaProperty, LocateMatchesFullSa) {
-  genome::SyntheticGenomeSpec spec;
-  spec.length = 600;
-  spec.seed = 23;
-  spec.repeat_fraction = 0.5;
-  const PackedSequence text = genome::generate_reference(spec);
-  const SuffixArray sa = build_suffix_array(text);
-  FmIndexConfig config;
-  config.bucket_width = 32;
-  config.sa_sample_rate = GetParam();
-  const FmIndex fm = FmIndex::build(text, config);
-  for (std::size_t row = 0; row < fm.num_rows(); ++row) {
-    ASSERT_EQ(fm.locate(row), sa[row])
-        << "rate=" << GetParam() << " row=" << row;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(SampleRates, SampledSaProperty,
-                         ::testing::Values(1U, 2U, 4U, 8U, 32U));
-
-// Rate 1 reads the adopted SA-IS output by row; rate 4 walks LF. Both must
-// give the oracle's SA, row by row and interval by interval.
+// locate reads the adopted SA-IS output by row: it must give the oracle's
+// SA, row by row and interval by interval.
 TEST(FmIndex, Rate1LocateMatchesSuffixArray) {
   genome::SyntheticGenomeSpec repeats;
   repeats.length = 3000;
@@ -107,46 +84,32 @@ TEST(FmIndex, Rate1LocateMatchesSuffixArray) {
   for (const auto& text : texts) {
     const std::size_t n = text.size();
     const SuffixArray oracle = build_suffix_array_naive(text);
-    const FmIndex full =
-        FmIndex::build(text, {.bucket_width = 32, .sa_sample_rate = 1});
-    const FmIndex sampled =
-        FmIndex::build(text, {.bucket_width = 32, .sa_sample_rate = 4});
+    const FmIndex full = FmIndex::build(text, {.bucket_width = 32});
     ASSERT_EQ(full.num_rows(), n + 1);
     EXPECT_EQ(full.memory_footprint().sa_bytes, 4 * (n + 1)) << n;
     for (std::size_t row = 0; row <= n; ++row) {
       ASSERT_EQ(full.locate(row), oracle[row]) << "n=" << n << " row=" << row;
-      ASSERT_EQ(sampled.locate(row), oracle[row])
-          << "n=" << n << " row=" << row;
     }
     std::vector<std::uint64_t> from_full;
-    std::vector<std::uint64_t> from_sampled;
     for (int trial = 0; trial < 40; ++trial) {
       const std::uint64_t low = rng.bounded(n + 1);
       const std::uint64_t high = low + 1 + rng.bounded(n + 1 - low);
       full.locate_all_into({low, high}, from_full);
-      sampled.locate_all_into({low, high}, from_sampled);
       std::vector<std::uint64_t> expect(oracle.begin() + low,
                                         oracle.begin() + high);
       std::sort(expect.begin(), expect.end());
       ASSERT_EQ(from_full, expect) << "n=" << n << " [" << low << "," << high;
-      ASSERT_EQ(from_sampled, expect)
-          << "n=" << n << " [" << low << "," << high;
     }
   }
 }
 
 TEST(FmIndex, LocateRejectsRowsPastTheSuffixArray) {
   const PackedSequence text = genome::generate_uniform(300, 53);
-  for (const std::uint32_t rate : {1U, 4U}) {
-    const FmIndex fm =
-        FmIndex::build(text, {.bucket_width = 32, .sa_sample_rate = rate});
-    EXPECT_THROW((void)fm.locate(fm.num_rows()), std::out_of_range) << rate;
-    std::vector<std::uint64_t> out;
-    EXPECT_THROW(fm.locate_all_into({fm.num_rows() - 2, fm.num_rows() + 1},
-                                    out),
-                 std::out_of_range)
-        << rate;
-  }
+  const FmIndex fm = FmIndex::build(text, {.bucket_width = 32});
+  EXPECT_THROW((void)fm.locate(fm.num_rows()), std::out_of_range);
+  std::vector<std::uint64_t> out;
+  EXPECT_THROW(fm.locate_all_into({fm.num_rows() - 2, fm.num_rows() + 1}, out),
+               std::out_of_range);
 }
 
 TEST(FmIndex, ExtendShrinksIntervalsMonotonically) {
@@ -192,14 +155,8 @@ TEST(FmIndex, MemoryFootprintAccounts) {
   spec.length = 4096;
   spec.seed = 2;
   const PackedSequence text = genome::generate_reference(spec);
-  const FmIndex full = FmIndex::build(text, {.bucket_width = 128,
-                                             .sa_sample_rate = 1});
-  const FmIndex sampled = FmIndex::build(text, {.bucket_width = 128,
-                                                .sa_sample_rate = 8});
+  const FmIndex full = FmIndex::build(text, {.bucket_width = 128});
   const auto fp_full = full.memory_footprint();
-  const auto fp_sampled = sampled.memory_footprint();
-  EXPECT_GT(fp_full.sa_bytes, fp_sampled.sa_bytes);
-  EXPECT_EQ(fp_full.bwt_bytes, fp_sampled.bwt_bytes);
   EXPECT_GT(fp_full.total(), 0U);
   // BWT at 2 bits/base: 4097 symbols -> ~1 KiB.
   EXPECT_NEAR(static_cast<double>(fp_full.bwt_bytes), 4097.0 / 4.0, 8.0);
@@ -209,9 +166,10 @@ TEST(FmIndex, FromPartsRejectsTextOfWrongLength) {
   const PackedSequence text = genome::generate_uniform(1000, 3);
   const FmIndex built = FmIndex::build(text, {.bucket_width = 64});
   const auto assemble = [&](PackedSequence reference) {
-    return FmIndex::from_parts(built.config(), std::move(reference),
-                               built.bwt(), built.counts(), built.markers(),
-                               built.sampled_sa());
+    return FmIndex::from_parts(
+        built.config(), std::move(reference), built.bwt(), built.counts(),
+        built.markers(),
+        SuffixArray(built.suffix_array().begin(), built.suffix_array().end()));
   };
   EXPECT_TRUE(assemble(text).reference() == text);
   EXPECT_THROW(assemble(PackedSequence(text.slice(0, 999))),

@@ -27,13 +27,12 @@ using genome::PackedSequence;
 struct Fixture {
   PackedSequence reference;
   FmIndex fm;
-  explicit Fixture(std::uint32_t sa_rate = 1) {
+  Fixture() {
     genome::SyntheticGenomeSpec spec;
     spec.length = 5000;
     spec.seed = 12;
     reference = genome::generate_reference(spec);
-    fm = FmIndex::build(reference,
-                        {.bucket_width = 64, .sa_sample_rate = sa_rate});
+    fm = FmIndex::build(reference, {.bucket_width = 64});
   }
 };
 
@@ -62,20 +61,9 @@ TEST(IndexIo, RoundTripPreservesEverything) {
   }
 }
 
-TEST(IndexIo, RoundTripWithSampledSa) {
-  Fixture f(8);
-  std::stringstream buffer;
-  save_index(buffer, f.fm);
-  const LoadedIndex loaded = load_index(buffer);
-  EXPECT_EQ(loaded.index.config().sa_sample_rate, 8U);
-  for (std::size_t row = 0; row < f.fm.num_rows(); row += 61) {
-    EXPECT_EQ(loaded.index.locate(row), f.fm.locate(row));
-  }
-}
-
-// A rate-1 index holds its SA and nothing else for locate; the artifact
-// still carries the all-set row marks and the full rank directory, and both
-// loaders drop them again.
+// An index holds its SA and nothing else for locate; the artifact still
+// carries the all-set row marks and the full rank directory (pinned by
+// SavedBytesArePinned), and both loaders drop them again.
 TEST(IndexIo, Rate1LoadsKeepOnlyTheSuffixArray) {
   Fixture f;
   const std::size_t rows = f.fm.num_rows();
@@ -91,27 +79,18 @@ TEST(IndexIo, Rate1LoadsKeepOnlyTheSuffixArray) {
       ASSERT_EQ(index->locate(row), f.fm.locate(row)) << row;
     }
   }
-  const auto marks = SampledSuffixArray(SuffixArray(1025), 1).persisted_marks();
-  EXPECT_EQ(marks.rows.size(), 1025U);
-  EXPECT_EQ(marks.rows.popcount(), 1025U);
-  const auto ranks = marks.rank_blocks.span();
-  EXPECT_EQ(std::vector<std::uint32_t>(ranks.begin(), ranks.end()),
-            (std::vector<std::uint32_t>{0, 512, 1024, 1025}));
 }
 
-// The artifact bytes are the format: FNV-1a digests of save_index's output
-// at rate 1 (row marks and rank directory written from n) and at rate 4
-// (written from the sampled table). Any drift in either fails here.
+// The artifact bytes are the format: the FNV-1a digest of save_index's
+// output (row marks and rank directory written from n). Any drift fails
+// here.
 TEST(IndexIo, SavedBytesArePinned) {
-  const auto digest = [](std::uint32_t rate) {
-    const Fixture f(rate);
-    std::stringstream buffer;
-    save_index(buffer, f.fm, {{"chrA", 0, 3000}, {"chrB", 3000, 2000}});
-    const std::string bytes = buffer.str();
-    return detail::fnv1a(detail::kFnvOffset, bytes.data(), bytes.size());
-  };
-  EXPECT_EQ(digest(1), 0x002266c04f239e1bULL);
-  EXPECT_EQ(digest(4), 0x40ae683a786f9533ULL);
+  const Fixture f;
+  std::stringstream buffer;
+  save_index(buffer, f.fm, {{"chrA", 0, 3000}, {"chrB", 3000, 2000}});
+  const std::string bytes = buffer.str();
+  EXPECT_EQ(detail::fnv1a(detail::kFnvOffset, bytes.data(), bytes.size()),
+            0x002266c04f239e1bULL);
 }
 
 TEST(IndexIo, BadMagicRejected) {
@@ -205,7 +184,7 @@ class ForwardOnlyBuf : public std::streambuf {
 };
 
 TEST(IndexIo, NonSeekableStreamLoads) {
-  Fixture f(4);
+  Fixture f;
   std::stringstream buffer;
   save_index(buffer, f.fm, {{"chr", 0, 5000}});
   ForwardOnlyBuf source(buffer.str());
@@ -430,12 +409,14 @@ TEST(IndexIoHardening, ResealedOversizedSectionBothLoaders) {
   const std::size_t table_bytes =
       entries.size() * sizeof(detail::SectionEntry);
   std::memcpy(entries.data(), bytes.data() + sizeof(header), table_bytes);
-  // sa-samples is the one section whose size the header does not fix.
+  // The chromosome table is the one section whose size the header does not
+  // fix.
   const std::uint64_t claimed = std::uint64_t{1} << 34;
   std::uint64_t shift = 0;
   for (auto& entry : entries) {
     entry.offset += shift;
-    if (entry.id == static_cast<std::uint32_t>(detail::SectionId::kSaSamples)) {
+    if (entry.id ==
+        static_cast<std::uint32_t>(detail::SectionId::kChromosomes)) {
       shift = claimed - ((entry.payload_bytes + 7) & ~std::uint64_t{7});
       entry.payload_bytes = claimed;
     }
@@ -484,12 +465,55 @@ TEST(IndexIoHardening, ResealedCorruptMarkersBothLoaders) {
   }
 }
 
+// The index keeps the full SA, so an artifact must say sample rate 1 and
+// carry the row marks and rank directory that rate fixes. Re-sealed
+// artifacts that say otherwise are rejected, naming what is wrong.
+TEST(IndexIoHardening, ResealedSaMarksBothLoaders) {
+  Fixture f;
+  const std::string bytes = v2_bytes(f);
+
+  std::string rate4 = bytes;
+  detail::FileHeaderV2 header;
+  std::memcpy(&header, rate4.data(), sizeof(header));
+  header.sa_sample_rate = 4;
+  header.header_checksum = detail::fnv1a(
+      detail::kFnvOffset, &header, sizeof(header) - sizeof(std::uint64_t));
+  std::memcpy(rate4.data(), &header, sizeof(header));
+  expect_both_loaders_reject(rate4, "unsupported SA sample rate 4", "rate4");
+  const tests::TempDir dir;
+  const std::string path = dir.file("rate4.bin");
+  write_file(path, rate4);
+  try {
+    (void)inspect_index_file(path);
+    FAIL() << "inspect accepted sample rate 4";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported SA sample rate 4"),
+              std::string::npos)
+        << e.what();
+  }
+
+  const auto entry_of = [&](detail::SectionId id) {
+    for (const auto& entry : layout_of(bytes).entries) {
+      if (entry.id == static_cast<std::uint32_t>(id)) return entry;
+    }
+    return detail::SectionEntry{};
+  };
+  std::string cleared = bytes;
+  cleared[entry_of(detail::SectionId::kSaRows).offset + 100] ^= 0x10;
+  expect_both_loaders_reject(reseal(cleared), "section 'sa-rows'", "sa_rows");
+
+  // Rank block 2 (1024 rows) becomes 1025.
+  std::string ranked = bytes;
+  ranked[entry_of(detail::SectionId::kSaRanks).offset + 8] ^= 0x01;
+  expect_both_loaders_reject(reseal(ranked), "section 'sa-ranks'", "sa_ranks");
+}
+
 // ---------------------------------------------------------------------------
 // Bit-identity: built vs stream-loaded vs mapped must be indistinguishable.
 // ---------------------------------------------------------------------------
 
 TEST(IndexIoIdentity, BuiltStreamAndMappedAgree) {
-  Fixture f(4);
+  Fixture f;
   const tests::TempDir dir;
   const std::string path = dir.file("identity.bin");
   save_index_file(path, f.fm, {{"chr", 0, 5000}});
@@ -605,9 +629,9 @@ PackedSequence mutation_seed_reference() {
   return genome::generate_reference(spec);
 }
 
-std::string mutation_seed_bytes(std::uint32_t sa_rate = 4) {
-  const FmIndex fm = FmIndex::build(
-      mutation_seed_reference(), {.bucket_width = 32, .sa_sample_rate = sa_rate});
+std::string mutation_seed_bytes() {
+  const FmIndex fm =
+      FmIndex::build(mutation_seed_reference(), {.bucket_width = 32});
   std::stringstream buffer;
   save_index(buffer, fm, {{"chrA", 0, 600}, {"chrB", 600, 400}});
   return buffer.str();
@@ -728,8 +752,7 @@ TEST(IndexIoMutation, ResealedPayloadFlipsLoadOrThrowRuntimeError) {
   EXPECT_LT(loaded, 600);
 }
 
-// Stage one and locate on every re-sealed artifact that loads, at the full
-// SA (rate 1, read by row) and a sampled one (rate 4, LF walk). Each call
+// Stage one and locate on every re-sealed artifact that loads. Each call
 // returns or throws a std::exception; under ASan an out-of-bounds read
 // fails the run.
 TEST(IndexIoMutation, ResealedFlipsThenQueriesReturnOrThrow) {
@@ -749,40 +772,38 @@ TEST(IndexIoMutation, ResealedFlipsThenQueriesReturnOrThrow) {
       return true;
     }
   };
-  for (const std::uint32_t rate : {1U, 4U}) {
-    const std::string original = mutation_seed_bytes(rate);
-    const auto entries = layout_of(original).entries;
-    int loaded = 0;
-    int threw = 0;
-    for (int trial = 0; trial < 600; ++trial) {
-      const auto& entry = entries[rng.bounded(entries.size())];
-      const auto pos = static_cast<std::size_t>(
-          entry.offset + rng.bounded(entry.payload_bytes));
-      std::string bytes = original;
-      bytes[pos] = static_cast<char>(bytes[pos] ^ (1U << rng.bounded(8)));
-      std::stringstream in(reseal(std::move(bytes)));
-      std::optional<LoadedIndex> artifact;
-      try {
-        artifact.emplace(load_index(in));
-      } catch (const std::runtime_error&) {
-        continue;
-      }
-      ++loaded;
-      const FmIndex& index = artifact->index;
-      for (const auto& read : reads) {
-        threw += returns_or_throws(
-            [&] { (void)align::exact_locate_core(index, read, positions); });
-        // The read's last four bases: an interval of several rows.
-        const std::vector<genome::Base> tail(read.end() - 4, read.end());
-        threw += returns_or_throws([&] {
-          index.locate_all_into(align::exact_search(index, tail).interval,
-                                positions);
-        });
-      }
+  const std::string original = mutation_seed_bytes();
+  const auto entries = layout_of(original).entries;
+  int loaded = 0;
+  int threw = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto& entry = entries[rng.bounded(entries.size())];
+    const auto pos = static_cast<std::size_t>(
+        entry.offset + rng.bounded(entry.payload_bytes));
+    std::string bytes = original;
+    bytes[pos] = static_cast<char>(bytes[pos] ^ (1U << rng.bounded(8)));
+    std::stringstream in(reseal(std::move(bytes)));
+    std::optional<LoadedIndex> artifact;
+    try {
+      artifact.emplace(load_index(in));
+    } catch (const std::runtime_error&) {
+      continue;
     }
-    EXPECT_GT(loaded, 0) << "rate " << rate;
-    EXPECT_GT(threw, 0) << "rate " << rate;
+    ++loaded;
+    const FmIndex& index = artifact->index;
+    for (const auto& read : reads) {
+      threw += returns_or_throws(
+          [&] { (void)align::exact_locate_core(index, read, positions); });
+      // The read's last four bases: an interval of several rows.
+      const std::vector<genome::Base> tail(read.end() - 4, read.end());
+      threw += returns_or_throws([&] {
+        index.locate_all_into(align::exact_search(index, tail).interval,
+                              positions);
+      });
+    }
   }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(threw, 0);
 }
 
 }  // namespace

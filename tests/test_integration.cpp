@@ -134,26 +134,4 @@ TEST(Integration, EnergyScalesWithWork) {
   EXPECT_NEAR(big_report.energy_pj / small_report.energy_pj, 4.0, 0.2);
 }
 
-TEST(Integration, SampledSaStillAlignsCorrectly) {
-  // Memory/latency trade-off: an 8x-sampled SA returns identical hits.
-  Pipeline p(20000, 0, 50, 505);
-  const auto sampled_fm = pim::index::FmIndex::build(
-      p.reference, {.bucket_width = 128, .sa_sample_rate = 8});
-  pim::align::ReadBatchBuilder builder;
-  for (int i = 0; i < 20; ++i) {
-    const std::size_t start = 300 + static_cast<std::size_t>(i) * 611;
-    builder.add_slice(p.reference, start, start + 44);
-  }
-  const pim::align::ReadBatch batch = builder.build();
-  pim::align::BatchResult a, b;
-  pim::align::SoftwareEngine(p.fm).align_batch(batch, a);
-  pim::align::SoftwareEngine(sampled_fm).align_batch(batch, b);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_EQ(a.hits(i).size(), b.hits(i).size());
-    for (std::size_t h = 0; h < a.hits(i).size(); ++h) {
-      EXPECT_EQ(a.hits(i)[h].position, b.hits(i)[h].position);
-    }
-  }
-}
-
 }  // namespace
