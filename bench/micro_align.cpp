@@ -161,8 +161,8 @@ BENCHMARK(BM_FmExactLocate)->Arg(25)->Arg(50)->Arg(100)->Complexity();
 
 // Locate of multi-row intervals, the shape repeats give stage one, on a
 // 4 Mbp repeat-rich reference (SA and BWT above a per-core L2): the
-// interval's SA entries read by row, then sorted. per_row is the time per
-// located row.
+// interval's SA entries read by row, then the kept ones selected and
+// sorted. per_row is the time per located row.
 struct LocateWorkload {
   pim::index::FmIndex fm;
   std::vector<pim::index::SaInterval> intervals;
@@ -187,12 +187,13 @@ struct LocateWorkload {
 
 void BM_LocateAll(benchmark::State& state) {
   static const LocateWorkload w;
+  const auto limit = static_cast<std::size_t>(state.range(0));
   std::vector<std::uint64_t> out;
   std::size_t i = 0;
   std::uint64_t rows = 0;
   for (auto _ : state) {
     const auto& interval = w.intervals[i++ % w.intervals.size()];
-    w.fm.locate_all_into(interval, out);
+    w.fm.locate_all_into(interval, out, limit);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
     rows += interval.count();
@@ -201,7 +202,9 @@ void BM_LocateAll(benchmark::State& state) {
       static_cast<double>(rows),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_LocateAll);
+// Arg: the kept-hit limit (0 = every row, 64 = the engine's default
+// max_hits cut).
+BENCHMARK(BM_LocateAll)->Arg(0)->Arg(64);
 
 void BM_SmithWatermanFull(benchmark::State& state) {
   auto& w = workload();

@@ -19,7 +19,10 @@
 //   std::array<index::SaInterval, genome::kNumBases>
 //       extend4(const index::SaInterval&) const;  // [b] == extend(iv, b)
 //   void locate_all_into(const index::SaInterval&,
-//                        std::vector<std::uint64_t>& out) const;  // SA locate
+//                        std::vector<std::uint64_t>& out,
+//                        std::size_t limit) const;
+//       // SA locate: the interval's `limit` smallest positions (0 = all),
+//       // ascending.
 //   void finish_one_row(const index::SaInterval& row,
 //                       std::span<const genome::Base> prefix,
 //                       std::vector<std::uint64_t>& out) const;
@@ -88,10 +91,12 @@ std::vector<index::SaInterval> exact_search_trace_core(
 /// sorted start positions. Returns true when the search was finished on a
 /// one-row interval, or when a table start is empty but its walk passed a
 /// one-row interval: the step-by-step walk would have finished there.
+/// A nonzero `limit` keeps only the `limit` smallest positions.
 template <typename Backend>
 bool exact_locate_core(const Backend& backend,
                        const std::vector<genome::Base>& read,
-                       std::vector<std::uint64_t>& positions) {
+                       std::vector<std::uint64_t>& positions,
+                       std::size_t limit = 0) {
   const index::SearchStart start = backend.exact_start(read);
   index::SaInterval interval = start.interval;
   std::size_t rest = read.size() - start.consumed;
@@ -120,7 +125,7 @@ bool exact_locate_core(const Backend& backend,
       return true;
     }
   }
-  backend.locate_all_into(interval, positions);
+  backend.locate_all_into(interval, positions, limit);
   return false;
 }
 
@@ -141,7 +146,7 @@ void exact_tail(const Backend& backend, index::SaInterval interval,
       return;
     }
   }
-  backend.locate_all_into(interval, out);
+  backend.locate_all_into(interval, out, 0);
 }
 
 /// Does pattern[begin..end] (inclusive) occur exactly?
@@ -329,21 +334,33 @@ InexactResult inexact_search_core(const Backend& backend,
 
 /// Algorithm 2 plus SA locate: every text position of every hit interval,
 /// paired with the minimum diff count at that position, ascending by
-/// position. `positions` is locate scratch.
+/// position; a nonzero `limit` keeps the `limit` smallest positions.
+/// `positions` is locate scratch.
+///
+/// Cutting each interval at `limit` is exact. A position's rank within one
+/// interval is never above its rank in the union of the intervals, so each
+/// of the union's `limit` smallest positions survives the cut of every
+/// interval that holds it, and so keeps its minimum diffs. A position past
+/// the union's `limit`-th may survive some intervals' cuts with too large
+/// a diff count; the final cut drops it.
 template <typename Backend>
 std::vector<std::pair<std::uint64_t, std::uint32_t>> inexact_locate_core(
     const Backend& backend, const std::vector<genome::Base>& read,
-    const InexactOptions& options, std::vector<std::uint64_t>& positions) {
+    const InexactOptions& options, std::vector<std::uint64_t>& positions,
+    std::size_t limit = 0) {
   const InexactResult result = inexact_search_core(backend, read, options);
   std::map<std::uint64_t, std::uint32_t> by_position;
   for (const auto& hit : result.hits) {
-    backend.locate_all_into(hit.interval, positions);
+    backend.locate_all_into(hit.interval, positions, limit);
     for (const auto pos : positions) {
       const auto [it, fresh] = by_position.emplace(pos, hit.diffs);
       if (!fresh) it->second = std::min(it->second, hit.diffs);
     }
   }
-  return {by_position.begin(), by_position.end()};
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> located(
+      by_position.begin(), by_position.end());
+  if (limit != 0 && located.size() > limit) located.resize(limit);
+  return located;
 }
 
 namespace detail {
@@ -363,7 +380,9 @@ struct TwoStageScratch {
 /// Stage one searches the read, then (unless the forward strand already
 /// filled max_hits) its reverse complement, exactly, with
 /// exact_locate_core; reads without an exact hit go through stage two's
-/// inexact search in the same strand order. On return scratch.hits holds
+/// inexact search in the same strand order. Each strand's locate keeps only
+/// the room left under max_hits, its smallest positions: the hits a
+/// locate-all-then-cut would keep. On return scratch.hits holds
 /// the read's hits sorted by position; `stats` (may be null) counts the
 /// strand searches actually issued, and the stage-one searches finished on
 /// a one-row interval (exact_verified). An empty read is unaligned without
@@ -380,26 +399,29 @@ AlignmentStage align_two_stage(const Backend& backend,
   const auto full = [&] {
     return options.max_hits != 0 && hits.size() >= options.max_hits;
   };
+  // Called only while !full(), so nonzero under a nonzero max_hits.
+  const auto room = [&]() -> std::size_t {
+    return options.max_hits == 0 ? 0 : options.max_hits - hits.size();
+  };
   const auto exact = [&](const std::vector<genome::Base>& oriented,
                          Strand strand) {
     const bool verified =
-        exact_locate_core(backend, oriented, scratch.positions);
+        exact_locate_core(backend, oriented, scratch.positions, room());
     if (stats != nullptr) {
       ++stats->exact_searches;
       if (verified) ++stats->exact_verified;
     }
     for (const auto pos : scratch.positions) {
       hits.push_back(AlignmentHit{pos, 0, strand});
-      if (full()) return;
     }
   };
   const auto inexact = [&](const std::vector<genome::Base>& oriented,
                            Strand strand) {
     if (stats != nullptr) ++stats->inexact_searches;
-    for (const auto& [pos, diffs] : inexact_locate_core(
-             backend, oriented, options.inexact, scratch.positions)) {
+    for (const auto& [pos, diffs] :
+         inexact_locate_core(backend, oriented, options.inexact,
+                             scratch.positions, room())) {
       hits.push_back(AlignmentHit{pos, diffs, strand});
-      if (full()) return;
     }
   };
 

@@ -87,12 +87,20 @@ std::vector<std::uint64_t> FmIndex::locate_all(
 }
 
 void FmIndex::locate_all_into(const SaInterval& interval,
-                              std::vector<std::uint64_t>& out) const {
+                              std::vector<std::uint64_t>& out,
+                              std::size_t limit) const {
   out.clear();
   if (!interval.valid()) return;
   out.reserve(interval.count());
   for (std::uint64_t row = interval.low; row < interval.high; ++row) {
     out.push_back(locate(static_cast<std::size_t>(row)));
+  }
+  // Select, then sort only what is kept: a repeat's interval can hold
+  // hundreds of rows, of which the engine keeps max_hits.
+  if (limit != 0 && limit < out.size()) {
+    const auto kept = out.begin() + static_cast<std::ptrdiff_t>(limit);
+    std::nth_element(out.begin(), kept, out.end());
+    out.erase(kept, out.end());
   }
   std::sort(out.begin(), out.end());
 }

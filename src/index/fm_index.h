@@ -150,10 +150,15 @@ class FmIndex {
   /// contiguous SA entries, sorted).
   std::vector<std::uint64_t> locate_all(const SaInterval& interval) const;
 
-  /// Same, into `out` (clear + append, reusing capacity) — the engine hot
-  /// path calls this once per located read with a per-worker scratch buffer.
+  /// The `limit` smallest positions of the interval, ascending, into `out`
+  /// (clear + append, reusing capacity); limit 0 keeps them all. Every row
+  /// is still read through locate, so a crafted value past n throws even
+  /// where it would not be kept. The engine hot path calls this once per
+  /// located strand with a per-worker scratch buffer and the room left
+  /// under its max_hits cut.
   void locate_all_into(const SaInterval& interval,
-                       std::vector<std::uint64_t>& out) const;
+                       std::vector<std::uint64_t>& out,
+                       std::size_t limit = 0) const;
 
   /// Finish a backward search whose interval `row` holds exactly one row
   /// while the read's first `prefix.size()` bases are still unmatched:

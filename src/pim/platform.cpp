@@ -79,12 +79,20 @@ align::InexactResult PimAlignerPlatform::inexact_align(
   return align::inexact_search_core(backend, read, options);
 }
 
-std::vector<std::uint64_t> PimAlignerPlatform::locate_all(
-    const index::SaInterval& interval) {
+void PimAlignerPlatform::locate_all_into(const index::SaInterval& interval,
+                                         std::vector<std::uint64_t>& out,
+                                         std::size_t limit) {
   // The SA lives in plain (non-computational) memory sub-arrays; each locate
   // is one 32-bit word read per row in the interval.
   sa_mem_reads_ += interval.count();
-  return fm_->locate_all(interval);
+  fm_->locate_all_into(interval, out, limit);
+}
+
+std::vector<std::uint64_t> PimAlignerPlatform::locate_all(
+    const index::SaInterval& interval) {
+  std::vector<std::uint64_t> positions;
+  locate_all_into(interval, positions, 0);
+  return positions;
 }
 
 void PimAlignerPlatform::charge_wfa_extension(

@@ -56,8 +56,13 @@ class PimAlignerPlatform {
   align::ExactResult exact_align(const std::vector<genome::Base>& read);
   align::InexactResult inexact_align(const std::vector<genome::Base>& read,
                                      const align::InexactOptions& options = {});
-  /// Locate through the SA region (plain memory sub-arrays); charged as SA
-  /// MEM reads.
+  /// Locate through the SA region (plain memory sub-arrays), charged as one
+  /// SA MEM read per row of the interval: the `limit` smallest positions
+  /// (0 = all), ascending, into `out`, reusing its capacity. The hardware
+  /// must read every row to find the smallest, so a limit saves no read.
+  void locate_all_into(const index::SaInterval& interval,
+                       std::vector<std::uint64_t>& out, std::size_t limit);
+  /// Every position of the interval, ascending (locate_all_into, limit 0).
   std::vector<std::uint64_t> locate_all(const index::SaInterval& interval);
 
   /// Charge a seed_extend extension pass onto the sub-array op model (S44).
@@ -166,8 +171,9 @@ class PimSearchBackend {
   }
   /// SA locate through the platform, charged as SA MEM reads.
   void locate_all_into(const index::SaInterval& interval,
-                       std::vector<std::uint64_t>& out) const {
-    out = platform_->locate_all(interval);
+                       std::vector<std::uint64_t>& out,
+                       std::size_t limit) const {
+    platform_->locate_all_into(interval, out, limit);
   }
   /// Stage one starts from the whole interval with nothing consumed: the
   /// paper's memory has no k-mer table, so the platform issues and charges

@@ -12,18 +12,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/accel/measured_load.h"
+#include "src/align/backward_search.h"
+#include "src/align/inexact_search.h"
 #include "src/align/parallel_aligner.h"
+#include "src/align/sam_writer.h"
 #include "src/align/sharded_engine.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/pim/pim_engine.h"
 #include "src/pim/pim_fleet.h"
 #include "src/readsim/read_simulator.h"
 #include "src/util/rng.h"
+#include "tests/temp_dir.h"
 
 namespace pim::align {
 namespace {
@@ -157,7 +164,8 @@ TEST(Engine, PimEngineBitIdenticalToSoftwareEngine) {
   hw::PimAlignerPlatform platform(f.fm, timing);
   // max_hits = 1 lets the forward strand fill the cap, so the reverse-
   // complement search is skipped: the search counters must show it.
-  for (const std::size_t max_hits : {64u, 1u}) {
+  // max_hits = 3 cuts inside the located intervals of repeats.
+  for (const std::size_t max_hits : {64u, 3u, 1u}) {
     SCOPED_TRACE("max_hits " + std::to_string(max_hits));
     AlignerOptions options = f.options;
     options.max_hits = max_hits;
@@ -191,6 +199,184 @@ TEST(Engine, PimEngineBitIdenticalToSoftwareEngine) {
     EXPECT_GT(report.hardware.lfm_calls, 0u);
     EXPECT_GT(report.energy_pj, 0.0);
   }
+}
+
+// One 150-bp unit planted 100 times in a 40 kbp random text: copies 0-6 of
+// every ten forward, 7-9 reverse-complemented, and every fourth copy with a
+// substitution at unit offset 130. An exact read of unit[0, 100) hits 70
+// forward and 30 reverse loci; one of unit[40, 140) hits 50 and 25; with a
+// substitution, unit[40, 140) is 1 diff from 75 copies and 2 from 25, so
+// stage two locates intervals of both diff counts.
+struct RepeatFixture {
+  static constexpr std::size_t kUnit = 150;
+  static constexpr std::size_t kCopies = 100;
+  static constexpr std::size_t kSlot = 400;
+  genome::PackedSequence reference;
+  index::FmIndex fm;
+  std::vector<std::vector<genome::Base>> reads;
+
+  RepeatFixture() {
+    std::vector<genome::Base> text =
+        genome::generate_uniform(kCopies * kSlot, 71).unpack();
+    const std::vector<genome::Base> unit =
+        genome::generate_uniform(kUnit, 73).unpack();
+    util::Xoshiro256 rng(79);
+    for (std::size_t c = 0; c < kCopies; ++c) {
+      std::vector<genome::Base> copy = unit;
+      if (c % 4 == 0) copy[130] = genome::complement(copy[130]);
+      if (c % 10 >= 7) copy = genome::reverse_complement(copy);
+      std::copy(copy.begin(), copy.end(),
+                text.begin() + static_cast<std::ptrdiff_t>(
+                                   c * kSlot + rng.bounded(kSlot - kUnit)));
+    }
+    reference = genome::PackedSequence(text);
+    fm = index::FmIndex::build(reference, {.bucket_width = 128});
+
+    const auto slice = [&](std::size_t begin) {
+      return std::vector<genome::Base>(unit.begin() + begin,
+                                       unit.begin() + begin + 100);
+    };
+    const auto substitute = [](std::vector<genome::Base> read,
+                               std::initializer_list<std::size_t> at) {
+      for (const std::size_t i : at) read[i] = genome::complement(read[i]);
+      return read;
+    };
+    const std::vector<genome::Base> a = slice(0);
+    const std::vector<genome::Base> b = slice(40);
+    reads = {a,
+             genome::reverse_complement(b),
+             substitute(b, {10}),
+             b,
+             genome::reverse_complement(a),
+             substitute(a, {10}),
+             substitute(genome::reverse_complement(a), {30, 70}),
+             substitute(b, {5, 50}),
+             reference.slice(kSlot * 7 - 100, kSlot * 7)};
+  }
+};
+
+const RepeatFixture& repeat_fixture() {
+  static const RepeatFixture fixture;
+  return fixture;
+}
+
+/// The max_hits cut as locating everything makes it: each strand's
+/// intervals located whole and sorted, hits appended in position order
+/// until max_hits. `located_rows` counts every located row.
+AlignmentResult locate_all_then_cut(const index::FmIndex& fm,
+                                    const AlignerOptions& options,
+                                    const std::vector<genome::Base>& read,
+                                    std::uint64_t& located_rows) {
+  AlignmentResult result;
+  auto& hits = result.hits;
+  const auto full = [&] {
+    return options.max_hits != 0 && hits.size() >= options.max_hits;
+  };
+  const auto add = [&](std::uint64_t pos, std::uint32_t diffs, Strand s) {
+    if (!full()) hits.push_back(AlignmentHit{pos, diffs, s});
+  };
+  const std::vector<genome::Base> rc = genome::reverse_complement(read);
+  const auto each_strand = [&](const auto& search) {
+    search(read, Strand::kForward);
+    if (options.try_reverse_complement && !full()) {
+      search(rc, Strand::kReverseComplement);
+    }
+  };
+  each_strand([&](const std::vector<genome::Base>& oriented, Strand s) {
+    const ExactResult r = exact_search(fm, oriented);
+    if (!r.found()) return;
+    located_rows += r.interval.count();
+    for (const auto pos : fm.locate_all(r.interval)) add(pos, 0, s);
+  });
+  if (!hits.empty()) {
+    result.stage = AlignmentStage::kExact;
+  } else if (options.inexact.max_diffs > 0) {
+    each_strand([&](const std::vector<genome::Base>& oriented, Strand s) {
+      std::map<std::uint64_t, std::uint32_t> by_position;
+      for (const auto& hit :
+           inexact_search(fm, oriented, options.inexact).hits) {
+        located_rows += hit.interval.count();
+        for (const auto pos : fm.locate_all(hit.interval)) {
+          const auto [it, fresh] = by_position.emplace(pos, hit.diffs);
+          if (!fresh) it->second = std::min(it->second, hit.diffs);
+        }
+      }
+      for (const auto& [pos, diffs] : by_position) add(pos, diffs, s);
+    });
+    if (!hits.empty()) result.stage = AlignmentStage::kInexact;
+  }
+  std::sort(hits.begin(), hits.end(),
+            [](const AlignmentHit& x, const AlignmentHit& y) {
+              if (x.position != y.position) return x.position < y.position;
+              return x.diffs < y.diffs;
+            });
+  return result;
+}
+
+// Reads from a repeat of 100 copies, cut at max_hits 0, 1, 3 and 64 with
+// and without the reverse strand: both engines keep exactly the hits that
+// locating every row, sorting and cutting keeps, and the platform still
+// charges one SA read per row of every located interval.
+TEST(Engine, RepeatCutKeepsTheHitsOfLocateAllSortCut) {
+  const RepeatFixture& f = repeat_fixture();
+  const ReadBatch batch = ReadBatch::from_reads(f.reads);
+  hw::TimingEnergyModel timing;
+  hw::PimAlignerPlatform platform(f.fm, timing);
+  for (const std::size_t max_hits : {0u, 1u, 3u, 64u}) {
+    for (const bool both_strands : {true, false}) {
+      SCOPED_TRACE("max_hits " + std::to_string(max_hits) +
+                   (both_strands ? " both strands" : " forward only"));
+      AlignerOptions options;
+      options.inexact.max_diffs = 2;
+      options.max_hits = max_hits;
+      options.try_reverse_complement = both_strands;
+      BatchResult sw, hw_result;
+      SoftwareEngine(f.fm, options).align_batch(batch, sw);
+      const auto report = hw::PimEngine(platform, options).run(batch, hw_result);
+      ASSERT_EQ(sw.size(), f.reads.size());
+      ASSERT_EQ(hw_result.size(), f.reads.size());
+      std::uint64_t located_rows = 0;
+      std::size_t cut_reads = 0;
+      for (std::size_t i = 0; i < f.reads.size(); ++i) {
+        const std::uint64_t before = located_rows;
+        const AlignmentResult want =
+            locate_all_then_cut(f.fm, options, f.reads[i], located_rows);
+        expect_identical(want, sw.stage(i), sw.hits(i), i, "software");
+        expect_identical(want, hw_result.stage(i), hw_result.hits(i), i,
+                         "pim");
+        cut_reads += located_rows - before > want.hits.size();
+      }
+      EXPECT_EQ(report.hardware.sa_mem_reads, located_rows);
+      if (max_hits != 0) {
+        EXPECT_GT(cut_reads, 0U);
+      }
+    }
+  }
+}
+
+// Which secondaries the cut keeps, byte for byte: three of the repeat's
+// reads (exact on one strand, exact on both, one substitution) at
+// max_hits 64 and 3 through one SamWriter.
+TEST(Engine, RepeatCutSamGolden) {
+  const RepeatFixture& f = repeat_fixture();
+  std::ostringstream out;
+  SamWriter writer(out, "repeat", f.reference);
+  writer.write_header();
+  for (const std::size_t max_hits : {64u, 3u}) {
+    AlignerOptions options;
+    options.inexact.max_diffs = 2;
+    options.max_hits = max_hits;
+    ReadBatchBuilder builder;
+    for (std::size_t i = 0; i < 3; ++i) {
+      builder.add(f.reads[i], "cut" + std::to_string(max_hits) + "_read" +
+                                  std::to_string(i));
+    }
+    const ReadBatch batch = builder.build();
+    BatchResult results;
+    SoftwareEngine(f.fm, options).align_batch(batch, results);
+    writer.write_batch(batch, results);
+  }
+  tests::expect_golden(out.str(), "repeat_cut.sam");
 }
 
 // An empty read has no placement. Without the guard the empty pattern's

@@ -7,6 +7,8 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/align/backward_search.h"
 #include "src/genome/synthetic_genome.h"
@@ -103,6 +105,64 @@ TEST(FmIndex, Rate1LocateMatchesSuffixArray) {
   }
 }
 
+// locate_all_into(interval, out, limit) is the interval's sorted positions
+// cut to the first `limit` (all at 0), on built, stream-loaded and mapped
+// indexes of a random, a repeat-rich and a homopolymer text.
+TEST(FmIndex, LocateKeptEqualsSortedPrefix) {
+  genome::SyntheticGenomeSpec repeats;
+  repeats.length = 3000;
+  repeats.seed = 43;
+  repeats.repeat_fraction = 0.6;
+  repeats.repeat_unit_length = 120;
+  const std::vector<PackedSequence> texts = {
+      genome::generate_uniform(2500, 41),
+      genome::generate_reference(repeats),
+      PackedSequence(std::string(700, 'A')),
+  };
+  util::Xoshiro256 rng(59);
+  for (const auto& text : texts) {
+    const std::size_t n = text.size();
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const SuffixArray oracle = build_suffix_array_naive(text);
+    const FmIndex built = FmIndex::build(text, {.bucket_width = 32});
+    std::stringstream buffer;
+    save_index(buffer, built);
+    const LoadedIndex streamed = load_index(buffer);
+    tests::TempDir dir;
+    const std::string path = dir.file("kept.index");
+    save_index_file(path, built);
+    const auto mapped = MappedIndex::open(path);
+    ASSERT_TRUE(mapped.mapped());
+    std::vector<std::uint64_t> out;
+    for (int trial = 0; trial < 30; ++trial) {
+      // Short intervals (up to 100 rows) and arbitrary ones.
+      const std::uint64_t low = rng.bounded(n);
+      const std::uint64_t span = trial % 2 == 0 ? 100 : n + 1 - low;
+      const std::uint64_t high =
+          low + 1 + rng.bounded(std::min<std::uint64_t>(span, n + 1 - low));
+      const SaInterval interval{low, high};
+      std::vector<std::uint64_t> sorted(oracle.begin() + low,
+                                        oracle.begin() + high);
+      std::sort(sorted.begin(), sorted.end());
+      const std::size_t count = sorted.size();
+      for (const std::size_t limit :
+           {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{64},
+            count - 1, count, count + 1}) {
+        const std::size_t kept =
+            limit == 0 ? count : std::min<std::size_t>(limit, count);
+        const std::vector<std::uint64_t> want(sorted.begin(),
+                                              sorted.begin() + kept);
+        for (const FmIndex* fm :
+             {&built, &streamed.index, &mapped.index()}) {
+          fm->locate_all_into(interval, out, limit);
+          ASSERT_EQ(out, want) << "[" << low << "," << high
+                               << ") limit " << limit;
+        }
+      }
+    }
+  }
+}
+
 TEST(FmIndex, LocateRejectsRowsPastTheSuffixArray) {
   const PackedSequence text = genome::generate_uniform(300, 53);
   const FmIndex fm = FmIndex::build(text, {.bucket_width = 32});
@@ -110,6 +170,9 @@ TEST(FmIndex, LocateRejectsRowsPastTheSuffixArray) {
   std::vector<std::uint64_t> out;
   EXPECT_THROW(fm.locate_all_into({fm.num_rows() - 2, fm.num_rows() + 1}, out),
                std::out_of_range);
+  EXPECT_THROW(
+      fm.locate_all_into({fm.num_rows() - 2, fm.num_rows() + 1}, out, 1),
+      std::out_of_range);
 }
 
 TEST(FmIndex, ExtendShrinksIntervalsMonotonically) {
@@ -177,6 +240,25 @@ TEST(FmIndex, FromPartsRejectsTextOfWrongLength) {
   PackedSequence longer = text;
   longer.push_back(Base::A);
   EXPECT_THROW(assemble(longer), std::invalid_argument);
+}
+
+// A crafted SA value past n throws from a limited locate too, even from a
+// row whose value the limit would not keep.
+TEST(FmIndex, LimitedLocateStillChecksEveryRow) {
+  const PackedSequence text = genome::generate_uniform(1000, 3);
+  const FmIndex built = FmIndex::build(text, {.bucket_width = 64});
+  SuffixArray sa(built.suffix_array().begin(), built.suffix_array().end());
+  const SaInterval interval{10, 50};
+  *std::max_element(sa.begin() + 10, sa.begin() + 50) = 5000;
+  const FmIndex crafted =
+      FmIndex::from_parts(built.config(), text, built.bwt(), built.counts(),
+                          built.markers(), std::move(sa));
+  std::vector<std::uint64_t> out;
+  for (const std::size_t limit : {0u, 1u, 39u}) {
+    EXPECT_THROW(crafted.locate_all_into(interval, out, limit),
+                 std::runtime_error)
+        << limit;
+  }
 }
 
 TEST(FmIndex, FinishOneRowVerifiesThePrefix) {

@@ -754,7 +754,8 @@ TEST(IndexIoMutation, ResealedPayloadFlipsLoadOrThrowRuntimeError) {
 
 // Stage one and locate on every re-sealed artifact that loads. Each call
 // returns or throws a std::exception; under ASan an out-of-bounds read
-// fails the run.
+// fails the run. A limited locate reads every row too, so it throws exactly
+// when the full one does, also for a corrupt value it would not keep.
 TEST(IndexIoMutation, ResealedFlipsThenQueriesReturnOrThrow) {
   const PackedSequence reference = mutation_seed_reference();
   util::Xoshiro256 rng(4242);
@@ -776,6 +777,7 @@ TEST(IndexIoMutation, ResealedFlipsThenQueriesReturnOrThrow) {
   const auto entries = layout_of(original).entries;
   int loaded = 0;
   int threw = 0;
+  int locate_threw = 0;
   for (int trial = 0; trial < 600; ++trial) {
     const auto& entry = entries[rng.bounded(entries.size())];
     const auto pos = static_cast<std::size_t>(
@@ -796,14 +798,26 @@ TEST(IndexIoMutation, ResealedFlipsThenQueriesReturnOrThrow) {
           [&] { (void)align::exact_locate_core(index, read, positions); });
       // The read's last four bases: an interval of several rows.
       const std::vector<genome::Base> tail(read.end() - 4, read.end());
-      threw += returns_or_throws([&] {
-        index.locate_all_into(align::exact_search(index, tail).interval,
-                              positions);
-      });
+      SaInterval interval;
+      if (returns_or_throws([&] {
+            interval = align::exact_search(index, tail).interval;
+          })) {
+        ++threw;
+        continue;
+      }
+      const bool full_threw = returns_or_throws(
+          [&] { index.locate_all_into(interval, positions); });
+      threw += full_threw;
+      locate_threw += full_threw;
+      EXPECT_EQ(returns_or_throws(
+                    [&] { index.locate_all_into(interval, positions, 1); }),
+                full_threw)
+          << "trial " << trial;
     }
   }
   EXPECT_GT(loaded, 0);
   EXPECT_GT(threw, 0);
+  EXPECT_GT(locate_threw, 0);
 }
 
 }  // namespace
