@@ -16,9 +16,4 @@ std::vector<std::uint64_t> exact_locate(const index::FmIndex& index,
   return positions;
 }
 
-std::vector<index::SaInterval> exact_search_trace(
-    const index::FmIndex& index, const std::vector<genome::Base>& read) {
-  return exact_search_trace_core(index, read);
-}
-
 }  // namespace pim::align

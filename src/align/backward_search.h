@@ -31,9 +31,4 @@ ExactResult exact_search(const index::FmIndex& index,
 std::vector<std::uint64_t> exact_locate(const index::FmIndex& index,
                                         const std::vector<genome::Base>& read);
 
-/// Per-step interval trace (one entry after each extension), used by tests
-/// to check the PIM controller reproduces the software search state exactly.
-std::vector<index::SaInterval> exact_search_trace(
-    const index::FmIndex& index, const std::vector<genome::Base>& read);
-
 }  // namespace pim::align

@@ -53,13 +53,7 @@ std::optional<AlignmentHit> AlignmentResult::best() const {
 void BatchResult::add_read(AlignmentStage stage,
                            std::span<const AlignmentHit> hits) {
   stages_.push_back(stage);
-  std::size_t kept = hits.size();
-  if (best_hit_only_ && hits.size() > 1) {
-    hits_.push_back(*std::min_element(hits.begin(), hits.end(), better_hit));
-    kept = 1;
-  } else {
-    hits_.insert(hits_.end(), hits.begin(), hits.end());
-  }
+  hits_.insert(hits_.end(), hits.begin(), hits.end());
   hit_begin_.push_back(hits_.size());
   ++stats_.reads_total;
   switch (stage) {
@@ -67,7 +61,7 @@ void BatchResult::add_read(AlignmentStage stage,
     case AlignmentStage::kInexact: ++stats_.reads_inexact; break;
     case AlignmentStage::kUnaligned: ++stats_.reads_unaligned; break;
   }
-  stats_.hits_total += kept;
+  stats_.hits_total += hits.size();
 }
 
 void BatchResult::append(const BatchResult& chunk) {
@@ -124,7 +118,6 @@ void AlignmentEngine::align_batch(const ReadBatch& batch,
 
 void SoftwareEngine::align_range(const ReadBatch& batch, std::size_t begin,
                                  std::size_t end, BatchResult& out) const {
-  if (options_.best_hit_only) out.set_best_hit_only(true);
   detail::TwoStageScratch scratch;
   for (std::size_t i = begin; i < end; ++i) {
     batch.read(i).unpack_into(scratch.read);

@@ -48,17 +48,8 @@ class BatchResult {
   void clear();
   void reserve(std::size_t reads, std::size_t expected_hits);
 
-  /// Best-hit-only mode: add_read keeps only the best (fewest-diff,
-  /// leftmost) hit per read, shrinking the hit arena for workloads that
-  /// never inspect secondary hits. Configuration, not content: it survives
-  /// clear(). Engines switch it on from AlignerOptions::best_hit_only in
-  /// align_range; append() does NOT re-truncate already-built chunks.
-  void set_best_hit_only(bool enabled) { best_hit_only_ = enabled; }
-  bool best_hit_only() const { return best_hit_only_; }
-
   /// Append the next read's outcome (reads arrive in order). Updates the
-  /// stage/hit counters in stats(). In best-hit-only mode only the best hit
-  /// of `hits` is stored (and counted in hits_total).
+  /// stage/hit counters in stats().
   void add_read(AlignmentStage stage, std::span<const AlignmentHit> hits);
   /// Stitch a chunk produced by a parallel worker onto this result.
   void append(const BatchResult& chunk);
@@ -89,7 +80,6 @@ class BatchResult {
   std::vector<std::uint64_t> hit_begin_;  ///< size()+1 extents into hits_.
   std::vector<AlignmentHit> hits_;
   EngineStats stats_;
-  bool best_hit_only_ = false;
 };
 
 /// A completed slice of a batch's results, handed to a ChunkSink as soon as

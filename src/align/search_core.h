@@ -66,20 +66,6 @@ ExactResult exact_search_core(const Backend& backend,
   return result;
 }
 
-template <typename Backend>
-std::vector<index::SaInterval> exact_search_trace_core(
-    const Backend& backend, const std::vector<genome::Base>& read) {
-  std::vector<index::SaInterval> trace;
-  trace.reserve(read.size());
-  index::SaInterval interval = backend.whole_interval();
-  for (auto it = read.rbegin(); it != read.rend(); ++it) {
-    interval = backend.extend(interval, *it);
-    trace.push_back(interval);
-    if (!interval.valid()) break;
-  }
-  return trace;
-}
-
 /// Stage one: Algorithm 1 plus SA locate, finished early. Backward search
 /// starts where the backend says (exact_start: the k-mer table's interval,
 /// k bases in, or the whole interval) and runs until the interval holds one
@@ -228,9 +214,9 @@ class InexactSearchCore {
     }
   }
 
-  /// Variant with an externally supplied D-array (e.g. from the reverse
-  /// index of a BiFmIndex). `precomputed_d` must be a valid lower bound;
-  /// it is used regardless of options.use_lower_bound_pruning.
+  /// Variant with an externally supplied D-array, for a caller that
+  /// computes (and times) D on its own. `precomputed_d` must be a valid
+  /// lower bound; it is used regardless of options.use_lower_bound_pruning.
   InexactSearchCore(const Backend& backend,
                     const std::vector<genome::Base>& read,
                     const InexactOptions& options,

@@ -48,8 +48,7 @@ struct StreamingOptions {
   /// bounds memory tighter and smooths the ingest/align overlap.
   std::size_t batch_reads = 32768;
   /// Scheduler knobs handed to the engine's align_batch_chunked (threads
-  /// for thread-safe engines, chunk size). Best-hit-only output is an
-  /// engine option (AlignerOptions::best_hit_only).
+  /// for thread-safe engines, chunk size).
   ParallelOptions parallel;
   /// Observability sink (S40). When set, run() publishes the stage-resolved
   /// series the paper's Fig. 8-10 accounting needs live instead of post

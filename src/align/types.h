@@ -80,12 +80,6 @@ struct AlignerOptions {
   /// Cap on reported hits per read (a read landing in a huge repeat family
   /// can hit thousands of loci); 0 = unlimited.
   std::size_t max_hits = 64;
-  /// Keep only the best (fewest-diff, leftmost) hit per read. Engines honor
-  /// this by putting their BatchResult into best-hit-only mode, shrinking
-  /// the hit arena for workloads that never inspect secondary hits. The
-  /// search itself is unchanged (stage outcomes and the primary hit are
-  /// identical to a full run); only secondary hits are dropped.
-  bool best_hit_only = false;
 };
 
 /// Per-stage engine statistics: stage outcomes, search-invocation counters,

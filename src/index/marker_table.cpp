@@ -12,16 +12,19 @@ MarkerTable::MarkerTable(const Bwt& bwt, const CountTable& counts,
   if (bucket_width == 0) {
     throw std::invalid_argument("MarkerTable: bucket width must be > 0");
   }
-  const SampledOccTable sampled(bwt, bucket_width);
+  // One pass: row k holds Count + Occ at k*d, and the running Occ grows by
+  // one bucket's kernel count between rows.
   auto& markers = markers_.vec();
-  markers.resize(sampled.num_checkpoints());
-  for (std::size_t k = 0; k < markers.size(); ++k) {
-    for (const auto nt : genome::kAllBases) {
-      const std::uint64_t value =
-          counts.count(nt) + sampled.checkpoint(nt, k);
-      markers[k][static_cast<std::size_t>(nt)] =
-          static_cast<std::uint32_t>(value);
+  markers.resize(bwt.size() / d_ + 1);
+  BaseCounts running{};
+  for (std::size_t k = 0;; ++k) {
+    for (std::size_t a = 0; a < genome::kNumBases; ++a) {
+      markers[k][a] =
+          static_cast<std::uint32_t>(counts.counts_raw()[a] + running[a]);
     }
+    if (k + 1 == markers.size()) break;
+    const BaseCounts bucket = occ_kernel::count4(bwt, k * d_, (k + 1) * d_);
+    for (std::size_t a = 0; a < genome::kNumBases; ++a) running[a] += bucket[a];
   }
 }
 

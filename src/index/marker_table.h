@@ -1,12 +1,17 @@
 // Marker Table (MT) — the paper's key pre-computed structure (Fig. 2).
 //
-// MT[nt][k] = SampledOcc[nt][k] + Count(nt): markers fold the Count table
-// into the checkpoints so the LFM procedure becomes a single
+// MT[nt][k] = Occ(nt, k*d) + Count(nt), the Occ sampled every d rows with
+// the Count table folded in, so the LFM procedure becomes a single
 // `marker + count_match` addition, which is what the IM_ADD in-memory adder
 // computes. LFM(MT, nt, id) therefore returns the *updated interval bound*
 // directly:
 //     LFM(MT, nt, id) == Count(nt) + Occ(nt, id)
 // which is the classic LF-mapping backward-search update.
+//
+// The constructor builds the rows in one pass over the BWT: it keeps a
+// running Occ, adds one bucket's occ_kernel::count4 per row, and stores
+// Count + running as each row's markers. No separate sampled-Occ table is
+// built.
 //
 // Marker rows live in Storage<OccCheckpoint> (S42): built tables own them;
 // from_parts() lets the index loader borrow the marker section of a mapped

@@ -13,11 +13,12 @@
 // bits: T = popcount(lo & hi), C = popcount(lo) - T, G = popcount(hi) - T,
 // and A is the rest of the range minus the sentinel.
 //
-// MarkerTable::lfm/lfm4 (the search hot path), SampledOccTable::count_match
-// and occ, and the checkpoint and Count table builds all call these two
-// functions; only the full OccTable keeps a scalar scan, as the independent
-// oracle the tests compare against. The kernel does no range check of its
-// own; each of those callers checks end <= bwt.size() before reaching it.
+// MarkerTable::lfm/lfm4 (the search hot path), the marker build (one
+// count4 per bucket, summed into the rows as it goes) and the Count table
+// build all call these two functions. The full-scan Occ oracle the tests
+// compare them against lives in tests/support, outside the libraries. The
+// kernel does no range check of its own: lfm/lfm4 check id <= bwt.size(),
+// and the builds only pass ranges inside the BWT.
 #pragma once
 
 #include <bit>

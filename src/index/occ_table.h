@@ -1,26 +1,20 @@
-// Count table and Occurrence (FM-index) tables over the BWT (Fig. 2).
+// Count table (Fig. 2) and the Occ value types the Marker Table is built of.
 //
 //  * CountTable: Count(nt) = number of symbols in reference$ lexicographically
 //    smaller than nt (the '$' counts, so Count(A)=1).
-//  * OccTable: full Occ[i][nt] = occurrences of nt in BWT[0, i). O(n) words —
-//    the oracle the sampled structures are tested against.
-//  * SampledOccTable: Occ checkpointed every d positions (bucket width d,
-//    default 128 = one sub-array row of 128 bps). occ(nt, i) =
-//    checkpoint + on-demand count of nt in BWT[i - i mod d, i) — exactly the
-//    `marker + count_match` decomposition the PIM platform executes with
-//    MEM + XNOR_Match. The count (and the checkpoint build) runs the
-//    word-parallel kernel of occ_kernel.h.
+//  * OccCheckpoint: one row of per-base counts at a bucket boundary — the
+//    Marker Table's stored row (marker_table.h), serialized verbatim.
+//  * BaseCounts: one 64-bit count per base, what the Occ kernel returns.
 //
-// All tables apply the primary (sentinel) correction internally, so their
+// The Count build runs the word-parallel kernel of occ_kernel.h over the
+// whole BWT; the kernel applies the primary (sentinel) correction, so the
 // counts refer to true base occurrences.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "src/index/bwt.h"
-#include "src/util/storage.h"
 
 namespace pim::index {
 
@@ -61,62 +55,6 @@ class CountTable {
  private:
   std::array<std::uint64_t, genome::kNumBases> counts_{};
   std::array<std::uint64_t, genome::kNumBases> occurrences_{};
-};
-
-/// Full per-position Occ table; O(n) space, test oracle + small-n tool.
-class OccTable {
- public:
-  OccTable() = default;
-  explicit OccTable(const Bwt& bwt);
-
-  /// Occurrences of nt in BWT[0, i).
-  std::uint64_t occ(genome::Base nt, std::size_t i) const {
-    return table_[i][static_cast<std::size_t>(nt)];
-  }
-
-  std::size_t memory_bytes() const {
-    return table_.size() * sizeof(table_[0]);
-  }
-
- private:
-  std::vector<std::array<std::uint32_t, genome::kNumBases>> table_;
-};
-
-class SampledOccTable {
- public:
-  SampledOccTable() = default;
-  SampledOccTable(const Bwt& bwt, std::uint32_t bucket_width);
-
-  std::uint32_t bucket_width() const { return d_; }
-  std::size_t num_checkpoints() const { return checkpoints_.size(); }
-
-  /// Checkpoint value: occurrences of nt in BWT[0, k*d).
-  std::uint64_t checkpoint(genome::Base nt, std::size_t k) const {
-    return checkpoints_[k][static_cast<std::size_t>(nt)];
-  }
-
-  std::span<const OccCheckpoint> checkpoints() const {
-    return checkpoints_.span();
-  }
-
-  /// Exact occ(nt, i) = checkpoint + residual count of at most d-1 symbols.
-  /// Throws std::out_of_range if i > bwt.size().
-  std::uint64_t occ(const Bwt& bwt, genome::Base nt, std::size_t i) const;
-
-  /// The residual count alone: occurrences of nt in BWT[i - i mod d, i),
-  /// with the sentinel-row correction — the software twin of the hardware
-  /// XNOR_Match + DPU popcount. Exposed so the PIM controller can be
-  /// checked stage-by-stage against software. Throws std::out_of_range if
-  /// i > bwt.size().
-  std::uint64_t count_match(const Bwt& bwt, genome::Base nt, std::size_t i) const;
-
-  std::size_t memory_bytes() const {
-    return checkpoints_.size() * sizeof(checkpoints_[0]);
-  }
-
- private:
-  std::uint32_t d_ = 0;
-  util::Storage<OccCheckpoint> checkpoints_;
 };
 
 }  // namespace pim::index

@@ -2,13 +2,11 @@
 //
 // The paper's pre-computation step (Fig. 2) builds the BW matrix by sorting
 // all rotations of reference$ — equivalently, the suffix array of the
-// sentinel-terminated reference. We provide:
-//   * build_suffix_array       — linear-time SA-IS (Nong/Zhang/Chan), the
-//                                 production path (Hg19-scale friendly);
-//   * build_suffix_array_naive — O(n^2 log n) comparison sort used as the
-//                                 test oracle.
+// sentinel-terminated reference. build_suffix_array is linear-time SA-IS
+// (Nong/Zhang/Chan), Hg19-scale friendly. The comparison-sort oracle and the
+// validator the tests hold it against live in tests/support.
 //
-// Both operate on the reference *with an implicit terminal sentinel* that is
+// It operates on the reference *with an implicit terminal sentinel* that is
 // lexicographically smaller than every base, so the returned array has
 // text.size()+1 entries and sa[0] == text.size() (the suffix "$").
 #pragma once
@@ -25,13 +23,5 @@ using SuffixArray = std::vector<std::uint32_t>;
 /// Linear-time SA-IS. Throws std::invalid_argument for texts longer than
 /// 2^31-2 (int32 internal indices; Hg19 per-chromosome fits comfortably).
 SuffixArray build_suffix_array(const genome::PackedSequence& text);
-
-/// Naive O(n^2 log n) oracle for tests.
-SuffixArray build_suffix_array_naive(const genome::PackedSequence& text);
-
-/// Validate that `sa` is a permutation of [0, n] sorted by suffix order.
-/// Used by property tests; O(n^2) worst case, intended for small inputs.
-bool is_valid_suffix_array(const genome::PackedSequence& text,
-                           const SuffixArray& sa);
 
 }  // namespace pim::index

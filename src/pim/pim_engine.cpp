@@ -6,7 +6,6 @@ namespace pim::hw {
 
 void PimEngine::align_range(const align::ReadBatch& batch, std::size_t begin,
                             std::size_t end, align::BatchResult& out) const {
-  if (options_.best_hit_only) out.set_best_hit_only(true);
   const PimSearchBackend backend(platform_);
   align::detail::TwoStageScratch scratch;
   for (std::size_t i = begin; i < end; ++i) {

@@ -10,17 +10,16 @@ std::optional<std::string> AdmissionControl::vet(
   const auto cls = static_cast<std::size_t>(request.priority);
   const char* cls_name = to_string(request.priority);
 
-  if (options_.reject_oversized) {
-    // The tightest read bound that applies to this request: a request
-    // larger than it could never be admitted, even against an empty queue.
-    std::size_t cap = options_.max_queued_reads;
-    const std::size_t class_cap = options_.max_class_reads[cls];
-    if (class_cap > 0 && (cap == 0 || class_cap < cap)) cap = class_cap;
-    if (cap > 0 && reads > cap) {
-      return "request too large: " + std::to_string(reads) + " reads > " +
-             std::to_string(cap) + " (max queued reads for " +
-             std::string(cls_name) + ")";
-    }
+  // The tightest read bound that applies to this request: a request larger
+  // than it could never be admitted, even against an empty queue, so it is
+  // rejected outright.
+  std::size_t cap = options_.max_queued_reads;
+  const std::size_t class_cap = options_.max_class_reads[cls];
+  if (class_cap > 0 && (cap == 0 || class_cap < cap)) cap = class_cap;
+  if (cap > 0 && reads > cap) {
+    return "request too large: " + std::to_string(reads) + " reads > " +
+           std::to_string(cap) + " (max queued reads for " +
+           std::string(cls_name) + ")";
   }
   if (options_.max_class_requests[cls] > 0 &&
       occupancy.class_requests[cls] >= options_.max_class_requests[cls]) {

@@ -45,10 +45,6 @@ struct AdmissionOptions {
   /// request to be admitted.
   std::size_t max_class_requests[kNumPriorities] = {};
   std::size_t max_class_reads[kNumPriorities] = {};
-  /// Reject a single request larger than the tightest applicable read
-  /// bound outright (it could never be admitted, even against an empty
-  /// queue).
-  bool reject_oversized = true;
 };
 
 class AdmissionControl {

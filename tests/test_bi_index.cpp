@@ -1,4 +1,4 @@
-#include "src/align/bi_index.h"
+#include "tests/support/bi_index.h"
 
 #include <gtest/gtest.h>
 
@@ -150,34 +150,16 @@ TEST(LowerBoundD, GallopingCostsAtMostThreeMExtendsForAnOccurringRead) {
   EXPECT_EQ(restart.extends, kLen * (kLen + 1) / 2);  // 5050
 }
 
-TEST(BiFmIndex, BidirectionalSearchSameResults) {
-  const Fixture f;
-  util::Xoshiro256 rng(7);
-  InexactOptions opt;
-  opt.max_diffs = 2;
-  for (int trial = 0; trial < 10; ++trial) {
-    const std::size_t start = rng.bounded(f.text.size() - 30);
-    auto read = f.text.slice(start, start + 30);
-    read[7] = static_cast<Base>(rng.bounded(4));
-    read[21] = static_cast<Base>(rng.bounded(4));
-    const auto classic = inexact_search(f.bi.forward(), read, opt);
-    const auto bidir = inexact_search_bidirectional(f.bi, read, opt);
-    ASSERT_EQ(bidir.hits.size(), classic.hits.size());
-    for (std::size_t h = 0; h < classic.hits.size(); ++h) {
-      EXPECT_EQ(bidir.hits[h].interval, classic.hits[h].interval);
-      EXPECT_EQ(bidir.hits[h].diffs, classic.hits[h].diffs);
-    }
-    // Same pruning quality => same (or fewer, never more) explored states.
-    EXPECT_EQ(bidir.states_explored, classic.states_explored);
-  }
-}
-
+// The empty read: both D computations give an empty array, and Algorithm 2
+// reports the whole interval with no differences.
 TEST(BiFmIndex, EmptyReadHandled) {
   const Fixture f(300);
-  const auto result = inexact_search_bidirectional(f.bi, {}, {});
+  EXPECT_TRUE(f.bi.compute_lower_bound_d({}).empty());
+  EXPECT_TRUE(compute_lower_bound_d(f.bi.forward(), {}).empty());
+  const auto result = inexact_search(f.bi.forward(), {}, {});
   ASSERT_EQ(result.hits.size(), 1U);
   EXPECT_EQ(result.hits[0].interval, f.bi.forward().whole_interval());
-  EXPECT_TRUE(f.bi.compute_lower_bound_d({}).empty());
+  EXPECT_EQ(result.hits[0].diffs, 0U);
 }
 
 TEST(BiFmIndex, DForAbsentChunksCounts) {

@@ -9,9 +9,9 @@
 #include <tuple>
 
 #include "src/align/inexact_search.h"
-#include "src/align/naive_search.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/util/rng.h"
+#include "tests/support/naive_search.h"
 
 namespace pim::align {
 namespace {

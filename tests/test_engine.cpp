@@ -896,63 +896,6 @@ TEST(Engine, EmptyBatchIsHarmless) {
   EXPECT_EQ(result.stats().reads_total, 0u);
 }
 
-TEST(Engine, BestHitOnlyKeepsThePrimaryHit) {
-  Fixture f;
-  AlignerOptions best_options = f.options;
-  best_options.best_hit_only = true;
-  const SoftwareEngine full_engine(f.fm, f.options);
-  const SoftwareEngine best_engine(f.fm, best_options);
-
-  BatchResult full, best;
-  full_engine.align_batch(f.batch, full);
-  best_engine.align_batch(f.batch, best);
-
-  ASSERT_EQ(best.size(), full.size());
-  std::uint64_t aligned = 0;
-  bool truncated_any = false;
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    EXPECT_EQ(best.stage(i), full.stage(i)) << "read " << i;
-    if (full.hits(i).empty()) {
-      EXPECT_TRUE(best.hits(i).empty()) << "read " << i;
-      continue;
-    }
-    ++aligned;
-    truncated_any = truncated_any || full.hits(i).size() > 1;
-    ASSERT_EQ(best.hits(i).size(), 1u) << "read " << i;
-    const auto want = full.result(i).best();
-    ASSERT_TRUE(want.has_value());
-    EXPECT_EQ(best.hits(i)[0].position, want->position) << "read " << i;
-    EXPECT_EQ(best.hits(i)[0].diffs, want->diffs) << "read " << i;
-    EXPECT_EQ(best.hits(i)[0].strand, want->strand) << "read " << i;
-  }
-  EXPECT_TRUE(truncated_any);  // the mix must exercise actual truncation
-  EXPECT_EQ(best.stats().hits_total, aligned);
-  // Stage accounting is unchanged — truncation happens after classification.
-  EXPECT_EQ(best.stats().reads_exact, full.stats().reads_exact);
-  EXPECT_EQ(best.stats().reads_inexact, full.stats().reads_inexact);
-  EXPECT_EQ(best.stats().reads_unaligned, full.stats().reads_unaligned);
-}
-
-TEST(Engine, BestHitOnlyOnPimEngineMatchesSoftware) {
-  Fixture f(40);
-  AlignerOptions best_options = f.options;
-  best_options.best_hit_only = true;
-  const SoftwareEngine software(f.fm, best_options);
-  hw::TimingEnergyModel timing;
-  hw::PimAlignerPlatform platform(f.fm, timing);
-  const hw::PimEngine pim_engine(platform, best_options);
-
-  BatchResult sw, hw_result;
-  software.align_batch(f.batch, sw);
-  pim_engine.align_batch(f.batch, hw_result);
-  ASSERT_EQ(hw_result.size(), sw.size());
-  for (std::size_t i = 0; i < sw.size(); ++i) {
-    expect_identical(sw.result(i), hw_result.stage(i), hw_result.hits(i), i,
-                     "pim best-hit");
-    EXPECT_LE(hw_result.hits(i).size(), 1u);
-  }
-}
-
 TEST(Engine, AlignBatchChunkedDeliversInOrderAndMatchesAlignBatch) {
   Fixture f;
   const SoftwareEngine engine(f.fm, f.options);

@@ -7,13 +7,14 @@
 #include <string>
 
 #include "src/align/engine.h"
-#include "src/align/naive_search.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/index/index_io.h"
 #include "src/index/mapped_index.h"
 #include "src/pim/pim_engine.h"
 #include "src/pim/platform.h"
 #include "src/util/rng.h"
+#include "tests/support/naive_search.h"
+#include "tests/support/search_trace.h"
 #include "tests/temp_dir.h"
 
 namespace pim::align {

@@ -15,6 +15,9 @@
 #include "src/index/index_io.h"
 #include "src/index/mapped_index.h"
 #include "src/util/rng.h"
+#include "tests/support/occ_oracle.h"
+#include "tests/support/search_trace.h"
+#include "tests/support/suffix_array_oracle.h"
 #include "tests/temp_dir.h"
 
 namespace pim::index {

@@ -5,9 +5,9 @@
 #include <algorithm>
 #include <map>
 
-#include "src/align/naive_search.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/util/rng.h"
+#include "tests/support/naive_search.h"
 
 namespace pim::align {
 namespace {

@@ -4,10 +4,10 @@
 
 #include <stdexcept>
 
-#include "src/align/naive_search.h"
 #include "src/align/seed_extend.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/util/rng.h"
+#include "tests/support/naive_search.h"
 
 namespace pim::align {
 namespace {

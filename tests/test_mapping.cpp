@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/genome/synthetic_genome.h"
+#include "src/index/occ_kernel.h"
 #include "src/util/rng.h"
 
 namespace pim::hw {
@@ -100,14 +101,13 @@ TEST(PimTile, MarkersStoredVerticallyMatchSoftware) {
 TEST(PimTile, CountMatchMatchesSoftwareResidual) {
   Fixture f(4000, 3);
   PimTile tile(f.model, f.layout, f.fm, 0);
-  const index::SampledOccTable sampled(f.fm.bwt(), 128);
   util::Xoshiro256 rng(5);
   for (int trial = 0; trial < 200; ++trial) {
     const std::uint64_t id = 1 + rng.bounded(f.fm.num_rows() - 1);
     if (id % 128 == 0) continue;
     const auto nt = static_cast<Base>(rng.bounded(4));
     EXPECT_EQ(tile.count_match(nt, id),
-              sampled.count_match(f.fm.bwt(), nt, id))
+              index::occ_kernel::count(f.fm.bwt(), nt, id - id % 128, id))
         << "id=" << id;
   }
 }
@@ -118,12 +118,11 @@ TEST(PimTile, CountMatchSentinelCorrection) {
   Fixture f(3000, 7);
   PimTile tile(f.model, f.layout, f.fm, 0);
   const std::uint64_t primary = f.fm.bwt().primary;
-  const index::SampledOccTable sampled(f.fm.bwt(), 128);
   for (std::uint64_t id = primary + 1;
        id <= std::min<std::uint64_t>(primary + 3, f.fm.num_rows()); ++id) {
     if (id % 128 == 0) continue;
     EXPECT_EQ(tile.count_match(Base::A, id),
-              sampled.count_match(f.fm.bwt(), Base::A, id))
+              index::occ_kernel::count(f.fm.bwt(), Base::A, id - id % 128, id))
         << "id=" << id;
   }
 }

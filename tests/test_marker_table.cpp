@@ -12,6 +12,7 @@
 #include "src/index/fm_index.h"
 #include "src/index/mapped_index.h"
 #include "src/util/rng.h"
+#include "tests/support/occ_oracle.h"
 #include "tests/temp_dir.h"
 
 namespace pim::index {
@@ -39,12 +40,11 @@ TEST(MarkerTable, MarkerIsCountPlusSampledOcc) {
   const Fixture f(PackedSequence("TGCTATGCTAGGCCAATT"));
   const std::uint32_t d = 4;
   const MarkerTable mt(f.bwt, f.counts, d);
-  const SampledOccTable sampled(f.bwt, d);
-  ASSERT_EQ(mt.num_checkpoints(), sampled.num_checkpoints());
+  const OccTable occ(f.bwt);
+  ASSERT_EQ(mt.num_checkpoints(), f.bwt.size() / d + 1);
   for (std::size_t k = 0; k < mt.num_checkpoints(); ++k) {
     for (const auto nt : genome::kAllBases) {
-      EXPECT_EQ(mt.marker(nt, k),
-                f.counts.count(nt) + sampled.checkpoint(nt, k));
+      EXPECT_EQ(mt.marker(nt, k), f.counts.count(nt) + occ.occ(nt, k * d));
     }
   }
 }

@@ -9,8 +9,10 @@
 #include <utility>
 
 #include "src/genome/synthetic_genome.h"
+#include "src/index/marker_table.h"
 #include "src/index/occ_kernel.h"
 #include "src/util/rng.h"
+#include "tests/support/occ_oracle.h"
 
 namespace pim::index {
 namespace {
@@ -62,44 +64,68 @@ TEST(OccTable, SentinelRowNotCounted) {
   EXPECT_EQ(occ.occ(Base::A, 5), occ.occ(Base::A, 6));
 }
 
+// The sampled Occ the Marker Table stores needs a nonzero bucket width,
+// also when its rows are reassembled from a persisted artifact.
 TEST(SampledOccTable, RejectsZeroBucket) {
-  const Fixture f("ACGT");
-  EXPECT_THROW(SampledOccTable(f.bwt, 0), std::invalid_argument);
+  EXPECT_THROW(MarkerTable::from_parts(0, util::Storage<OccCheckpoint>{}),
+               std::invalid_argument);
 }
 
-// Property: sampled occ equals the full table for every position, base and
-// several bucket widths (including widths that do and do not divide n+1).
+// Property: the Marker Table is Count plus the Occ sampled every d rows, and
+// its LFM equals Count + Occ, against the full table for every row, base
+// and several bucket widths (including widths that do and do not divide
+// n+1), on a random, a one-base and the paper's example BWT.
 class SampledOccProperty : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(SampledOccProperty, MatchesFullTable) {
+  const std::uint32_t d = GetParam();
   genome::SyntheticGenomeSpec spec;
   spec.length = 1000;
   spec.seed = 5;
   spec.repeat_fraction = 0.4;
-  const PackedSequence text = genome::generate_reference(spec);
-  const Bwt bwt = build_bwt(text, build_suffix_array(text));
-  const OccTable full(bwt);
-  const SampledOccTable sampled(bwt, GetParam());
-  for (std::size_t i = 0; i <= bwt.size(); ++i) {
-    for (const auto nt : genome::kAllBases) {
-      ASSERT_EQ(sampled.occ(bwt, nt, i), full.occ(nt, i))
-          << "d=" << GetParam() << " i=" << i
-          << " nt=" << genome::to_char(nt);
+  for (const PackedSequence& text :
+       {genome::generate_reference(spec), PackedSequence(std::string(700, 'A')),
+        PackedSequence("TGCTA")}) {
+    const Bwt bwt = build_bwt(text, build_suffix_array(text));
+    const OccTable full(bwt);
+    const CountTable counts(bwt);
+    const MarkerTable mt(bwt, counts, d);
+    ASSERT_EQ(mt.num_checkpoints(), bwt.size() / d + 1);
+    for (std::size_t i = 0; i <= bwt.size(); ++i) {
+      for (const auto nt : genome::kAllBases) {
+        ASSERT_EQ(mt.lfm(bwt, nt, i), counts.count(nt) + full.occ(nt, i))
+            << "n=" << text.size() << " d=" << d << " i=" << i
+            << " nt=" << genome::to_char(nt);
+      }
+    }
+    for (std::size_t k = 0; k < mt.num_checkpoints(); ++k) {
+      for (const auto nt : genome::kAllBases) {
+        ASSERT_EQ(mt.marker(nt, k) - counts.count(nt), full.occ(nt, k * d))
+            << "n=" << text.size() << " d=" << d << " k=" << k;
+      }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(BucketWidths, SampledOccProperty,
-                         ::testing::Values(1U, 2U, 3U, 16U, 64U, 128U, 333U));
+                         ::testing::Values(1U, 2U, 3U, 4U, 16U, 64U, 128U,
+                                           333U));
 
+// LFM = marker + the residual count over BWT[id - id mod d, id) alone.
 TEST(SampledOccTable, CountMatchIsResidualOnly) {
   const Fixture f("TGCTA");
-  const SampledOccTable sampled(f.bwt, 4);
-  // i=5: bucket start 4, BWT[4]='C': count_match(C,5)=1, others 0.
-  EXPECT_EQ(sampled.count_match(f.bwt, Base::C, 5), 1U);
-  EXPECT_EQ(sampled.count_match(f.bwt, Base::A, 5), 0U);
+  const CountTable counts(f.bwt);
+  const MarkerTable mt(f.bwt, counts, 4);
+  // id=5: bucket start 4, BWT[4]='C': count(C)=1, others 0.
+  EXPECT_EQ(occ_kernel::count(f.bwt, Base::C, 4, 5), 1U);
+  EXPECT_EQ(occ_kernel::count(f.bwt, Base::A, 4, 5), 0U);
+  EXPECT_EQ(mt.lfm(f.bwt, Base::C, 5), mt.marker(Base::C, 1) + 1);
+  EXPECT_EQ(mt.lfm(f.bwt, Base::A, 5), mt.marker(Base::A, 1));
   // On a checkpoint the residual is zero by definition.
-  EXPECT_EQ(sampled.count_match(f.bwt, Base::C, 4), 0U);
+  EXPECT_EQ(occ_kernel::count(f.bwt, Base::C, 4, 4), 0U);
+  for (const auto nt : genome::kAllBases) {
+    EXPECT_EQ(mt.lfm(f.bwt, nt, 4), mt.marker(nt, 1));
+  }
 }
 
 TEST(SampledOccTable, MemoryShrinksWithBucketWidth) {
@@ -108,8 +134,9 @@ TEST(SampledOccTable, MemoryShrinksWithBucketWidth) {
   spec.seed = 9;
   const PackedSequence text = genome::generate_reference(spec);
   const Bwt bwt = build_bwt(text, build_suffix_array(text));
-  const SampledOccTable fine(bwt, 16);
-  const SampledOccTable coarse(bwt, 128);
+  const CountTable counts(bwt);
+  const MarkerTable fine(bwt, counts, 16);
+  const MarkerTable coarse(bwt, counts, 128);
   EXPECT_GT(fine.memory_bytes(), coarse.memory_bytes());
   // Factor-of-d reduction claim from the paper (approximately, +-1 bucket).
   EXPECT_NEAR(static_cast<double>(fine.memory_bytes()) /
@@ -119,28 +146,29 @@ TEST(SampledOccTable, MemoryShrinksWithBucketWidth) {
 
 TEST(OccTable, OutOfRangeThrows) {
   const Fixture f("ACGT");
-  const SampledOccTable sampled(f.bwt, 2);
-  EXPECT_THROW(sampled.occ(f.bwt, Base::A, f.bwt.size() + 1),
-               std::out_of_range);
+  const OccTable occ(f.bwt);
+  EXPECT_NO_THROW(occ.occ(Base::A, f.bwt.size()));
+  EXPECT_THROW(occ.occ(Base::A, f.bwt.size() + 1), std::out_of_range);
 }
 
 TEST(SampledOccTable, CountMatchOutOfRangeThrows) {
   const Fixture f("ACGTACGTTGCA");
-  const SampledOccTable sampled(f.bwt, 4);
-  EXPECT_NO_THROW(sampled.count_match(f.bwt, Base::A, f.bwt.size()));
-  for (const auto nt : genome::kAllBases) {
-    EXPECT_THROW(sampled.count_match(f.bwt, nt, f.bwt.size() + 1),
-                 std::out_of_range);
+  const MarkerTable mt(f.bwt, CountTable(f.bwt), 4);
+  EXPECT_NO_THROW(mt.lfm(f.bwt, Base::A, f.bwt.size()));
+  EXPECT_NO_THROW(mt.lfm4(f.bwt, f.bwt.size()));
+  for (const std::size_t past : {f.bwt.size() + 1, f.bwt.size() + 4096}) {
     // Far past the packed words, not just one row past the end.
-    EXPECT_THROW(sampled.count_match(f.bwt, nt, f.bwt.size() + 4096),
-                 std::out_of_range);
+    EXPECT_THROW(mt.lfm4(f.bwt, past), std::out_of_range);
+    for (const auto nt : genome::kAllBases) {
+      EXPECT_THROW(mt.lfm(f.bwt, nt, past), std::out_of_range);
+    }
   }
 }
 
 // ---------------------------------------------------------------------------
 // The word kernel (occ_kernel.h) against the full OccTable: every count over
 // [begin, end) must equal occ(end) - occ(begin), for one base and for all
-// four at once, and the sampled table built on it must agree everywhere.
+// four at once, and the Marker Table built on it must agree everywhere.
 // ---------------------------------------------------------------------------
 
 class OccKernelOracle
@@ -156,7 +184,8 @@ TEST_P(OccKernelOracle, RangeCountsMatchFullTable) {
   const PackedSequence text = genome::generate_reference(spec);
   const Bwt bwt = build_bwt(text, build_suffix_array(text));
   const OccTable full(bwt);
-  const SampledOccTable sampled(bwt, d);
+  const CountTable counts(bwt);
+  const MarkerTable mt(bwt, counts, d);
   const std::size_t rows = bwt.size();
 
   util::Xoshiro256 rng(7 * length + d);
@@ -180,16 +209,16 @@ TEST_P(OccKernelOracle, RangeCountsMatchFullTable) {
     }
     const std::size_t id = random_id();
     for (const auto nt : genome::kAllBases) {
-      ASSERT_EQ(sampled.occ(bwt, nt, id), full.occ(nt, id))
+      ASSERT_EQ(mt.lfm(bwt, nt, id), counts.count(nt) + full.occ(nt, id))
           << "n=" << length << " d=" << d << " id=" << id;
     }
   }
-  for (std::size_t k = 0; k < sampled.num_checkpoints(); ++k) {
+  for (std::size_t k = 0; k < mt.num_checkpoints(); ++k) {
     for (const auto nt : genome::kAllBases) {
-      ASSERT_EQ(sampled.checkpoint(nt, k), full.occ(nt, k * d)) << "k=" << k;
+      ASSERT_EQ(mt.marker(nt, k) - counts.count(nt), full.occ(nt, k * d))
+          << "k=" << k;
     }
   }
-  const CountTable counts(bwt);
   for (const auto nt : genome::kAllBases) {
     EXPECT_EQ(counts.occurrences(nt), full.occ(nt, rows));
   }

@@ -398,8 +398,7 @@ QueueOccupancy occupancy_of(std::size_t requests, std::size_t reads,
 
 TEST(AdmissionControl, VetIsPureAndReasoned) {
   AdmissionControl admission({.max_queued_requests = 2,
-                              .max_queued_reads = 10,
-                              .reject_oversized = true});
+                              .max_queued_reads = 10});
   AlignRequest small;
   small.reads.resize(3);
   EXPECT_FALSE(admission.vet(occupancy_of(0, 0), small).has_value());

@@ -6,6 +6,7 @@
 
 #include "src/genome/synthetic_genome.h"
 #include "src/util/rng.h"
+#include "tests/support/suffix_array_oracle.h"
 
 namespace pim::index {
 namespace {
