@@ -41,8 +41,7 @@ int main() {
   const align::PairedAligner aligner(fm, options);
 
   // Batch both mate sets into packed arenas and align through the engine
-  // scheduler; EngineStats keeps the per-stage mix that the per-pair path
-  // has no way to report.
+  // scheduler; EngineStats keeps the per-stage mix over both mates.
   align::ReadBatchBuilder b1, b2;
   for (const auto& pair : set.pairs) {
     b1.add(pair.read1.bases);

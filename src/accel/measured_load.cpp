@@ -32,7 +32,6 @@ std::vector<MeasuredChipLoad> measured_loads(const hw::PimChipFleet& fleet) {
   for (std::size_t c = 0; c < loads.size() && c < fleet.num_chips(); ++c) {
     const hw::PimAlignerPlatform::AggregateStats stats = fleet.chip_stats(c);
     loads[c].lfm_calls = stats.lfm_calls;
-    loads[c].wfa_cells = stats.wfa_cells;
     if (c < transfer.chips.size()) {
       loads[c].staged_bytes = transfer.chips[c].staged_bytes;
       loads[c].staging_ns = transfer.chips[c].staging_ns;
@@ -62,10 +61,6 @@ ChipModelConfig chip_model_from_measured(const MeasuredChipLoad& load,
   if (demand <= 0.0 || read_length == 0) return base;
   base.read_length = read_length;
   base.lfm_stage_mix = demand / (2.0 * static_cast<double>(read_length));
-  if (load.wfa_cells > 0 && load.reads > 0) {
-    base.wfa_cells_per_read = static_cast<double>(load.wfa_cells) /
-                              static_cast<double>(load.reads);
-  }
   return base;
 }
 

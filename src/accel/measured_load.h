@@ -31,14 +31,10 @@ struct MeasuredChipLoad {
   /// Hardware LFM calls this chip executed; 0 for software shards (no
   /// hardware tally), in which case consumers keep their assumed demand.
   std::uint64_t lfm_calls = 0;
-  /// WFA extension offset-cells this chip charged (S44); 0 for software
-  /// shards and banded-SW runs (extension stayed on the host).
-  std::uint64_t wfa_cells = 0;
   double wall_ms = 0.0;
   /// Host->chip staging measured by the fleet's TransferModel (S43); zero
-  /// for software shards and transfer-disabled fleets. staging_ns is the
-  /// charged transfer time, stall_ns the part double-buffering could not
-  /// hide under compute.
+  /// for software shards. staging_ns is the charged transfer time, stall_ns
+  /// the part double-buffering could not hide under compute.
   std::uint64_t staged_bytes = 0;
   double staging_ns = 0.0;
   double stall_ns = 0.0;
@@ -63,10 +59,8 @@ ChipSimConfig chip_sim_from_measured(const MeasuredChipLoad& load,
                                      ChipSimConfig base = {});
 
 /// Chip-model config whose LFM stage mix is calibrated from the measured
-/// demand: lfm_stage_mix = measured lfm_per_read / (2 * read_length), and —
-/// when the chip charged WFA extension work (S44) — wfa_cells_per_read from
-/// the measured cell tally. Unmeasured loads (lfm_calls == 0) return `base`
-/// unchanged.
+/// demand: lfm_stage_mix = measured lfm_per_read / (2 * read_length).
+/// Unmeasured loads (lfm_calls == 0) return `base` unchanged.
 ChipModelConfig chip_model_from_measured(const MeasuredChipLoad& load,
                                          std::uint32_t read_length,
                                          ChipModelConfig base = {});

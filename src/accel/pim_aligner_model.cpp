@@ -67,23 +67,12 @@ ChipReport PimChipModel::evaluate(std::uint32_t pd) const {
       static_cast<double>(config_.pipelines) *
       report.pipeline.lfm_rate_per_group_hz;
 
-  // S44: long-read WFA extension shares the DPU resources. Its offset
-  // updates (eight 32-bit furthest-reaching offsets per 256-bit row) add
-  // per-read service time on top of the LFM demand, and the extra DPU row
-  // operations show up as dynamic power at the achieved read rate.
-  report.wfa_cells_per_read = config_.wfa_cells_per_read;
-  const hw::OpCost word = timing_->op_cost(hw::SubArrayOp::kDpuWord);
-  const double offsets_per_row = static_cast<double>(timing_->cols()) / 32.0;
-  const double ext_rows_per_read = config_.wfa_cells_per_read / offsets_per_row;
-  const double ext_s_per_read = ext_rows_per_read * word.latency_ns * 1e-9 /
-                                static_cast<double>(config_.pipelines);
   const double lfm_s_per_read = report.lfm_per_read / lfm_rate_total;
-  report.throughput_qps = 1.0 / (lfm_s_per_read + ext_s_per_read);
+  report.throughput_qps = 1.0 / lfm_s_per_read;
 
   const double lfm_rate_achieved = report.throughput_qps * report.lfm_per_read;
   const double dynamic_w =
-      lfm_rate_achieved * report.pipeline.energy_per_lfm_pj * 1e-12 +
-      report.throughput_qps * ext_rows_per_read * word.energy_pj * 1e-12;
+      lfm_rate_achieved * report.pipeline.energy_per_lfm_pj * 1e-12;
   const double standby_w =
       report.memory_gb * config_.memory_standby_w_per_gb;
   const double duplication_w =

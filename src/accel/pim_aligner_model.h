@@ -32,12 +32,6 @@ struct ChipModelConfig {
   /// and high), times a stage-mix factor covering the ~30% of reads that
   /// enter the backtracking stage (their extra search states amortised here).
   double lfm_stage_mix = 1.5;
-  /// Average WFA extension work per read (offset cells; S44): long-read
-  /// seed-and-extend runs its wavefront verification on the DPU/sub-array
-  /// resources, so this adds service time and dynamic power on top of the
-  /// LFM demand. 0 = short-read workload, no extension verification.
-  /// Calibrate from a measured run via chip_model_from_measured.
-  double wfa_cells_per_read = 0.0;
 
   // Provisioning.
   std::uint32_t pipelines = 32;       ///< Concurrent pipeline groups.
@@ -63,7 +57,6 @@ struct ChipReport {
   double rur_pct = 0.0;
   double energy_per_read_uj = 0.0;
   double lfm_per_read = 0.0;
-  double wfa_cells_per_read = 0.0;  ///< Extension demand the model charged.
   std::uint64_t num_tiles = 0;
   hw::PipelineReport pipeline;
 

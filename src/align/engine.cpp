@@ -134,11 +134,10 @@ void SeedExtendEngine::align_range(const ReadBatch& batch, std::size_t begin,
     batch.read(i).unpack_into(scratch.read);
     scratch.hits.clear();
 
-    // Forward strand, then (always with both_strands, else only on a miss)
-    // the reverse complement. Kernel output is carried into the hits —
-    // AlignmentHit.diffs is the alignment's edit count, so SAM NM tags and
-    // best() ranking are honest — and a spurious forward seed chain cannot
-    // mask a better reverse-strand placement.
+    // Forward strand, then the reverse complement. Kernel output is carried
+    // into the hits — AlignmentHit.diffs is the alignment's edit count, so
+    // SAM NM tags and best() ranking are honest — and a spurious forward
+    // seed chain cannot mask a better reverse-strand placement.
     const SeedExtendResult fwd =
         seed_extend_align(*index_, scratch.read, options_);
     ++out.stats().inexact_searches;
@@ -146,15 +145,13 @@ void SeedExtendEngine::align_range(const ReadBatch& batch, std::size_t begin,
       scratch.hits.push_back(
           AlignmentHit{hit.ref_begin, hit.edits, Strand::kForward});
     }
-    if (options_.both_strands || !fwd.found()) {
-      genome::reverse_complement_into(scratch.read, scratch.rc);
-      const SeedExtendResult rev =
-          seed_extend_align(*index_, scratch.rc, options_);
-      ++out.stats().inexact_searches;
-      for (const auto& hit : rev.hits) {
-        scratch.hits.push_back(AlignmentHit{hit.ref_begin, hit.edits,
-                                            Strand::kReverseComplement});
-      }
+    genome::reverse_complement_into(scratch.read, scratch.rc);
+    const SeedExtendResult rev =
+        seed_extend_align(*index_, scratch.rc, options_);
+    ++out.stats().inexact_searches;
+    for (const auto& hit : rev.hits) {
+      scratch.hits.push_back(AlignmentHit{hit.ref_begin, hit.edits,
+                                          Strand::kReverseComplement});
     }
 
     std::sort(scratch.hits.begin(), scratch.hits.end(),

@@ -180,12 +180,11 @@ class SoftwareEngine final : public AlignmentEngine {
 /// Seed-and-extend long-read alignment as an engine. Hits carry the
 /// extension kernel's precise alignment start and honest edit count
 /// (AlignmentHit.diffs), so SAM NM tags and best() ranking reflect the
-/// alignment rather than reporting 0. With options.both_strands (default)
-/// both orientations are verified and all placements kept — a spurious
-/// forward seed chain cannot mask the true reverse-strand placement;
-/// otherwise the reverse complement is tried only on a forward miss. Reads
-/// whose best placement is edit-free count as stage one, the rest as stage
-/// two, mirroring the short-read pipeline's exact/inexact split.
+/// alignment rather than reporting 0. Both orientations are verified and
+/// all placements kept, so a spurious forward seed chain cannot mask the
+/// true reverse-strand placement. Reads whose best placement is edit-free
+/// count as stage one, the rest as stage two, mirroring the short-read
+/// pipeline's exact/inexact split.
 class SeedExtendEngine final : public AlignmentEngine {
  public:
   explicit SeedExtendEngine(const index::FmIndex& index,

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "src/align/parallel_aligner.h"
-#include "src/align/search_core.h"
 
 namespace pim::align {
 
@@ -63,21 +62,6 @@ void PairedAligner::classify(PairedResult& result, std::size_t len1,
   } else {
     result.cls = PairClass::kNeither;
   }
-}
-
-PairedResult PairedAligner::align_pair(
-    const std::vector<genome::Base>& read1,
-    const std::vector<genome::Base>& read2) const {
-  PairedResult result;
-  detail::TwoStageScratch scratch;
-  result.mate1.stage = detail::align_two_stage(
-      engine_.index(), engine_.options(), read1, scratch, nullptr);
-  result.mate1.hits = scratch.hits;
-  result.mate2.stage = detail::align_two_stage(
-      engine_.index(), engine_.options(), read2, scratch, nullptr);
-  result.mate2.hits = scratch.hits;
-  classify(result, read1.size(), read2.size());
-  return result;
 }
 
 std::vector<PairedResult> PairedAligner::align_pairs(

@@ -27,9 +27,8 @@ namespace pim::align {
 
 /// Which kernel verifies a candidate diagonal (S44 extension-kernel seam).
 /// kBandedSw does O(read * band) DP regardless of similarity; kWfa does
-/// O(read * penalty) wavefront work — far less at sequencing divergence —
-/// and maps each wavefront step onto the PIM sub-array op model (bulk
-/// XNOR_Match-class compares; see PimAlignerPlatform::charge_wfa_extension).
+/// O(read * penalty) wavefront work — far less at sequencing divergence.
+/// Both run on the host.
 enum class ExtensionKernel : std::uint8_t { kBandedSw, kWfa };
 
 const char* to_string(ExtensionKernel kernel);
@@ -52,13 +51,8 @@ struct SeedExtendOptions {
   SwScoring scoring;
   /// Extension kernel verifying candidate diagonals.
   ExtensionKernel kernel = ExtensionKernel::kBandedSw;
-  /// WFA kernel configuration (penalties, score cutoff, adaptive band).
+  /// WFA kernel configuration (penalties, score cutoff).
   WfaOptions wfa;
-  /// Engine-level (SeedExtendEngine): verify BOTH strands and keep the
-  /// better-scoring placement, instead of trying the reverse complement
-  /// only when the forward strand finds nothing — a forward-strand
-  /// spurious seed chain must not mask the true reverse-strand placement.
-  bool both_strands = true;
 };
 
 struct SeedChainHit {
@@ -77,8 +71,7 @@ struct SeedExtendResult {
   /// (banded SW: cells computed; WFA: offsets updated + bases compared) —
   /// the axis the long_read_bench kernel sweep compares.
   std::uint64_t extension_cells = 0;
-  /// WFA work counters (all-zero under kBandedSw); what the PIM platform
-  /// charges through the sub-array op model.
+  /// WFA work counters (all-zero under kBandedSw).
   WfaStats wfa;
   bool found() const { return !hits.empty(); }
 };
@@ -92,9 +85,8 @@ SeedExtendResult seed_extend_align(const index::FmIndex& index,
 /// Backend-generic core: any Searcher providing
 ///   ExactResult search(const std::vector<Base>&)
 ///   std::vector<std::uint64_t> locate(const index::SaInterval&)
-/// can drive the seeding stage — the software FM-index or the PIM platform
-/// (each seed is still pure LFM machinery, so long reads accelerate on the
-/// same sub-arrays). Declared here, defined in seed_extend_core.h.
+/// can drive the seeding stage — the FM-index or the k-mer seed table.
+/// Declared here, defined in seed_extend_core.h.
 template <typename Searcher>
 SeedExtendResult seed_extend_core(Searcher&& searcher,
                                   const genome::PackedSequence& reference,

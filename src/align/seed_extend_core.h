@@ -129,12 +129,6 @@ SeedExtendResult seed_extend_core(Searcher&& searcher,
                    [](const SeedChainHit& a, const SeedChainHit& b) {
                      return a.score > b.score;
                    });
-
-  // PIM backends charge the extension work onto the sub-array op model;
-  // software searchers simply lack the hook.
-  if constexpr (requires { searcher.charge_extension(result); }) {
-    searcher.charge_extension(result);
-  }
   return result;
 }
 

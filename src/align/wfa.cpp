@@ -80,15 +80,12 @@ WfaResult wfa_align(const std::vector<genome::Base>& text,
                                            static_cast<double>(m));
 
   // Free leading text: every diagonal in [0, n - m] is a zero-cost start
-  // (the window may begin well before the alignment). Diagonals beyond the
-  // optional static band are unreachable, as are ones outside [-m, n].
+  // (the window may begin well before the alignment). Diagonals outside
+  // [-m, n] are unreachable.
   const std::int64_t init_lo = 0;
   const std::int64_t init_hi = std::max<std::int64_t>(0, n - m);
-  const std::int64_t band =
-      options.band != 0 ? static_cast<std::int64_t>(options.band)
-                        : std::numeric_limits<std::int32_t>::max();
-  const std::int64_t k_min = std::max<std::int64_t>(-m, init_lo - band);
-  const std::int64_t k_max = std::min<std::int64_t>(n, init_hi + band);
+  const std::int64_t k_min = -m;
+  const std::int64_t k_max = n;
 
   Frontier f;
   const std::size_t depth = static_cast<std::size_t>(cutoff) + 1;
@@ -125,7 +122,7 @@ WfaResult wfa_align(const std::vector<genome::Base>& text,
 
   // Score 0: skip any amount of leading text, then extend.
   Wave& m0 = f.m[0];
-  m0.init(init_lo, std::min(init_hi, k_max));
+  m0.init(init_lo, init_hi);
   for (std::int64_t k = m0.lo; k <= m0.hi; ++k) m0.slot(k) = k;
   ++result.stats.wavefronts;
   result.stats.cells += m0.off.size();
@@ -242,45 +239,12 @@ WfaResult wfa_align(const std::vector<genome::Base>& text,
     }
 
     end_k = extend_and_check(wm);
-
-    // Adaptive reduction (WFA-adapt): diagonals whose antidiagonal
-    // progress trails the leader by more than the lag are pruned from the
-    // wavefront's ends — a heuristic band that follows the alignment.
-    if (end_k == kNone && options.adaptive_lag != 0 &&
-        wm.hi - wm.lo + 1 > static_cast<std::int64_t>(options.adaptive_min_span)) {
-      std::int64_t best = std::numeric_limits<std::int64_t>::min();
-      for (std::int64_t k = wm.lo; k <= wm.hi; ++k) {
-        const std::int64_t h = wm.at(k);
-        if (h != kNone) best = std::max(best, 2 * h - k);
-      }
-      const std::int64_t floor =
-          best - static_cast<std::int64_t>(options.adaptive_lag);
-      auto lags = [&](std::int64_t k) {
-        const std::int64_t h = wm.at(k);
-        return h == kNone || 2 * h - k < floor;
-      };
-      std::int64_t lo = wm.lo, hi = wm.hi;
-      while (lo < hi && lags(lo)) ++lo;
-      while (hi > lo && lags(hi)) --hi;
-      if (lo != wm.lo || hi != wm.hi) {
-        Wave trimmed;
-        trimmed.init(lo, hi);
-        for (std::int64_t k = lo; k <= hi; ++k) trimmed.slot(k) = wm.at(k);
-        wm = std::move(trimmed);
-      }
-    }
   }
 
   result.aligned = true;
   result.score = static_cast<std::int32_t>(s);
   result.stats.max_score = s;
   result.text_end = static_cast<std::uint64_t>(f.m[s].at(end_k));
-
-  if (!options.traceback) {
-    // Without the CIGAR the begin is unknown; report the end-anchored span.
-    result.text_begin = result.text_end;
-    return result;
-  }
 
   // Traceback: walk the stored wavefronts backwards, re-deriving each M
   // entry's pre-extension predecessor (recomputed, not stored — the waves

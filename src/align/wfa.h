@@ -1,16 +1,13 @@
 // Gap-affine wavefront alignment (WFA) — the long-read extension kernel
-// (S44, after Marco-Sola et al. and the PIM mapping of Diab et al.,
-// PAPERS.md arXiv 2204.02085).
+// (S44, after Marco-Sola et al.). It runs on the host; the simulated PIM
+// platform runs only the paper's Algorithms 1-2.
 //
 // Classic DP verification (banded Smith-Waterman) does O(n*band) work per
 // candidate window no matter how similar read and window are. WFA instead
 // expands *wavefronts*: for each penalty score s it stores, per diagonal,
 // the furthest-reaching (text, pattern) point attainable at cost s, and
 // advances matches for free. Work is O(n*s) where s is the optimal penalty
-// — tiny at sequencing divergence — and each wavefront step is a bulk
-// compare across the active diagonals, which is exactly the
-// XNOR_Match-class operation the PIM sub-arrays execute in one triple
-// sense (see PimAlignerPlatform::charge_wfa_extension).
+// — tiny at sequencing divergence.
 //
 // Alignment model: *semi-global* — the whole pattern (read) is consumed,
 // the text (reference window) is free at both ends. That matches
@@ -46,26 +43,9 @@ struct WfaOptions {
   std::uint32_t max_score = 0;
   std::uint32_t score_cutoff_base = 64;
   double score_cutoff_per_base = 0.25;
-  /// Static diagonal band: diagonals farther than this outside the
-  /// zero-score start range are never expanded (0 = unbanded/exact). The
-  /// WFA analogue of banded SW's band_width; indel drift beyond it is
-  /// unreachable.
-  std::uint32_t band = 0;
-  /// Adaptive wavefront reduction (WFA-adapt): drop diagonals whose
-  /// antidiagonal progress lags the wavefront's best by more than this
-  /// (0 = exact, no reduction). Heuristic: can miss the optimum on
-  /// adversarial inputs, bounds the frontier on real ones.
-  std::uint32_t adaptive_lag = 0;
-  /// Adaptive reduction only kicks in once a wavefront spans more
-  /// diagonals than this (small fronts are cheap and often load-bearing).
-  std::uint32_t adaptive_min_span = 32;
-  /// Compute the traceback CIGAR (costs keeping all wavefronts alive).
-  bool traceback = true;
 };
 
-/// Work counters of one wfa_align call — the per-step tallies the PIM
-/// platform charges through the sub-array op model (each wavefront step is
-/// a bulk XNOR_Match-class compare; each offset update is DPU word work).
+/// Work counters of one wfa_align call.
 struct WfaStats {
   std::uint64_t wavefronts = 0;     ///< Wavefront score steps expanded.
   std::uint64_t cells = 0;          ///< Offset slots computed (M+I+D).
@@ -84,7 +64,7 @@ struct WfaResult {
   /// Text (window) span consumed, half-open; the free leading/trailing
   /// text is outside it. Valid only when aligned.
   std::uint64_t text_begin = 0, text_end = 0;
-  std::vector<CigarEntry> cigar;  ///< Whole pattern; empty w/o traceback.
+  std::vector<CigarEntry> cigar;  ///< Whole pattern.
   std::uint32_t edits = 0;        ///< Mismatches + inserted/deleted bases.
   WfaStats stats;
 };

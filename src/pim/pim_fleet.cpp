@@ -90,7 +90,6 @@ void PimChipFleet::reset_stats() {
 void PimChipFleet::charge_generation(const align::ReadBatch& batch,
                                      std::size_t begin,
                                      const std::vector<std::size_t>& bounds) {
-  if (!transfer_options_.enabled) return;
   for (std::size_t c = 0; c < platforms_.size(); ++c) {
     // The shard's wire payload: 2-bit-packed bases + per-read descriptor.
     std::uint64_t bytes = 0;
@@ -176,8 +175,6 @@ void PimChipFleet::publish_metrics(obs::MetricsRegistry& registry) const {
         .set(static_cast<double>(stats.lfm_calls));
     registry.gauge(prefix + "sa_reads")
         .set(static_cast<double>(stats.ops.reads));
-    registry.gauge(prefix + "wfa_cells")
-        .set(static_cast<double>(stats.wfa_cells));
     fleet_cycles += cycles;
     fleet_energy_pj += stats.ops.energy_pj;
     fleet_lfm_calls += stats.lfm_calls;

@@ -56,9 +56,6 @@ namespace pim::hw {
 
 /// Host->chip staging configuration for the fleet (S43).
 struct TransferOptions {
-  /// Model staging at all. Off disables the charge (the pre-S43 teleport
-  /// fiction) — useful only for isolating the compute model in ablations.
-  bool enabled = true;
   /// Stage generation N+1 while generation N computes (two landing buffers
   /// per chip). false = one buffer: every generation pays transfer + compute
   /// serially — the counterfactual the bench sweep compares against.

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "src/align/search_core.h"
-#include "src/align/seed_extend.h"
 
 namespace pim::hw {
 
@@ -88,67 +87,6 @@ void PimAlignerPlatform::locate_all_into(const index::SaInterval& interval,
   fm_->locate_all_into(interval, out, limit);
 }
 
-std::vector<std::uint64_t> PimAlignerPlatform::locate_all(
-    const index::SaInterval& interval) {
-  std::vector<std::uint64_t> positions;
-  locate_all_into(interval, positions, 0);
-  return positions;
-}
-
-void PimAlignerPlatform::charge_wfa_extension(
-    const align::SeedExtendResult& result) {
-  const align::WfaStats& wfa = result.wfa;
-  if (wfa.wavefronts == 0 && wfa.cells == 0 && wfa.compare_bases == 0) {
-    return;  // banded-SW pass: verification stayed on the host
-  }
-  const std::uint64_t bps = layout_.bps_per_row(timing_->cols());
-  const std::uint64_t compare_rows = (wfa.compare_bases + bps - 1) / bps;
-  // Eight 32-bit furthest-reaching offsets per 256-bit row of DPU state.
-  const std::uint64_t offsets_per_row = timing_->cols() / 32;
-  const std::uint64_t offset_rows =
-      (wfa.cells + offsets_per_row - 1) / offsets_per_row;
-
-  const OpCost match = timing_->xnor_match_cost();
-  const OpCost word = timing_->op_cost(SubArrayOp::kDpuWord);
-  extension_ops_.triple_senses += compare_rows;
-  extension_ops_.dpu_word_ops += compare_rows + offset_rows;
-  extension_ops_.energy_pj +=
-      match.energy_pj * static_cast<double>(compare_rows) +
-      word.energy_pj * static_cast<double>(offset_rows);
-  extension_ops_.busy_ns +=
-      match.latency_ns * static_cast<double>(compare_rows) +
-      word.latency_ns * static_cast<double>(offset_rows);
-  wfa_wavefronts_ += wfa.wavefronts;
-  wfa_cells_ += wfa.cells;
-}
-
-namespace {
-
-/// The PIM instantiation of the seed-extend Searcher concept. The optional
-/// charge_extension hook routes WFA wavefront work onto the op model.
-struct HwSearcher {
-  PimAlignerPlatform* platform;
-
-  align::ExactResult search(const std::vector<genome::Base>& seed) const {
-    return platform->exact_align(seed);
-  }
-  std::vector<std::uint64_t> locate(const index::SaInterval& interval) const {
-    return platform->locate_all(interval);
-  }
-  void charge_extension(const align::SeedExtendResult& result) const {
-    platform->charge_wfa_extension(result);
-  }
-};
-
-}  // namespace
-
-align::SeedExtendResult seed_extend_hw(
-    PimAlignerPlatform& platform, const std::vector<genome::Base>& read,
-    const align::SeedExtendOptions& options) {
-  return align::seed_extend_core(HwSearcher{&platform},
-                                 platform.fm().reference(), read, options);
-}
-
 void PimSearchBackend::finish_one_row(const index::SaInterval& row,
                                       std::span<const genome::Base> prefix,
                                       std::vector<std::uint64_t>& out) const {
@@ -163,12 +101,9 @@ PimAlignerPlatform::AggregateStats PimAlignerPlatform::aggregate_stats() const {
   for (const auto& tile : duplicates_) {
     agg.ops += tile->stats();
   }
-  agg.ops += extension_ops_;
   agg.lfm_calls = lfm_calls_;
   agg.boundary_marker_hits = boundary_marker_hits_;
   agg.sa_mem_reads = sa_mem_reads_;
-  agg.wfa_wavefronts = wfa_wavefronts_;
-  agg.wfa_cells = wfa_cells_;
   return agg;
 }
 
@@ -197,9 +132,6 @@ void PimAlignerPlatform::reset_stats() {
   lfm_calls_ = 0;
   boundary_marker_hits_ = 0;
   sa_mem_reads_ = 0;
-  extension_ops_ = SubArrayStats{};
-  wfa_wavefronts_ = 0;
-  wfa_cells_ = 0;
   publish_stats_snapshot();  // a reset between measured batches shows through
 }
 

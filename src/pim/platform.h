@@ -16,7 +16,6 @@
 #include <span>
 #include <vector>
 
-#include "src/align/seed_extend.h"
 #include "src/align/types.h"
 #include "src/genome/alphabet.h"
 #include "src/index/fm_index.h"
@@ -62,18 +61,6 @@ class PimAlignerPlatform {
   /// must read every row to find the smallest, so a limit saves no read.
   void locate_all_into(const index::SaInterval& interval,
                        std::vector<std::uint64_t>& out, std::size_t limit);
-  /// Every position of the interval, ascending (locate_all_into, limit 0).
-  std::vector<std::uint64_t> locate_all(const index::SaInterval& interval);
-
-  /// Charge a seed_extend extension pass onto the sub-array op model (S44).
-  /// WFA maps naturally: every wavefront extension is a bulk compare of the
-  /// active diagonals against the reference rows — an XNOR_Match-class op
-  /// (one triple sense + one DPU word) per 128-bp row of compared bases —
-  /// and every offset update is DPU word work (eight 32-bit offsets per
-  /// 256-bit row). No-op for banded-SW results (wfa counters all zero):
-  /// classic DP verification stays on the host, which is exactly the
-  /// contrast the kernel seam exists to measure.
-  void charge_wfa_extension(const align::SeedExtendResult& result);
 
   // --- Accounting ----------------------------------------------------------
   struct AggregateStats {
@@ -81,9 +68,6 @@ class PimAlignerPlatform {
     std::uint64_t lfm_calls = 0;
     std::uint64_t boundary_marker_hits = 0;  ///< DPU-register answers.
     std::uint64_t sa_mem_reads = 0;
-    /// WFA extension work charged via charge_wfa_extension.
-    std::uint64_t wfa_wavefronts = 0;
-    std::uint64_t wfa_cells = 0;
   };
   AggregateStats aggregate_stats() const;
 
@@ -127,23 +111,9 @@ class PimAlignerPlatform {
   std::uint64_t lfm_calls_ = 0;
   std::uint64_t boundary_marker_hits_ = 0;
   std::uint64_t sa_mem_reads_ = 0;
-  /// WFA extension charges (charge_wfa_extension); kept apart from the
-  /// tiles so the LFM-vs-extension resource split stays visible.
-  SubArrayStats extension_ops_;
-  std::uint64_t wfa_wavefronts_ = 0;
-  std::uint64_t wfa_cells_ = 0;
   /// Seqlock-published copy of the tallies for cross-thread scraping (S43).
   util::Seqlock<AggregateStats> snapshot_;
 };
-
-/// Seed-and-extend long-read alignment driven by the platform's in-memory
-/// primitives: each 20-bp seed is an exact backward search on the
-/// sub-arrays, SA lookups go through the (charged) SA region, and only the
-/// final banded verification runs on the host/DPU, against
-/// platform.fm().reference().
-align::SeedExtendResult seed_extend_hw(
-    PimAlignerPlatform& platform, const std::vector<genome::Base>& read,
-    const align::SeedExtendOptions& options = {});
 
 /// Thin const adapter satisfying the search-core Backend concept while
 /// routing every extension through the platform's in-memory LFM.

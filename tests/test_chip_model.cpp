@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "src/accel/comparison.h"
+#include "src/accel/measured_load.h"
 
 namespace pim::accel {
 namespace {
@@ -95,6 +96,43 @@ TEST(ChipModel, AsMetricsCopiesFields) {
   EXPECT_DOUBLE_EQ(m.power_w, r.power_w);
   EXPECT_DOUBLE_EQ(m.throughput_qps, r.throughput_qps);
   EXPECT_DOUBLE_EQ(m.area_mm2, r.engine_area_mm2);
+}
+
+TEST(ChipModel, ReportBitsArePinned) {
+  // The figure benches print these doubles. Even an algebraically equal
+  // rewrite of the model (dividing in another order, say) can move them by
+  // an ulp, so they are pinned bit for bit.
+  struct Pinned {
+    double throughput_qps, power_w, energy_per_read_uj;
+  };
+  auto expect_bits = [](const PimChipModel& model, std::uint32_t pd,
+                        const Pinned& want) {
+    const ChipReport r = model.evaluate(pd);
+    EXPECT_EQ(r.throughput_qps, want.throughput_qps) << "Pd " << pd;
+    EXPECT_EQ(r.power_w, want.power_w) << "Pd " << pd;
+    EXPECT_EQ(r.energy_per_read_uj, want.energy_per_read_uj) << "Pd " << pd;
+  };
+  const PimChipModel model(default_timing());
+  expect_bits(model, 1, {0x1.1a4b63abd2ac9p+22, 0x1.1b8f7178f7179p+4,
+                         0x1.ea7883126e978p+1});
+  expect_bits(model, 2, {0x1.9551595159515p+22, 0x1.c6b48f067a8b9p+4,
+                         0x1.11e38ef34d6a1p+2});
+  expect_bits(model, 3, {0x1.0ddca0f086694p+23, 0x1.39c95f5d5935cp+5,
+                         0x1.1be0faacd9e83p+2});
+  expect_bits(model, 4, {0x1.0ddca0f086694p+23, 0x1.8d38508fce40fp+5,
+                         0x1.675c25aee631fp+2});
+
+  // The PIM engine's measured demand on the paper's workload: 1892 LFM
+  // calls per 100-bp read.
+  MeasuredChipLoad load;
+  load.reads = 1024;
+  load.lfm_calls = 1892ULL * 1024;
+  const PimChipModel measured(default_timing(), {},
+                              chip_model_from_measured(load, 100));
+  expect_bits(measured, 1, {0x1.66171b636dbe2p+19, 0x1.1b8f7178f7179p+4,
+                            0x1.82a7897635e75p+4});
+  expect_bits(measured, 2, {0x1.011294a880176p+20, 0x1.c6b48f067a8b9p+4,
+                            0x1.afd4dd1e53a84p+4});
 }
 
 // --- Comparison table & headline ratios -------------------------------------

@@ -596,10 +596,8 @@ TEST(Engine, SeedExtendEngineReportsHonestDiffs) {
 TEST(Engine, SeedExtendBothStrandsSurvivesForwardDecoy) {
   // Regression (S44 satellite): a reverse-complement read whose FORWARD
   // orientation also seed-chains somewhere (a decoy) used to stop at the
-  // forward placement and never try the true strand. With both_strands
-  // (default) both orientations are verified and best() keeps the
-  // fewest-diffs placement; the legacy forward-first behavior remains
-  // reachable with both_strands = false.
+  // forward placement and never try the true strand. Both orientations are
+  // verified and best() keeps the fewest-diffs placement.
   util::Xoshiro256 rng(91);
   std::vector<genome::Base> bases(60000);
   for (auto& b : bases) b = static_cast<genome::Base>(rng.bounded(4));
@@ -630,7 +628,7 @@ TEST(Engine, SeedExtendBothStrandsSurvivesForwardDecoy) {
   builder.add(read);
   const auto batch = builder.build();
 
-  const SeedExtendEngine both(fm);  // both_strands defaults on
+  const SeedExtendEngine both(fm);
   BatchResult result;
   both.align_batch(batch, result);
   ASSERT_TRUE(result.aligned(0));
@@ -650,19 +648,6 @@ TEST(Engine, SeedExtendBothStrandsSurvivesForwardDecoy) {
     }
   }
   EXPECT_TRUE(saw_decoy);
-
-  // Legacy forward-first mode stops at the decoy: the failure this test
-  // pins down.
-  SeedExtendOptions forward_first;
-  forward_first.both_strands = false;
-  const SeedExtendEngine legacy(fm, forward_first);
-  BatchResult legacy_result;
-  legacy.align_batch(batch, legacy_result);
-  ASSERT_TRUE(legacy_result.aligned(0));
-  const auto legacy_best = legacy_result.best(0);
-  ASSERT_TRUE(legacy_best.has_value());
-  EXPECT_EQ(legacy_best->strand, Strand::kForward);
-  EXPECT_GT(legacy_best->diffs, 20U);
 }
 
 TEST(Sharded, SeedExtendShardsBitIdenticalToUnsharded) {

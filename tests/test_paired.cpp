@@ -101,6 +101,16 @@ TEST(PairedSimulator, QualitiesEmitted) {
 
 // --- Paired aligner ------------------------------------------------------------
 
+/// One pair through the batch API, the aligner's only entry point.
+PairedResult align_one_pair(const PairedAligner& aligner,
+                            const std::vector<Base>& read1,
+                            const std::vector<Base>& read2) {
+  return aligner
+      .align_pairs(ReadBatch::from_reads({read1}),
+                   ReadBatch::from_reads({read2}))
+      .front();
+}
+
 TEST(PairedAligner, ProperPairsRecovered) {
   Fixture f;
   readsim::PairedReadSimSpec spec;
@@ -119,7 +129,8 @@ TEST(PairedAligner, ProperPairsRecovered) {
 
   std::size_t proper = 0, origin_ok = 0;
   for (const auto& pair : set.pairs) {
-    const auto result = aligner.align_pair(pair.read1.bases, pair.read2.bases);
+    const auto result =
+        align_one_pair(aligner, pair.read1.bases, pair.read2.bases);
     if (result.cls != PairClass::kProperPair) continue;
     ++proper;
     ASSERT_TRUE(result.pair.has_value());
@@ -148,7 +159,7 @@ TEST(PairedAligner, WrongDistancePairIsDiscordant) {
   const auto r1 = f.reference.slice(10000, 10100);
   const auto r2 =
       genome::reverse_complement(f.reference.slice(15000, 15100));
-  const auto result = aligner.align_pair(r1, r2);
+  const auto result = align_one_pair(aligner, r1, r2);
   EXPECT_EQ(result.cls, PairClass::kDiscordant);
   EXPECT_FALSE(result.pair.has_value());
 }
@@ -161,7 +172,7 @@ TEST(PairedAligner, SameStrandPairIsDiscordant) {
   const PairedAligner aligner(f.fm, options);
   const auto r1 = f.reference.slice(20000, 20100);
   const auto r2 = f.reference.slice(20200, 20300);  // forward, not revcomp
-  const auto result = aligner.align_pair(r1, r2);
+  const auto result = align_one_pair(aligner, r1, r2);
   EXPECT_EQ(result.cls, PairClass::kDiscordant);
 }
 
@@ -175,7 +186,7 @@ TEST(PairedAligner, OneMateClass) {
   util::Xoshiro256 rng(3);
   std::vector<Base> junk;
   for (int i = 0; i < 100; ++i) junk.push_back(static_cast<Base>(rng.bounded(4)));
-  const auto result = aligner.align_pair(r1, junk);
+  const auto result = align_one_pair(aligner, r1, junk);
   EXPECT_EQ(result.cls, PairClass::kOneMate);
   EXPECT_TRUE(result.mate1.aligned());
   EXPECT_FALSE(result.mate2.aligned());
@@ -192,7 +203,7 @@ TEST(PairedAligner, NeitherClass) {
     junk1.push_back(static_cast<Base>(rng.bounded(4)));
     junk2.push_back(static_cast<Base>(rng.bounded(4)));
   }
-  EXPECT_EQ(aligner.align_pair(junk1, junk2).cls, PairClass::kNeither);
+  EXPECT_EQ(align_one_pair(aligner, junk1, junk2).cls, PairClass::kNeither);
 }
 
 TEST(PairedAligner, InsertConstraintDisambiguatesRepeats) {
@@ -217,7 +228,7 @@ TEST(PairedAligner, InsertConstraintDisambiguatesRepeats) {
   const auto mate1 = reference.slice(5000, 5100);  // ambiguous block
   const auto mate2 =
       genome::reverse_complement(reference.slice(5200, 5300));  // unique
-  const auto single = aligner.align_pair(mate1, mate2);
+  const auto single = align_one_pair(aligner, mate1, mate2);
   ASSERT_EQ(single.cls, PairClass::kProperPair);
   EXPECT_EQ(single.pair->first.position, 5000U);  // not the 40000 copy
   EXPECT_GT(single.mate1.hits.size(), 1U);        // it *was* ambiguous

@@ -98,8 +98,6 @@ void expect_run(AddPlacement placement, const GoldenRun& golden,
   EXPECT_EQ(hw.lfm_calls, golden.hardware.lfm_calls);
   EXPECT_EQ(hw.boundary_marker_hits, golden.hardware.boundary_marker_hits);
   EXPECT_EQ(hw.sa_mem_reads, golden.hardware.sa_mem_reads);
-  EXPECT_EQ(hw.wfa_wavefronts, golden.hardware.wfa_wavefronts);
-  EXPECT_EQ(hw.wfa_cells, golden.hardware.wfa_cells);
   EXPECT_EQ(report.busy_ns, golden.hardware.ops.busy_ns);
   EXPECT_EQ(report.energy_pj, golden.hardware.ops.energy_pj);
   expect_ops(platform.aggregate_load_stats(), golden.load);

@@ -198,7 +198,8 @@ TEST(Platform, LocateChargesSaReads) {
   const auto read = f.text.slice(200, 240);
   const auto result = f.platform->exact_align(read);
   ASSERT_TRUE(result.found());
-  const auto positions = f.platform->locate_all(result.interval);
+  std::vector<std::uint64_t> positions;
+  f.platform->locate_all_into(result.interval, positions, 0);
   EXPECT_FALSE(positions.empty());
   EXPECT_EQ(f.platform->aggregate_stats().sa_mem_reads,
             result.interval.count());

@@ -186,6 +186,16 @@ TEST(SamWriter, QualityLengthMismatchThrows) {
       std::invalid_argument);
 }
 
+/// One pair through the batch API, the aligner's only entry point.
+PairedResult align_one_pair(const PairedAligner& aligner,
+                            const std::vector<Base>& read1,
+                            const std::vector<Base>& read2) {
+  return aligner
+      .align_pairs(ReadBatch::from_reads({read1}),
+                   ReadBatch::from_reads({read2}))
+      .front();
+}
+
 TEST(SamWriter, ProperPairRecords) {
   const Fixture f;
   PairedOptions popt;
@@ -195,7 +205,7 @@ TEST(SamWriter, ProperPairRecords) {
   const PairedAligner paired(f.fm, popt);
   const auto r1 = f.reference.slice(1000, 1100);
   const auto r2 = genome::reverse_complement(f.reference.slice(1200, 1300));
-  const auto result = paired.align_pair(r1, r2);
+  const auto result = align_one_pair(paired, r1, r2);
   ASSERT_EQ(result.cls, PairClass::kProperPair);
 
   std::ostringstream out;
@@ -229,7 +239,7 @@ TEST(SamWriter, OneMateUnmappedPair) {
   const auto r1 = f.reference.slice(2000, 2100);
   std::vector<Base> junk(100, Base::A);
   junk[3] = Base::C;  // poly-A-ish junk: not in this reference
-  const auto result = paired.align_pair(r1, junk);
+  const auto result = align_one_pair(paired, r1, junk);
   ASSERT_EQ(result.cls, PairClass::kOneMate);
 
   std::ostringstream out;

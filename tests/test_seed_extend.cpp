@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "src/align/inexact_search.h"
-#include "src/pim/platform.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/util/rng.h"
 
@@ -140,31 +139,6 @@ TEST(SeedExtend, BadArgsThrow) {
       std::invalid_argument);
 }
 
-TEST(SeedExtend, HardwareBackendBitIdentical) {
-  // seed_extend_hw drives the same core through the PIM platform; results
-  // match the software path and every seed search is charged to the tiles.
-  Fixture f(60000, 12);
-  ::pim::hw::TimingEnergyModel timing;
-  ::pim::hw::PimAlignerPlatform platform(f.fm, timing);
-  const auto read = mutate_read(f.reference.slice(20000, 20600), 3, 1, 5);
-  const auto sw = seed_extend_align(f.fm, read);
-  platform.reset_stats();
-  const auto hw_result =
-      ::pim::hw::seed_extend_hw(platform, read);
-  ASSERT_EQ(hw_result.hits.size(), sw.hits.size());
-  for (std::size_t i = 0; i < sw.hits.size(); ++i) {
-    EXPECT_EQ(hw_result.hits[i].ref_begin, sw.hits[i].ref_begin);
-    EXPECT_EQ(hw_result.hits[i].score, sw.hits[i].score);
-    EXPECT_EQ(hw_result.hits[i].votes, sw.hits[i].votes);
-  }
-  EXPECT_EQ(hw_result.seeds_total, sw.seeds_total);
-  // The seeding really ran on the sub-arrays.
-  const auto stats = platform.aggregate_stats();
-  EXPECT_GT(stats.lfm_calls, 0U);
-  EXPECT_GT(stats.ops.triple_senses, 0U);
-  EXPECT_GT(stats.sa_mem_reads, 0U);
-}
-
 TEST(SeedExtend, WfaKernelPlacesReadsLikeBandedSw) {
   // The S44 seam: the same seeding/voting, verification by gap-affine WFA.
   // Placements agree with the banded-SW kernel and both report honest edit
@@ -219,38 +193,6 @@ TEST(SeedExtend, PerfectReadHasZeroEdits) {
     EXPECT_EQ(result.hits[0].edits, 0U) << to_string(kernel);
     EXPECT_EQ(result.hits[0].score, 2000) << to_string(kernel);
   }
-}
-
-TEST(SeedExtend, HardwareBackendBitIdenticalWithWfaAndCharges) {
-  // The WFA kernel through the PIM platform: bit-identical to software,
-  // and the wavefront work lands on the op model via charge_wfa_extension.
-  Fixture f(60000, 12);
-  ::pim::hw::TimingEnergyModel timing;
-  ::pim::hw::PimAlignerPlatform platform(f.fm, timing);
-  SeedExtendOptions wfa_opt;
-  wfa_opt.kernel = ExtensionKernel::kWfa;
-  const auto read = mutate_read(f.reference.slice(20000, 20600), 3, 1, 5);
-
-  const auto sw = seed_extend_align(f.fm, read, wfa_opt);
-  platform.reset_stats();
-  const auto before = platform.aggregate_stats();
-  const auto hw_result =
-      ::pim::hw::seed_extend_hw(platform, read, wfa_opt);
-  ASSERT_EQ(hw_result.hits.size(), sw.hits.size());
-  for (std::size_t i = 0; i < sw.hits.size(); ++i) {
-    EXPECT_EQ(hw_result.hits[i].ref_begin, sw.hits[i].ref_begin);
-    EXPECT_EQ(hw_result.hits[i].score, sw.hits[i].score);
-    EXPECT_EQ(hw_result.hits[i].edits, sw.hits[i].edits);
-  }
-  const auto stats = platform.aggregate_stats();
-  EXPECT_EQ(stats.wfa_wavefronts, sw.wfa.wavefronts);
-  EXPECT_EQ(stats.wfa_cells, sw.wfa.cells);
-  EXPECT_GT(stats.ops.triple_senses, before.ops.triple_senses);
-  EXPECT_GT(stats.ops.dpu_word_ops, 0U);
-  EXPECT_GT(stats.ops.energy_pj, 0.0);
-  // reset_stats clears the extension tallies too.
-  platform.reset_stats();
-  EXPECT_EQ(platform.aggregate_stats().wfa_cells, 0U);
 }
 
 TEST(SeedExtend, HitsSortedByScore) {

@@ -243,20 +243,6 @@ TEST(FleetTransfer, SingleBufferNeverOverlaps) {
   }
 }
 
-TEST(FleetTransfer, DisabledFleetChargesNothing) {
-  FleetFixture f;
-  TransferOptions opts;
-  opts.enabled = false;
-  PimChipFleet fleet(f.fm, f.timing, 2, {}, {}, AddPlacement::kMethodI, {},
-                     opts);
-  align::BatchResult out;
-  fleet.engine().align_batch(f.batch, out);
-  const TransferReport report = fleet.transfer_report();
-  EXPECT_EQ(report.staged_bytes, 0u);
-  EXPECT_DOUBLE_EQ(report.staging_ns, 0.0);
-  EXPECT_DOUBLE_EQ(report.overlapped_ns, 0.0);
-}
-
 TEST(FleetTransfer, DeterministicAcrossReruns) {
   FleetFixture f;
   auto run = [&f]() {
